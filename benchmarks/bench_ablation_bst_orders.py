@@ -9,7 +9,7 @@ differences on the iPSC model stay small.
 
 from repro.routing import bst_scatter_schedule
 from repro.sim import IPSC_D7, PortModel
-from repro.sim.engine import run_async
+from repro.sim import run_async
 from repro.topology import Hypercube
 
 

@@ -10,7 +10,7 @@ times under the event engine.
 
 from repro.routing import sbt_broadcast_schedule
 from repro.sim import PortModel, UNIT_COST, run_synchronous
-from repro.sim.engine import run_async
+from repro.sim import run_async
 from repro.topology import Hypercube
 
 

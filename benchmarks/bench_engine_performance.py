@@ -78,8 +78,8 @@ def test_perf_event_engine(benchmark, big_broadcast):
 
 
 def test_perf_event_engine_n10(benchmark, huge_broadcast):
-    # ~60k transfers; only feasible on the indexed engine (the rescan
-    # engine needs minutes here), so a single round keeps wall time low
+    # ~60k transfers (the reference rescan engine needs minutes here);
+    # a single round keeps wall time low
     cube, sched = huge_broadcast
     init = {0: set(sched.chunk_sizes)}
     res = benchmark.pedantic(

@@ -1,7 +1,8 @@
 """Benchmark-regression suite: canonical workloads pinned in BENCH_ENGINE.json.
 
-The workloads cover the two engines and the schedule-generation path
-(cold and cached).  ``scripts/bench_compare.py`` runs this file with
+The workloads cover the event and lock-step engines, the
+schedule-generation path (cold and cached) and the translation of
+cached trees to a new root.  ``scripts/bench_compare.py`` runs this file with
 ``--benchmark-json``, extracts each benchmark's median, and compares it
 against the medians recorded in ``BENCH_ENGINE.json`` at the repo root;
 ``--update`` refreshes the baseline.  Run the suite directly with::
@@ -12,9 +13,12 @@ The names of these tests are the keys of the baseline file — renaming
 one orphans its baseline entry.
 """
 
+import itertools
+
 import pytest
 
 from repro import cache
+from repro.cache import cached_msbt_graph
 from repro.routing import msbt_broadcast_schedule
 from repro.sim import (
     IPSC_D7,
@@ -49,20 +53,8 @@ def test_regress_event_engine_n7(benchmark, workload_n7):
     assert res.time > 0
 
 
-def test_regress_event_engine_n10(benchmark, workload_n10):
-    # ~60k transfers; a single round keeps total wall time reasonable
-    cube, sched = workload_n10
-    init = {0: set(sched.chunk_sizes)}
-    res = benchmark.pedantic(
-        run_async,
-        args=(cube, sched, PortModel.ONE_PORT_FULL, init, IPSC_D7),
-        rounds=1,
-        iterations=1,
-    )
-    assert res.time > 0
-
-
 def test_regress_vectorized_engine_n10(benchmark, workload_n10):
+    # ~60k transfers; a single round keeps total wall time reasonable
     cube, sched = workload_n10
     init = {0: set(sched.chunk_sizes)}
     res = benchmark.pedantic(
@@ -75,8 +67,7 @@ def test_regress_vectorized_engine_n10(benchmark, workload_n10):
 
 
 def test_regress_vectorized_engine_n12(benchmark):
-    # ~246k transfers — indexed-engine territory measured in minutes;
-    # only the vectorized engine runs a large cube in the suite
+    # ~246k transfers
     cube, sched = _msbt_workload(12)
     init = {0: set(sched.chunk_sizes)}
     res = benchmark.pedantic(
@@ -106,6 +97,17 @@ def test_regress_generate_msbt_cold(benchmark):
 
     sched = benchmark(cold)
     assert sched.num_transfers > 0
+
+
+def test_regress_msbt_graph_new_source_n10(benchmark):
+    # every round asks for a source the graph cache has not seen, so the
+    # n ERSBTs are translated from the canonical source-0 trees
+    cube = Hypercube(10)
+    cache.clear_caches()
+    cached_msbt_graph(cube, 0)  # the canonical trees
+    sources = itertools.cycle(range(1, cube.num_nodes))
+    graph = benchmark(lambda: cached_msbt_graph(cube, next(sources)))
+    assert len(graph.trees) == cube.dimension
 
 
 def test_regress_generate_msbt_cached(benchmark):

@@ -49,22 +49,25 @@ def _build(cls: type[T], cube: Topology, root: int, extra: tuple) -> T:
 
 
 def _translate(canonical: SpanningTree, instance: SpanningTree, s: int) -> None:
-    """Inject the canonical maps translated by ``s`` into ``instance``."""
-    tr = canonical.cube.translate
-    c_parents = canonical.parents_map
-    c_children = canonical.children_map
-    c_levels = canonical.levels
-    c_sizes = canonical.subtree_sizes
-    instance.__dict__["parents_map"] = {
-        tr(i, s): (None if p is None else tr(p, s)) for i, p in c_parents.items()
+    """Inject the canonical maps translated by ``s`` into ``instance``.
+
+    The translation is tabulated once as a node permutation (at most
+    one ``translate`` call per node) and every map is relabelled
+    through it, keeping the canonical maps' key order.
+    """
+    perm = canonical.cube.translation(s)
+    d = instance.__dict__
+    d["parents_map"] = {
+        perm[i]: (None if p is None else perm[p])
+        for i, p in canonical.parents_map.items()
     }
-    instance.__dict__["children_map"] = {
-        tr(i, s): tuple(sorted(tr(c, s) for c in kids))
-        for i, kids in c_children.items()
+    d["children_map"] = {
+        perm[i]: tuple(sorted([perm[c] for c in kids])) if kids else ()
+        for i, kids in canonical.children_map.items()
     }
-    instance.__dict__["levels"] = {tr(i, s): lvl for i, lvl in c_levels.items()}
-    instance.__dict__["subtree_sizes"] = {
-        tr(i, s): sz for i, sz in c_sizes.items()
+    d["levels"] = {perm[i]: lvl for i, lvl in canonical.levels.items()}
+    d["subtree_sizes"] = {
+        perm[i]: sz for i, sz in canonical.subtree_sizes.items()
     }
 
 

@@ -98,9 +98,9 @@ def _add_topology_options(parser: argparse.ArgumentParser) -> None:
 def _add_engine_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINES, default=None,
-        help="event-engine implementation (default: REPRO_ENGINE or "
-             "indexed; vectorized is bit-identical and much faster on "
-             "large cubes)")
+        help="event engine (default: REPRO_ENGINE or vectorized, the "
+             "production engine; reference is the slow bit-identical "
+             "oracle)")
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "of broadcast/scatter only)")
     wr.add_argument("--engine", choices=ENGINES, default=None,
                     help="event engine; the merged-program lowering "
-                         "requires 'vectorized' (the default)")
+                         "requires vectorized (the default), not the "
+                         "reference oracle")
     wr.add_argument("--jobs", "-j", type=int, default=None,
                     help="worker processes for schedule pregeneration "
                          "(default: 1; 0 = all cores); output is "

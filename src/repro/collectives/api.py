@@ -355,10 +355,10 @@ def broadcast(
             ``result.async_``, so ``run_event_sim`` is implied.
         trace: record a per-packet :class:`repro.runtime.RuntimeTrace`
             on ``result.async_.trace`` (runtime backend only).
-        engine: event-engine implementation for ``run_event_sim``
-            (see :data:`repro.sim.ENGINES`; default: ``REPRO_ENGINE``
-            or ``"indexed"``; ``"vectorized"`` is bit-identical and
-            much faster on large cubes).
+        engine: event engine for ``run_event_sim`` (see
+            :data:`repro.sim.ENGINES`; default: ``REPRO_ENGINE`` or
+            ``"vectorized"``, the production engine; ``"reference"``
+            is the slow bit-identical oracle).
         workers: shard the runtime execution across this many worker
             processes (a power of two; ``0`` auto-sizes to the CPU
             count).  Runtime backend only; results stay bit-identical

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.sim.engine import AsyncResult
 from repro.sim.faults import DegradedResult, FaultPlan
+from repro.sim.result import AsyncResult
 from repro.sim.schedule import Schedule
 from repro.sim.synchronous import SyncResult
 from repro.sim.trace import LinkStats

@@ -333,7 +333,7 @@ def run_sweep(
             duration of the sweep, in the parent and every worker
             (default: whatever ``REPRO_CACHE_DIR`` says).
         engine: event-engine implementation for the sweep's duration
-            (``"indexed"``/``"vectorized"``/``"reference"``), exported
+            (``"vectorized"``/``"reference"``), exported
             as ``REPRO_ENGINE`` to the parent and every worker so point
             functions that run collectives pick it up without
             signature changes (default: leave the environment alone).

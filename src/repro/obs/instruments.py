@@ -325,7 +325,7 @@ def engine_run_finished(
 ) -> None:
     """Flush one engine run's locally accumulated counters.
 
-    Called once per :func:`repro.sim.engine.run_async` /
+    Called once per :func:`repro.sim.run_async` /
     :func:`repro.sim.synchronous.run_synchronous` invocation (including
     aborted ones), so the engines' inner loops never touch the registry.
     """

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from math import ceil
+from math import ceil, isfinite
+from numbers import Integral, Real
 
 from repro.sim.schedule import Chunk
 
 __all__ = [
     "broadcast_chunks",
+    "is_whole",
     "scatter_chunks",
     "validate_message_args",
     "BCAST",
@@ -19,12 +21,26 @@ BCAST = "b"
 MSG = "m"
 
 
+def is_whole(value: object) -> bool:
+    """True for an integer, or a finite real with no fractional part."""
+    if isinstance(value, Integral):
+        return True
+    return isinstance(value, Real) and isfinite(value) and value == int(value)
+
+
 def validate_message_args(message_elems: int, packet_elems: int) -> None:
-    """Common argument validation for all generators."""
-    if message_elems < 1:
-        raise ValueError(f"message size must be >= 1 element, got {message_elems}")
-    if packet_elems < 1:
-        raise ValueError(f"packet size must be >= 1 element, got {packet_elems}")
+    """Common argument validation for all generators.
+
+    Sizes count elements: NaN, infinite and fractional sizes raise
+    instead of being rounded into a plausible packet count.
+    """
+    for what, size in (("message", message_elems), ("packet", packet_elems)):
+        if not is_whole(size):
+            raise ValueError(
+                f"{what} size must be a whole number of elements, got {size!r}"
+            )
+        if size < 1:
+            raise ValueError(f"{what} size must be >= 1 element, got {size}")
 
 
 def broadcast_chunks(message_elems: int, packet_elems: int) -> dict[Chunk, int]:

@@ -17,7 +17,7 @@ Determinism
 asyncio interleaving never influences results: all contention is
 resolved by the priority keys of :mod:`repro.runtime.rules`, and the
 kernel admits competing sends in key order within each coalesced
-instant, mirroring :func:`repro.sim.engine.run_async` exactly.  The
+instant, mirroring :func:`repro.sim.run_async` exactly.  The
 differential harness (:mod:`repro.runtime.validate`) asserts
 completion times, link counters, and start-time profiles identical to
 the engine's.
@@ -84,7 +84,7 @@ RUNTIME_FAULT_MODES = ("raise", "report", "repair")
 @dataclass
 class RuntimeResult:
     """Outcome of a runtime execution; field-compatible with
-    :class:`repro.sim.engine.AsyncResult` plus runtime extras.
+    :class:`repro.sim.result.AsyncResult` plus runtime extras.
 
     Attributes:
         time: completion time of the last transfer (virtual clock).
@@ -699,7 +699,7 @@ def run_collective(
     """Build local programs and execute them on a virtual cluster.
 
     The distributed counterpart of generating a schedule and replaying
-    it through :func:`repro.sim.engine.run_async` — same parameters,
+    it through :func:`repro.sim.run_async` — same parameters,
     same result shape, but every routing decision is taken by the node
     actors from their own addresses.
 

@@ -1,6 +1,6 @@
 """Node channels and port-model admission for the runtime kernel.
 
-Mirrors the channel arithmetic of :mod:`repro.sim.engine` exactly —
+Mirrors the channel arithmetic of :mod:`repro.sim.vectorized` exactly —
 same pruning rule, same overlap-release constraint — so that a runtime
 execution and an engine replay of the same transfers occupy identical
 time windows.  The admission object realizes the paper's port models as

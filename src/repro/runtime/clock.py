@@ -1,8 +1,9 @@
 """The runtime's virtual clock: event heaps with instant coalescing.
 
-This is the time-advance mechanism of :mod:`repro.sim.engine` lifted
-out of the engine loop and generalized from static transfer indices to
-dynamic priority keys (see :mod:`repro.runtime.rules`).  Three event
+This is the event engine's time-advance rule (:mod:`repro.sim.vectorized`,
+pinned to the reference oracle) as a standalone heap-driven clock,
+generalized from static transfer indices to dynamic priority keys (see
+:mod:`repro.runtime.rules`).  Three event
 kinds share one heap:
 
 * **pure wakes** — transfer completions and overlap-release points;

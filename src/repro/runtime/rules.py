@@ -1,6 +1,6 @@
 """Local routing rules: what each node sends, computed from its address.
 
-The event engine (:mod:`repro.sim.engine`) *replays* a centrally
+The event engine (:mod:`repro.sim.vectorized`) *replays* a centrally
 generated :class:`~repro.sim.schedule.Schedule`.  The runtime executes
 the same algorithms the way the paper states them (§3.3, §4.2): every
 node derives its own transmissions from its **own address**, the

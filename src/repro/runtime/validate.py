@@ -27,7 +27,7 @@ from repro.routing import (
     sbt_scatter_schedule,
 )
 from repro.runtime.actors import run_collective
-from repro.sim.engine import run_async
+from repro.sim import run_async
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
 from repro.topology.hypercube import Hypercube

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.engine import AsyncResult
 from repro.sim.faults import DegradedResult, FaultPlan
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.multi import MergedProgram, untag_holdings
 from repro.sim.ports import PortModel
+from repro.sim.result import AsyncResult
 from repro.sim.schedule import Chunk
 from repro.sim.trace import LinkStats
 from repro.sim.vectorized import run_async_vectorized

@@ -21,8 +21,10 @@ Latency vocabulary (all in simulated time):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 from repro.collectives.api import SCHEDULE_OPS
+from repro.routing.common import is_whole
 from repro.sim.schedule import Chunk
 from repro.sim.trace import LinkStats
 
@@ -64,8 +66,14 @@ class JobSpec:
             raise ValueError(
                 f"op must be one of {SCHEDULE_OPS}, got {self.op!r}"
             )
-        if self.arrival < 0:
-            raise ValueError(f"arrival must be >= 0, got {self.arrival}")
+        if not (isfinite(self.arrival) and self.arrival >= 0):
+            raise ValueError(
+                f"arrival must be >= 0 and finite, got {self.arrival}"
+            )
+        if not is_whole(self.message_elems):
+            raise ValueError(
+                f"message_elems must be a whole number, got {self.message_elems!r}"
+            )
         if self.message_elems < 1:
             raise ValueError(
                 f"message_elems must be >= 1, got {self.message_elems}"

@@ -57,11 +57,11 @@ from repro.obs.instruments import service_run_finished
 from repro.service.exec import ExecutionView, execute_program
 from repro.service.jobs import JobResult, JobSpec
 from repro.service.policies import SchedulingPolicy, resolve_policy
-from repro.sim.engine import AsyncResult
 from repro.sim.faults import DegradedResult, FaultPlan
 from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry, MergedProgram, merge_programs
 from repro.sim.ports import PortModel
+from repro.sim.result import AsyncResult
 from repro.sim.schedule import Chunk, Schedule
 from repro.topology.hypercube import Hypercube
 

@@ -8,15 +8,15 @@ Two engines over one schedule representation:
   hardware packet splitting and cross-port overlap (the paper's iPSC
   measurements).
 
-The event engine has interchangeable implementations (see
-:mod:`repro.sim.dispatch`): the default ``"indexed"`` object path and
-the ``"vectorized"`` array core (:func:`repro.sim.run_async_vectorized`),
-which compiles the schedule to flat NumPy tables via
-:func:`repro.sim.lower_schedule` and produces bit-identical results.
+The event engine is the vectorized array core
+(:func:`repro.sim.run_async_vectorized`, of which ``run_async`` is the
+public name): it compiles the schedule to flat NumPy tables via
+:func:`repro.sim.lower_schedule`.  A naive reference oracle, selectable
+as ``engine="reference"`` (see :mod:`repro.sim.dispatch`), pins its
+results bit for bit.
 """
 
 from repro.sim.dispatch import ENGINES, get_engine, resolve_engine
-from repro.sim.engine import AsyncResult, run_async
 from repro.sim.faults import (
     DegradedResult,
     FaultError,
@@ -28,10 +28,13 @@ from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, ZERO_STARTUP, MachineParams
 from repro.sim.multi import JobEntry, MergedProgram, merge_programs, untag_holdings
 from repro.sim.ports import PortModel
+from repro.sim.result import AsyncResult
 from repro.sim.schedule import Chunk, Schedule, Transfer, merge_schedules
 from repro.sim.synchronous import SyncResult, check_round_constraints, run_synchronous
 from repro.sim.trace import LinkStats
 from repro.sim.vectorized import run_async_vectorized
+
+run_async = run_async_vectorized
 
 __all__ = [
     "AsyncResult",

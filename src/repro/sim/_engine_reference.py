@@ -1,8 +1,8 @@
 """Reference (seed) implementation of the asynchronous engine.
 
 This is the original O(T^2) scan-loop engine kept verbatim as a
-*timing oracle*: the production engine in :mod:`repro.sim.engine` is a
-dependency-indexed rewrite that must produce bit-identical results
+*timing oracle*: the production engine in :mod:`repro.sim.vectorized`
+is an array-core rewrite that must produce bit-identical results
 (``time``, ``holdings``, ``link_stats`` and the multiset of transfer
 start times).  The equivalence suite in
 ``tests/sim/test_engine_equivalence.py`` runs both on every algorithm
@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from repro.sim.engine import AsyncResult
 from repro.sim.faults import (
     DegradedResult,
     FaultError,
@@ -27,13 +26,12 @@ from repro.sim.faults import (
 )
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
+from repro.sim.result import _EPS, AsyncResult
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.sim.trace import LinkStats
 from repro.topology.base import Topology
 
 __all__ = ["run_async_reference"]
-
-_EPS = 1e-12
 
 
 @dataclass
@@ -95,7 +93,7 @@ def run_async_reference(
     Raises ``RuntimeError`` on deadlock — i.e. when a pending transfer's
     payload can never arrive because the schedule is causally broken.
 
-    Fault semantics are identical to :func:`repro.sim.engine.run_async`
+    Fault semantics are identical to :func:`repro.sim.run_async`
     (the equivalence suite's fault matrix pins both engines to the same
     outcomes): a transfer starting on an active fault raises
     :class:`FaultError` or — in ``report`` mode — is cancelled, with

@@ -1,24 +1,22 @@
-"""Engine selection: one name, one runner, one environment default.
+"""Engine selection: one production engine plus a reference oracle.
 
-Three interchangeable async engines execute the same
+Two interchangeable async engines execute the same
 :class:`~repro.sim.schedule.Schedule` contract:
 
-* ``"indexed"`` — the object-path event engine
-  (:func:`repro.sim.engine.run_async`); the default.
 * ``"vectorized"`` — the array-core engine
-  (:func:`repro.sim.vectorized.run_async_vectorized`): lowers the
-  schedule to flat NumPy tables once and drives admission through a
-  batched prefilter kernel.  Bit-identical results, much faster on
-  large cubes (n >= 10).
+  (:func:`repro.sim.vectorized.run_async_vectorized`, exported as
+  :func:`repro.sim.run_async`); the default and the only production
+  engine.  It lowers the schedule to flat NumPy tables once and drives
+  admission through a batched prefilter kernel.
 * ``"reference"`` — the deliberately naive oracle
   (:func:`repro.sim._engine_reference.run_async_reference`), kept for
   differential debugging.  Note its ``start_times`` are in completion
   order, not sorted; callers comparing against it must sort.
 
 :func:`resolve_engine` turns ``None`` into the process-wide default
-(the ``REPRO_ENGINE`` environment variable, else ``"indexed"``), which
-is also how the sweep executor's worker processes inherit an engine
-choice without threading a parameter through every experiment
+(the ``REPRO_ENGINE`` environment variable, else ``"vectorized"``),
+which is also how the sweep executor's worker processes inherit an
+engine choice without threading a parameter through every experiment
 function.
 """
 
@@ -30,19 +28,19 @@ from typing import Any
 
 __all__ = ["ENGINES", "get_engine", "resolve_engine"]
 
-#: Recognized engine names, in documentation order.
-ENGINES = ("indexed", "vectorized", "reference")
+#: Recognized engine names, default first.
+ENGINES = ("vectorized", "reference")
 
 
 def resolve_engine(engine: str | None = None) -> str:
-    """Validate ``engine``, defaulting to ``REPRO_ENGINE`` or ``"indexed"``.
+    """Validate ``engine``, defaulting to ``REPRO_ENGINE`` or ``"vectorized"``.
 
     Raises:
         ValueError: if the name (explicit or from the environment) is
             not one of :data:`ENGINES`.
     """
     if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or "indexed"
+        engine = os.environ.get("REPRO_ENGINE") or "vectorized"
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
@@ -51,20 +49,11 @@ def resolve_engine(engine: str | None = None) -> str:
 
 
 def get_engine(engine: str | None = None) -> Callable[..., Any]:
-    """Return the ``run_async``-compatible runner for ``engine``.
-
-    Imports lazily so selecting ``"indexed"`` never pays for NumPy
-    table setup code, and vice versa.
-    """
-    name = resolve_engine(engine)
-    if name == "vectorized":
-        from repro.sim.vectorized import run_async_vectorized
-
-        return run_async_vectorized
-    if name == "reference":
+    """Return the ``run_async``-compatible runner for ``engine``."""
+    if resolve_engine(engine) == "reference":
         from repro.sim._engine_reference import run_async_reference
 
         return run_async_reference
-    from repro.sim.engine import run_async
+    from repro.sim.vectorized import run_async_vectorized
 
-    return run_async
+    return run_async_vectorized

@@ -315,7 +315,7 @@ class FaultEvent:
 class DegradedResult:
     """Outcome of a run that survived faults in ``report`` mode.
 
-    Mirrors the shape of :class:`~repro.sim.engine.AsyncResult` /
+    Mirrors the shape of :class:`~repro.sim.result.AsyncResult` /
     :class:`~repro.sim.synchronous.SyncResult` (``time``, ``holdings``,
     ``link_stats``) and adds the damage report.
 

@@ -7,9 +7,9 @@ into an array-of-structs :class:`LoweredSchedule`:
 
 * per-transfer columns ``src``/``dst``/``port``/``link``/``elems`` —
   the port and the dense directed-link id are precomputed here, so the
-  hot loop never calls :meth:`Hypercube.port_towards` (profiling shows
-  the indexed engine spends a large share of its time re-deriving and
-  re-validating ports, ~6–7 examinations per transfer);
+  hot loop never calls :meth:`Hypercube.port_towards` (an object-path
+  engine spends a large share of its time re-deriving and re-validating
+  ports, ~6–7 examinations per transfer);
 * a *slot* table: every distinct ``(node, chunk)`` pair that can ever
   hold payload gets a dense id, with ``slot_node``/``slot_chunk``
   decoding columns and an ``init_avail`` column (0.0 for initial

@@ -1,10 +1,22 @@
-"""Vectorized array-core asynchronous engine.
+"""Vectorized array-core asynchronous engine: the production event engine.
 
-Runs the same discrete-event semantics as :func:`repro.sim.engine.
-run_async` (and the reference oracle) over the flat arrays produced by
-:mod:`repro.sim.lowering`, instead of per-transfer Python objects.
-Results are bit-identical — the equivalence suite asserts it on every
-tree, port model, machine and fault plan.
+Runs the discrete-event semantics of the reference oracle
+(:func:`repro.sim._engine_reference.run_async_reference`) over the flat
+arrays produced by :mod:`repro.sim.lowering`, instead of per-transfer
+Python objects.  Results are bit-identical — the equivalence suite
+asserts it on every tree, port model, machine and fault plan.
+
+The engine advances time the way the iPSC of §5 does for a schedule:
+
+* every transfer takes ``machine.send_cost(elems)`` wall-clock time
+  (start-up per internal hardware packet + proportional transfer);
+* a transfer starts as soon as — and no sooner than — its payload is
+  present at the sender, its directed link is free, and both endpoint
+  nodes have channel capacity under the active port model;
+* under the one-port models, consecutive actions of one node on
+  *different* ports may overlap by the machine's ``overlap`` fraction;
+* transfers compete in schedule order (program order), i.e. the round
+  structure provides priorities, not barriers.
 
 How bit-identity survives vectorization
 ---------------------------------------
@@ -25,11 +37,11 @@ must push the same wake values, no more and no fewer.  They are:
   whose other-port terms use the *end-start* release form
   ``start + (1-ov)*(end-start)``, one ulp away from the duration form
   in general.  The reference re-pushes these for every blocked
-  transfer at every instant; like the indexed engine, this engine
-  materializes them with a dirty-channel sweep before each time
-  advance — every transfer blocked on a channel occupied during the
-  closed instant gets its constraint re-evaluated against final
-  instant state and pushed as a pure wake.
+  transfer at every instant; this engine materializes them with a
+  dirty-channel sweep before each time advance — every transfer
+  blocked on a channel occupied during the closed instant gets its
+  constraint re-evaluated against final instant state and pushed as a
+  pure wake.
 
 With the wake values aligned, the full rescan is unnecessary: within
 an instant the scalar admission loop below replays the reference's
@@ -50,8 +62,8 @@ resources change, so at prefilter time ``vc > limit`` is precisely the
 reference's own admission refusal (under the all-port model ``vc`` can
 lag *below* the true link constraint, which costs a re-exam, never a
 wrong skip).  Channel state itself stays in per-node Python lists
-pruned exactly like ``_Channel.occupy`` — the float arithmetic is
-identical expression for expression.
+pruned exactly like the reference's ``_Channel.occupy`` — the float
+arithmetic is identical expression for expression.
 """
 
 from __future__ import annotations
@@ -63,7 +75,6 @@ import numpy as np
 
 from repro.obs.instruments import engine_run_finished
 from repro.sim._kernels import prefilter
-from repro.sim.engine import _EPS, AsyncResult
 from repro.sim.faults import (
     DegradedResult,
     FaultError,
@@ -76,6 +87,7 @@ from repro.sim.faults import (
 from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
+from repro.sim.result import _EPS, AsyncResult
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.sim.trace import LinkStats
 from repro.topology.base import Topology
@@ -99,9 +111,21 @@ def run_async_vectorized(
 ) -> AsyncResult | DegradedResult:
     """Event-driven execution of ``schedule`` under ``port_model``.
 
-    Drop-in equivalent of :func:`repro.sim.engine.run_async` (same
-    signature, same results bit for bit, same fault and deadlock
-    semantics).  ``lowered`` optionally reuses a pre-built
+    Exported as :func:`repro.sim.run_async`.  Raises ``RuntimeError`` on
+    deadlock — i.e. when a pending transfer's payload can never arrive
+    because the schedule is causally broken.
+
+    With a :class:`~repro.sim.faults.FaultPlan`, a transfer whose start
+    instant falls on a dead link or endpoint raises a structured
+    :class:`~repro.sim.faults.FaultError` (``on_fault="raise"``,
+    default) or is cancelled and reported (``on_fault="report"``):
+    the run then continues with the surviving transfers, transfers
+    starved by the cancellation cascade are dropped instead of
+    deadlocking, and a :class:`~repro.sim.faults.DegradedResult` names
+    every undelivered ``(node, chunk)``.  A faulted run that still
+    executes every transfer returns a plain :class:`AsyncResult`.
+
+    ``lowered`` optionally reuses a pre-built
     :class:`~repro.sim.lowering.LoweredSchedule`; it must have been
     lowered from this exact ``schedule`` and ``initial_holdings``
     (lowering is machine- and port-model-independent, so one lowering

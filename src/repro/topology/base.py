@@ -103,6 +103,10 @@ class Topology(ABC):
             raise ValueError(f"port {port} outside 0..{self.num_ports - 1}")
         return port
 
+    def translation(self, by: int) -> list[int]:
+        """``translate(i, by)`` for every node ``i``, as a permutation list."""
+        return [self.translate(i, by) for i in self.nodes()]
+
     def neighbors(self, node: int) -> list[int]:
         """All neighbours of ``node``, in port order."""
         self.check_node(node)

@@ -289,6 +289,11 @@ class Hypercube(Topology):
         self.check_node(by)
         return node ^ by
 
+    def translation(self, by: int) -> list[int]:
+        """``translate(i, by)`` for every node ``i``: one XOR per node."""
+        self.check_node(by)
+        return [i ^ by for i in range(self.num_nodes)]
+
     def edge_ports(self, src, dst):  # type: ignore[no-untyped-def]
         """Vectorized ``port_towards``: the flipped bit, ``-1`` for non-edges."""
         import numpy as np

@@ -31,9 +31,11 @@ workloads in :mod:`repro.workloads.scenarios`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Callable
 
 from repro.collectives.api import ROOTED_OPS, SCHEDULE_OPS
+from repro.routing.common import is_whole
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
@@ -84,15 +86,16 @@ class PhaseSpec:
                 f"phase {self.name!r}: op must be None or one of "
                 f"{SCHEDULE_OPS}, got {self.op!r}"
             )
-        if self.compute < 0:
+        if not (isfinite(self.compute) and self.compute >= 0):
             raise ValueError(
-                f"phase {self.name!r}: compute must be >= 0, "
+                f"phase {self.name!r}: compute must be >= 0 and finite, "
                 f"got {self.compute}"
             )
-        if self.op is None and self.compute == 0 and self.deps:
-            # legal but almost certainly a mistake: a no-op join node
-            # is fine, but flag negative-information specs early
-            pass
+        if not is_whole(self.message_elems):
+            raise ValueError(
+                f"phase {self.name!r}: message_elems must be a whole "
+                f"number, got {self.message_elems!r}"
+            )
         if self.message_elems < 1:
             raise ValueError(
                 f"phase {self.name!r}: message_elems must be >= 1, "

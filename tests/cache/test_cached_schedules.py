@@ -24,7 +24,7 @@ from repro.routing import (
     sbt_reduce_schedule,
     sbt_scatter_schedule,
 )
-from repro.sim.engine import run_async
+from repro.sim import run_async
 from repro.sim.machine import IPSC_D7
 from repro.sim.ports import PortModel
 from repro.topology.hypercube import Hypercube

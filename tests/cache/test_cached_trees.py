@@ -1,9 +1,11 @@
 """Cached (translated) trees are structurally identical to direct builds.
 
-The cache builds each family once at root 0 and XOR-translates the
-structural maps for any other root; these tests assert that for
-randomized ``(n, root)`` samples the translated instance is
-indistinguishable from one constructed directly.
+The cache builds each family once at root 0 and translates the
+structural maps for any other root (XOR on the hypercube, coordinate
+addition on the torus); these tests assert that for randomized
+``(n, root)`` samples the translated instance is indistinguishable from
+one constructed directly, and that the translation costs one
+``translate`` call per node.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import pytest
 
 from repro.cache import cached_msbt_graph, cached_tree, clear_caches, disabled
 from repro.topology.hypercube import Hypercube
+from repro.topology.torus import Torus
 from repro.trees.bst import BalancedSpanningTree
 from repro.trees.hamiltonian import HamiltonianPathTree
 from repro.trees.hp_variants import CenteredHamiltonianPathTree
 from repro.trees.msbt import EdgeReversedSBT, MSBTGraph
+from repro.trees.ring import RingDecompositionTree
 from repro.trees.sbt import SpanningBinomialTree
 from repro.trees.tcbt import TwoRootedCompleteBinaryTree
 
@@ -91,6 +95,59 @@ def test_cached_ersbt_keeps_tree_index_identity():
                 assert tuple(sorted(cached.children(node))) == tuple(
                     sorted(cached.children_map[node])
                 )
+
+
+def _count_translates(monkeypatch, topology_cls) -> list[int]:
+    """Count ``topology_cls.translate`` calls; returns the live counter."""
+    calls = [0]
+    original = topology_cls.translate
+
+    def counting(self, node, by):
+        calls[0] += 1
+        return original(self, node, by)
+
+    monkeypatch.setattr(topology_cls, "translate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cls", FAMILIES, ids=lambda c: c.__name__)
+def test_new_root_costs_at_most_n_translates(cls, monkeypatch):
+    """Translating a cached tree to a new root tabulates the node
+    permutation once: one ``translate`` call per node, not several per
+    map entry."""
+    cube = Hypercube(6)
+    cached_tree(cls, cube, 0)  # canonical instance, built directly
+    calls = _count_translates(monkeypatch, Hypercube)
+    tree = cached_tree(cls, cube, 45)
+    assert calls[0] <= cube.num_nodes
+    assert_same_structure(tree, cls(cube, 45))
+
+
+def test_new_msbt_source_costs_n_translates_per_tree(monkeypatch):
+    cube = Hypercube(6)
+    cached_msbt_graph(cube, 0)  # canonical ERSBTs
+    calls = _count_translates(monkeypatch, Hypercube)
+    cached_msbt_graph(cube, 37)
+    assert calls[0] <= cube.dimension * cube.num_nodes
+
+
+def test_torus_every_root_translation_matches_direct_build(monkeypatch):
+    torus = Torus(3, 3)
+    cached_tree(RingDecompositionTree, torus, 0)
+    calls = _count_translates(monkeypatch, Torus)
+    for root in torus.nodes():
+        before = calls[0]
+        cached = cached_tree(RingDecompositionTree, torus, root)
+        assert calls[0] - before <= torus.num_nodes
+        assert_same_structure(cached, RingDecompositionTree(torus, root))
+
+
+@pytest.mark.parametrize("topo", [Hypercube(4), Torus(2, 3), Torus(3, 2)], ids=repr)
+def test_translation_tabulates_translate(topo):
+    for by in topo.nodes():
+        assert topo.translation(by) == [topo.translate(i, by) for i in topo.nodes()]
+    with pytest.raises(ValueError):
+        topo.translation(topo.num_nodes)
 
 
 def test_cached_msbt_graph_matches_direct_build():

@@ -106,7 +106,7 @@ class TestAsyncEngineAgreement:
     def test_async_deadlocks_where_sync_raises(self, seed):
         # dropping an early transfer starves the pipeline: the async
         # engine must deadlock (never hang or silently finish)
-        from repro.sim.engine import run_async
+        from repro.sim import run_async
 
         cube = Hypercube(3)
         sched = msbt_broadcast_schedule(cube, 0, 3, 1, PortModel.ONE_PORT_FULL)

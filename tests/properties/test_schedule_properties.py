@@ -17,7 +17,7 @@ from repro.routing import (
 )
 from repro.routing.common import MSG
 from repro.sim import PortModel, run_synchronous
-from repro.sim.engine import run_async
+from repro.sim import run_async
 from repro.topology import Hypercube
 
 dims = st.integers(min_value=2, max_value=5)

@@ -1,8 +1,11 @@
 """Unit tests for the chunking helpers shared by the generators."""
 
+import numpy as np
 import pytest
 
+from repro.collectives import broadcast, scatter
 from repro.routing.common import broadcast_chunks, scatter_chunks, validate_message_args
+from repro.topology import Hypercube
 
 
 class TestBroadcastChunks:
@@ -53,3 +56,20 @@ class TestValidate:
             validate_message_args(-1, 1)
         with pytest.raises(ValueError, match="packet"):
             validate_message_args(1, -1)
+
+    def test_integral_values_of_any_type_accepted(self):
+        validate_message_args(8.0, np.int64(4))
+        validate_message_args(np.float64(16.0), 3)
+
+    @pytest.mark.parametrize("bad", [8.5, float("nan"), float("inf"), -float("inf")])
+    def test_non_integral_sizes_rejected(self, bad):
+        with pytest.raises(ValueError, match="message size must be a whole number"):
+            validate_message_args(bad, 4)
+        with pytest.raises(ValueError, match="packet size must be a whole number"):
+            validate_message_args(8, bad)
+
+    def test_broadcast_rejects_fractional_message(self):
+        with pytest.raises(ValueError, match="message size must be a whole number"):
+            broadcast(Hypercube(3), 0, "sbt", message_elems=8.5, packet_elems=1)
+        with pytest.raises(ValueError, match="packet size must be a whole number"):
+            scatter(Hypercube(3), 0, "bst", message_elems=4, packet_elems=float("nan"))

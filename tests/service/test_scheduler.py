@@ -34,6 +34,16 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="message_elems"):
             JobSpec(tenant="t", message_elems=0)
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_rejects_non_finite_arrival(self, arrival):
+        with pytest.raises(ValueError, match="arrival must be >= 0 and finite"):
+            JobSpec(tenant="t", arrival=arrival)
+
+    @pytest.mark.parametrize("m", [2.5, float("nan")])
+    def test_rejects_non_integral_message(self, m):
+        with pytest.raises(ValueError, match="message_elems must be a whole number"):
+            JobSpec(tenant="t", message_elems=m)
+
 
 class TestAdmissionControl:
     def test_validates_limits(self):

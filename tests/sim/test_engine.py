@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import MachineParams, PortModel, Schedule, Transfer
-from repro.sim.engine import run_async
+from repro.sim import run_async
 from repro.topology import Hypercube
 
 

@@ -1,15 +1,16 @@
-"""The indexed event engine is bit-identical to the reference engine.
+"""The production event engine is bit-identical to the reference engine.
 
-``repro.sim.engine.run_async`` replaced the original quadratic
-rescan-everything engine with a dependency-indexed design; the original
-is preserved verbatim as ``repro.sim._engine_reference.run_async_reference``
-and serves as the oracle here.  Equivalence is *exact*: simulated
-completion time, holdings, link statistics and start times must match
-to the last ulp (the indexed engine reproduces the reference's
-eps-coalesced wake ordering, not merely its semantics).
+``repro.sim.run_async`` (the vectorized array-core engine) replaced the
+original quadratic rescan-everything engine with a dependency-indexed
+design; the original is preserved verbatim as
+``repro.sim._engine_reference.run_async_reference`` and serves as the
+oracle here.  Equivalence is *exact*: simulated completion time,
+holdings, link statistics and start times must match to the last ulp
+(the production engine reproduces the reference's eps-coalesced wake
+ordering, not merely its semantics).
 
 Also pins the :class:`AsyncResult.start_times` ordering contract and
-the deadlock diagnosis of the indexed path.
+the deadlock diagnosis of the production engine.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from repro.routing import (
     sbt_scatter_schedule,
     tree_broadcast_schedule,
 )
+from repro.sim import run_async
 from repro.sim._engine_reference import run_async_reference
-from repro.sim.engine import run_async
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
 from repro.sim.ports import PortModel
@@ -86,6 +87,7 @@ def _schedules(source: int, port_model: PortModel):
 @pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
 @pytest.mark.parametrize("source", [0, 5])
 def test_indexed_engine_matches_reference(source, port_model, machine):
+    """The dependency-indexed production engine matches the rescan oracle."""
     for name, sched, init in _schedules(source, port_model):
         new = run_async(
             CUBE, sched, port_model, {k: set(v) for k, v in init.items()}, machine
@@ -97,8 +99,8 @@ def test_indexed_engine_matches_reference(source, port_model, machine):
         assert new.holdings == ref.holdings, name
         assert new.link_stats == ref.link_stats, name
         assert new.transfers_executed == ref.transfers_executed, name
-        # the reference appends in execution order; the new engine's
-        # contract is sorted ascending, so compare against the sort
+        # the reference appends in execution order; the production
+        # engine's contract is sorted ascending, so compare the sort
         assert new.start_times == sorted(ref.start_times), name
 
 
@@ -127,7 +129,7 @@ def _run_or_fault(engine, sched, port_model, init, machine, plan, mode):
 @pytest.mark.parametrize("mode", ["raise", "report"])
 @pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
 def test_fault_matrix_async_engines_agree(port_model, mode):
-    """Under every fault plan, the indexed engine and the reference
+    """Under every fault plan, the production engine and the reference
     oracle agree on the full outcome: same FaultError (edge and time)
     in raise mode, bit-identical results — degraded or not — in report
     mode, including the undelivered map and the cancelled-event set."""
@@ -143,6 +145,7 @@ def test_fault_matrix_async_engines_agree(port_model, mode):
             assert type(new) is type(ref), label
             if isinstance(new, FaultError):
                 assert new.edge == ref.edge, label
+                assert new.node == ref.node, label
                 assert new.time == ref.time, label
                 assert new.chunks == ref.chunks, label
                 continue

@@ -1,15 +1,17 @@
-"""The vectorized array-core engine is bit-identical to the indexed one.
+"""The vectorized array-core engine's own entry points and plumbing.
 
 ``repro.sim.vectorized.run_async_vectorized`` lowers the schedule to
 flat NumPy tables (:mod:`repro.sim.lowering`) and batches admission
 through the :mod:`repro.sim._kernels` prefilter, but its results must
-match the indexed engine — and hence the reference oracle — to the
-last ulp: completion time, holdings, link statistics, start times,
-fault errors and degraded results alike.
+match the reference oracle to the last ulp: completion time, holdings,
+link statistics, start times, fault errors and degraded results alike.
+``tests/sim/test_engine_equivalence.py`` checks the plain call; the
+checks here replay a pre-built lowering with the transfer log on (the
+service layer's call) and run the fault matrix on the iPSC machine.
 
 Also covers the engine dispatch layer (:mod:`repro.sim.dispatch`), the
-``engine=`` plumbing through the collectives API and the sweep
-executor, the prefilter kernel's NumPy fallback, and the
+``engine=`` plumbing through the collectives API, the sweep executor
+and the CLI, the prefilter kernel's NumPy fallback, and the
 ``repro_engine_table_bytes_peak`` gauge.
 """
 
@@ -35,10 +37,10 @@ from repro.routing import (
     sbt_scatter_schedule,
     tree_broadcast_schedule,
 )
-from repro.sim import ENGINES, get_engine, resolve_engine
+from repro.cli import build_parser
+from repro.sim import ENGINES, get_engine, resolve_engine, run_async
 from repro.sim._engine_reference import run_async_reference
 from repro.sim._kernels import HAVE_NUMBA, _prefilter_numpy, prefilter
-from repro.sim.engine import run_async
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
@@ -99,23 +101,30 @@ def _schedules(source: int, port_model: PortModel):
 @pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
 @pytest.mark.parametrize("source", [0, 5])
 def test_vectorized_matches_indexed_and_reference(source, port_model, machine):
+    """A pre-built lowering replayed with the transfer log on matches both
+    the plain call and the reference oracle (the id names the engine
+    this check compared against before the indexed engine was removed)."""
     for name, sched, init in _schedules(source, port_model):
+        low = lower_schedule(CUBE, sched, init)
         vec = run_async_vectorized(
-            CUBE, sched, port_model, {k: set(v) for k, v in init.items()}, machine
+            CUBE, sched, port_model, {k: set(v) for k, v in init.items()},
+            machine, lowered=low, transfer_log=True,
         )
-        idx = run_async(
+        plain = run_async_vectorized(
             CUBE, sched, port_model, {k: set(v) for k, v in init.items()}, machine
         )
         ref = run_async_reference(
             CUBE, sched, port_model, {k: set(v) for k, v in init.items()}, machine
         )
-        assert vec.time == idx.time == ref.time, name
-        assert vec.holdings == idx.holdings == ref.holdings, name
-        assert vec.link_stats == idx.link_stats == ref.link_stats, name
-        assert vec.transfers_executed == idx.transfers_executed, name
-        # the reference appends in execution order; both production
-        # engines sort ascending
-        assert vec.start_times == idx.start_times == sorted(ref.start_times), name
+        assert vec.time == plain.time == ref.time, name
+        assert vec.holdings == plain.holdings == ref.holdings, name
+        assert vec.link_stats == plain.link_stats == ref.link_stats, name
+        assert vec.transfers_executed == ref.transfers_executed, name
+        # the reference appends in execution order; the engine sorts
+        assert vec.start_times == plain.start_times == sorted(ref.start_times), name
+        # the log keeps execution order: its starts are the unsorted times
+        assert sorted(vec.transfer_log.starts) == vec.start_times, name
+        assert sorted(vec.transfer_log.ids) == list(range(low.n_transfers)), name
 
 
 #: fault plans for the differential matrix — immediate links/nodes,
@@ -143,35 +152,37 @@ def _run_or_fault(engine, sched, port_model, init, machine, plan, mode):
 @pytest.mark.parametrize("mode", ["raise", "report"])
 @pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
 def test_fault_matrix_vectorized_agrees(port_model, mode):
-    """Under every fault plan, the vectorized engine and the indexed
-    engine produce the same outcome: same FaultError (edge, node, time)
-    in raise mode; bit-identical results — degraded or not — in report
-    mode, including the undelivered map and the cancelled-event set."""
+    """Under every fault plan on the iPSC machine (start-up costs move
+    every transfer relative to the time-activated faults), the
+    vectorized engine and the reference oracle produce the same
+    outcome: same FaultError (edge, node, time) in raise mode;
+    bit-identical results — degraded or not — in report mode, including
+    the undelivered map and the cancelled-event set."""
     for name, sched, init in _schedules(0, port_model):
         for plan in FAULT_PLANS:
             vec = _run_or_fault(
-                run_async_vectorized, sched, port_model, init, UNIT_COST,
+                run_async_vectorized, sched, port_model, init, IPSC_D7,
                 plan, mode,
             )
-            idx = _run_or_fault(
-                run_async, sched, port_model, init, UNIT_COST, plan, mode
+            ref = _run_or_fault(
+                run_async_reference, sched, port_model, init, IPSC_D7, plan, mode
             )
             label = f"{name}/{plan!r}/{mode}"
-            assert type(vec) is type(idx), label
+            assert type(vec) is type(ref), label
             if isinstance(vec, FaultError):
-                assert vec.edge == idx.edge, label
-                assert vec.node == idx.node, label
-                assert vec.time == idx.time, label
-                assert vec.chunks == idx.chunks, label
+                assert vec.edge == ref.edge, label
+                assert vec.node == ref.node, label
+                assert vec.time == ref.time, label
+                assert vec.chunks == ref.chunks, label
                 continue
-            assert vec.time == idx.time, label
-            assert vec.holdings == idx.holdings, label
-            assert vec.link_stats == idx.link_stats, label
-            assert sorted(vec.start_times) == sorted(idx.start_times), label
+            assert vec.time == ref.time, label
+            assert vec.holdings == ref.holdings, label
+            assert vec.link_stats == ref.link_stats, label
+            assert vec.start_times == sorted(ref.start_times), label
             if isinstance(vec, DegradedResult):
-                assert vec.undelivered == idx.undelivered, label
-                assert vec.transfers_lost == idx.transfers_lost, label
-                assert set(vec.fault_events) == set(idx.fault_events), label
+                assert vec.undelivered == ref.undelivered, label
+                assert vec.transfers_lost == ref.transfers_lost, label
+                assert set(vec.fault_events) == set(ref.fault_events), label
 
 
 def test_vectorized_deadlock_diagnosis():
@@ -249,11 +260,11 @@ def test_property_vectorized_bit_identical(params, algo):
     sched = gen(cube, source, M, B, pm)
     init = {source: set(sched.chunk_sizes)}
     vec = run_async_vectorized(cube, sched, pm, {source: set(init[source])}, IPSC_D7)
-    idx = run_async(cube, sched, pm, {source: set(init[source])}, IPSC_D7)
-    assert vec.time == idx.time
-    assert vec.holdings == idx.holdings
-    assert vec.start_times == idx.start_times
-    assert vec.link_stats == idx.link_stats
+    ref = run_async_reference(cube, sched, pm, {source: set(init[source])}, IPSC_D7)
+    assert vec.time == ref.time
+    assert vec.holdings == ref.holdings
+    assert vec.start_times == sorted(ref.start_times)
+    assert vec.link_stats == ref.link_stats
 
 
 # -- admission-prefilter kernel ---------------------------------------
@@ -297,11 +308,11 @@ def test_numba_gate_honours_environment():
 
 def test_resolve_engine_default_and_env(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert resolve_engine() == "indexed"
-    assert resolve_engine("vectorized") == "vectorized"
-    monkeypatch.setenv("REPRO_ENGINE", "vectorized")
     assert resolve_engine() == "vectorized"
-    assert resolve_engine("reference") == "reference"
+    assert resolve_engine(None) == "vectorized"
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    assert resolve_engine() == "reference"
+    assert resolve_engine("vectorized") == "vectorized"
     with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("bogus")
     monkeypatch.setenv("REPRO_ENGINE", "bogus")
@@ -309,13 +320,42 @@ def test_resolve_engine_default_and_env(monkeypatch):
         resolve_engine()
 
 
+def test_indexed_engine_name_rejected(monkeypatch):
+    """The removed engine's name fails loudly and lists what is left."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    with pytest.raises(ValueError, match="'indexed'.*vectorized, reference"):
+        resolve_engine("indexed")
+    with pytest.raises(ValueError, match="'indexed'.*vectorized, reference"):
+        broadcast(Hypercube(3), 0, "sbt", 4, 2, run_event_sim=True, engine="indexed")
+    monkeypatch.setenv("REPRO_ENGINE", "indexed")
+    with pytest.raises(ValueError, match="'indexed'.*vectorized, reference"):
+        resolve_engine()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["broadcast", "--dim", "3", "--engine", "indexed"],
+        ["table", "3", "--engine", "indexed"],
+        ["workload", "run", "--scenario", "pipeline-4stage", "--engine", "indexed"],
+    ],
+    ids=["collective", "table", "workload"],
+)
+def test_cli_rejects_indexed_engine(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'indexed'" in err
+    assert "'vectorized', 'reference'" in err
+
+
 def test_get_engine_returns_runners(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert get_engine() is run_async
-    assert get_engine("indexed") is run_async
+    assert get_engine() is run_async is run_async_vectorized
     assert get_engine("vectorized") is run_async_vectorized
     assert get_engine("reference") is run_async_reference
-    assert set(ENGINES) == {"indexed", "vectorized", "reference"}
+    assert ENGINES == ("vectorized", "reference")
 
 
 def test_collectives_engine_parameter():
@@ -323,10 +363,10 @@ def test_collectives_engine_parameter():
     a = broadcast(cube, 0, "msbt", 64, 8, machine=IPSC_D7, run_event_sim=True)
     b = broadcast(
         cube, 0, "msbt", 64, 8, machine=IPSC_D7, run_event_sim=True,
-        engine="vectorized",
+        engine="reference",
     )
     assert a.time == b.time
-    assert a.async_.start_times == b.async_.start_times
+    assert a.async_.start_times == sorted(b.async_.start_times)
     with pytest.raises(ValueError, match="unknown engine"):
         broadcast(
             cube, 0, "msbt", 64, 8, run_event_sim=True, engine="bogus"
@@ -343,8 +383,8 @@ def _sweep_point(n: int) -> float:
 def test_run_sweep_exports_engine(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     serial = run_sweep(_sweep_point, [{"n": 3}, {"n": 4}])
-    vec = run_sweep(_sweep_point, [{"n": 3}, {"n": 4}], engine="vectorized")
-    assert serial.values == vec.values
+    ref = run_sweep(_sweep_point, [{"n": 3}, {"n": 4}], engine="reference")
+    assert serial.values == ref.values
     # the export is scoped to the sweep
     assert "REPRO_ENGINE" not in os.environ
     with pytest.raises(ValueError, match="unknown engine"):

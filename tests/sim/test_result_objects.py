@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import PortModel, Schedule, Transfer
-from repro.sim.engine import run_async
+from repro.sim import run_async
 from repro.sim.synchronous import run_synchronous
 from repro.topology import Hypercube
 

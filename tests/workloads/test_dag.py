@@ -43,9 +43,19 @@ class TestPhaseSpec:
         with pytest.raises(ValueError, match="compute must be >= 0"):
             PhaseSpec("x", compute=-1.0)
 
+    @pytest.mark.parametrize("compute", [float("nan"), float("inf")])
+    def test_non_finite_compute_rejected(self, compute):
+        with pytest.raises(ValueError, match="compute must be >= 0 and finite"):
+            PhaseSpec("x", compute=compute)
+
     def test_bad_message_elems_rejected(self):
         with pytest.raises(ValueError, match="message_elems"):
             PhaseSpec("x", op="broadcast", message_elems=0)
+
+    @pytest.mark.parametrize("m", [2.5, float("nan")])
+    def test_non_integral_message_elems_rejected(self, m):
+        with pytest.raises(ValueError, match="message_elems must be a whole number"):
+            PhaseSpec("x", op="broadcast", message_elems=m)
 
     def test_duplicate_deps_rejected(self):
         with pytest.raises(ValueError, match="duplicate dependencies"):

@@ -218,7 +218,7 @@ class TestBackendsAndValidation:
     def test_non_vectorized_engine_rejected(self):
         w = _workload([PhaseSpec("a", compute=1.0)])
         with pytest.raises(ValueError, match="vectorized"):
-            run_workload(w, engine="indexed")
+            run_workload(w, engine="reference")
 
     def test_vectorized_engine_accepted(self):
         w = _workload([PhaseSpec("a", compute=1.0)])

@@ -99,7 +99,7 @@ class TestCLI:
     def test_bad_engine_exits_2(self, capsys):
         code = main([
             "workload", "run", "--scenario", "pipeline-4stage",
-            "--engine", "indexed",
+            "--engine", "reference",
         ])
         assert code == 2
         assert "vectorized" in capsys.readouterr().err
