@@ -1,12 +1,8 @@
 """Benchmark suite for the actor runtime: baselines in BENCH_RUNTIME.json.
 
 Pins the cost of executing collectives on the message-passing runtime
-(actors + virtual clock + port admission), of the sharded
-multi-process runtime (forked subcube workers under the distributed
-clock — the ``n10_w1``/``n10_w4`` pair measures the sharding
-speedup, or on a single-CPU runner the coordination overhead), of the
-repair path under faults, and of one differential runtime-vs-engine
-check.  Compare or refresh with::
+(actors + virtual clock + port admission), of the repair path under
+faults, and of one differential runtime-vs-engine check.  Compare or refresh with::
 
     python scripts/bench_compare.py --suite runtime [--update]
 
@@ -49,48 +45,6 @@ def test_runtime_scatter_bst_n6(benchmark, cube6):
         cube6, "scatter", "bst", 0, 16, 4, PortModel.ONE_PORT_FULL,
     )
     assert res.transfers_executed > 0
-
-
-def test_runtime_sharded_msbt_n8_w2(benchmark):
-    cube = Hypercube(8)
-    res = benchmark(
-        run_collective,
-        cube, "broadcast", "msbt", 0, 64, 8, PortModel.ONE_PORT_FULL,
-        workers=2, start_method="fork",
-    )
-    assert res.sharding.workers == 2
-
-
-def test_runtime_sharded_msbt_n8_w4(benchmark):
-    cube = Hypercube(8)
-    res = benchmark(
-        run_collective,
-        cube, "broadcast", "msbt", 0, 64, 8, PortModel.ONE_PORT_FULL,
-        workers=4, start_method="fork",
-    )
-    assert res.sharding.workers == 4
-
-
-def test_runtime_sharded_msbt_n10_w1(benchmark):
-    # the single-process anchor the w4 entry is compared against: the
-    # speedup (or, on a single-CPU runner, the coordination overhead)
-    # is the ratio of these two medians
-    cube = Hypercube(10)
-    res = benchmark(
-        run_collective,
-        cube, "broadcast", "msbt", 0, 64, 8, PortModel.ONE_PORT_FULL,
-    )
-    assert res.transfers_executed > 0
-
-
-def test_runtime_sharded_msbt_n10_w4(benchmark):
-    cube = Hypercube(10)
-    res = benchmark(
-        run_collective,
-        cube, "broadcast", "msbt", 0, 64, 8, PortModel.ONE_PORT_FULL,
-        workers=4, start_method="fork",
-    )
-    assert res.sharding.workers == 4
 
 
 def test_runtime_repair_broadcast_n5(benchmark):

@@ -46,7 +46,6 @@ from repro.collectives.api import (
     scatter,
 )
 from repro.obs import configure_logging, profiled, write_metrics_json
-from repro.runtime.trace import write_shard_chrome
 from repro.sim.dispatch import ENGINES
 from repro.sim.faults import FaultError, FaultPlan
 from repro.sim.machine import IPSC_D7, MachineParams
@@ -263,14 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sim: replay the central schedule on the engines; "
                             "runtime: execute on the actor-based "
                             "message-passing runtime")
-        c.add_argument("--workers", type=int, default=None, metavar="K",
-                       help="shard the runtime across K worker processes "
-                            "(power of two; 0 = auto-size to the CPU count; "
-                            "requires --backend runtime)")
-        c.add_argument("--start-method", default=None,
-                       choices=("fork", "spawn", "forkserver", "thread"),
-                       help="worker launch mode for --workers > 1 "
-                            "(default: fork, or REPRO_START_METHOD)")
         c.add_argument("--trace-jsonl", default=None, metavar="PATH",
                        help="write the runtime's per-packet trace to PATH "
                             "as JSON lines (requires --backend runtime)")
@@ -681,9 +672,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             print("--trace-jsonl/--trace-chrome require --backend runtime",
                   file=sys.stderr)
             return 2
-        if args.workers is not None:
-            print("--workers requires --backend runtime", file=sys.stderr)
-            return 2
     op = broadcast if args.command == "broadcast" else scatter
     prof_ctx = profiled() if args.profile else nullcontext()
     try:
@@ -702,8 +690,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 backend=args.backend,
                 trace=want_trace,
                 engine=args.engine,
-                workers=args.workers,
-                start_method=args.start_method,
             )
     except FaultError as exc:
         print(f"fault: {exc}", file=sys.stderr)
@@ -727,28 +713,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         repair_rounds = getattr(result.async_, "repair_rounds", 0)
         if repair_rounds:
             print(f"  repair rounds     : {repair_rounds}")
-        sharding = getattr(result.async_, "sharding", None)
-        if sharding is not None:
-            print(f"  shard workers     : {sharding.workers} "
-                  f"({sharding.start_method}), {sharding.rounds} clock "
-                  f"rounds, {sharding.cross_records} cross packets in "
-                  f"{sharding.cross_frames} frames "
-                  f"({sharding.aggregation_ratio:.2f}x aggregation)")
         rtrace = getattr(result.async_, "trace", None)
-        shard_traces = getattr(result.async_, "shard_traces", None)
         if rtrace is not None:
             if args.trace_jsonl:
                 path = rtrace.write_jsonl(args.trace_jsonl)
                 print(f"  trace (jsonl)     : {path} ({len(rtrace)} events)")
             if args.trace_chrome:
-                if shard_traces is not None:
-                    path = write_shard_chrome(shard_traces, args.trace_chrome)
-                    print(f"  trace (chrome)    : {path} ({len(rtrace)} "
-                          f"events, one lane per shard)")
-                else:
-                    path = rtrace.write_chrome(args.trace_chrome)
-                    print(f"  trace (chrome)    : {path} "
-                          f"({len(rtrace)} events)")
+                path = rtrace.write_chrome(args.trace_chrome)
+                print(f"  trace (chrome)    : {path} ({len(rtrace)} events)")
     else:
         print(f"  simulated time    : {result.time:.6g}"
               + (" s (iPSC/d7, event-driven)" if args.ipsc

@@ -202,8 +202,6 @@ def _runtime_collective(
     on_fault: str,
     subtree_order: str = "depth_first",
     trace: bool = False,
-    workers: int | None = None,
-    start_method: str | None = None,
 ) -> CollectiveResult:
     """Execute on the actor runtime, packaged as a CollectiveResult.
 
@@ -230,7 +228,6 @@ def _runtime_collective(
             cube, op, algorithm, source, message_elems, packet_elems,
             port_model, machine=machine, subtree_order=subtree_order,
             faults=faults, on_fault=on_fault, trace=trace,
-            workers=workers, start_method=start_method,
         )
     with collector.phase("schedule"):
         if op == "broadcast":
@@ -317,8 +314,6 @@ def broadcast(
     backend: str = "sim",
     trace: bool = False,
     engine: str | None = None,
-    workers: int | None = None,
-    start_method: str | None = None,
 ) -> CollectiveResult:
     """Broadcast ``message_elems`` from ``source`` to every other node.
 
@@ -359,28 +354,17 @@ def broadcast(
             :data:`repro.sim.ENGINES`; default: ``REPRO_ENGINE`` or
             ``"vectorized"``, the production engine; ``"reference"``
             is the slow bit-identical oracle).
-        workers: shard the runtime execution across this many worker
-            processes (a power of two; ``0`` auto-sizes to the CPU
-            count).  Runtime backend only; results stay bit-identical
-            to the single-process runtime.
-        start_method: worker launch mode for ``workers > 1`` (see
-            :data:`repro.runtime.START_METHODS`; default ``"fork"`` or
-            ``REPRO_START_METHOD``).
     """
     packet_elems = message_elems if packet_elems is None else packet_elems
     algorithm = _resolve_algorithm(cube, "broadcast", algorithm)
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     _check_torus_supported(cube, "broadcast", backend, faults)
-    if backend != "runtime" and workers is not None:
-        raise ValueError(
-            f"workers= requires backend='runtime', got backend={backend!r}"
-        )
     if backend == "runtime":
         return _runtime_collective(
             cube, "broadcast", algorithm, source, message_elems,
             packet_elems, port_model, machine, faults, on_fault,
-            trace=trace, workers=workers, start_method=start_method,
+            trace=trace,
         )
     if faults:
         return _broadcast_with_faults(
@@ -517,8 +501,6 @@ def scatter(
     backend: str = "sim",
     trace: bool = False,
     engine: str | None = None,
-    workers: int | None = None,
-    start_method: str | None = None,
 ) -> CollectiveResult:
     """Send a distinct ``message_elems`` message from ``source`` to each node.
 
@@ -551,29 +533,17 @@ def scatter(
             on ``result.async_.trace`` (runtime backend only).
         engine: event-engine implementation for ``run_event_sim``
             (see :data:`repro.sim.ENGINES`).
-        workers: shard the runtime execution across this many worker
-            processes (a power of two; ``0`` auto-sizes to the CPU
-            count).  Runtime backend only; results stay bit-identical
-            to the single-process runtime.
-        start_method: worker launch mode for ``workers > 1`` (see
-            :data:`repro.runtime.START_METHODS`; default ``"fork"`` or
-            ``REPRO_START_METHOD``).
     """
     packet_elems = message_elems if packet_elems is None else packet_elems
     algorithm = _resolve_algorithm(cube, "scatter", algorithm)
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     _check_torus_supported(cube, "scatter", backend, faults)
-    if backend != "runtime" and workers is not None:
-        raise ValueError(
-            f"workers= requires backend='runtime', got backend={backend!r}"
-        )
     if backend == "runtime":
         return _runtime_collective(
             cube, "scatter", algorithm, source, message_elems,
             packet_elems, port_model, machine, faults, on_fault,
             subtree_order=subtree_order, trace=trace,
-            workers=workers, start_method=start_method,
         )
     collector = RunCollector("scatter", algorithm, topology=cube.kind)
     if faults:

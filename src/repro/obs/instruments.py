@@ -46,13 +46,6 @@ __all__ = [
     "RUNTIME_REPAIR_ROUNDS",
     "RUNTIME_RUN_SECONDS",
     "RUNTIME_TIMEOUTS",
-    "SHARD_AGG_RATIO",
-    "SHARD_CROSS_MESSAGES",
-    "SHARD_FRAMES",
-    "SHARD_LOOKAHEAD_STALLS",
-    "SHARD_ROUNDS",
-    "SHARD_RUN_SECONDS",
-    "SHARD_WORKERS",
     "SERVICE_COMPLETION_TIME",
     "SERVICE_JOBS",
     "SERVICE_QUANTILES",
@@ -74,7 +67,6 @@ __all__ = [
     "engine_run_finished",
     "runtime_run_finished",
     "service_run_finished",
-    "sharded_run_finished",
     "sweep_finished",
     "workload_run_finished",
 ]
@@ -146,39 +138,6 @@ RUNTIME_FAULTED_TRANSFERS = REGISTRY.counter(
 RUNTIME_RUN_SECONDS = REGISTRY.histogram(
     "repro_runtime_run_seconds",
     "Wall-clock seconds per virtual-cluster run.",
-)
-
-# -- sharded runtime (cross-partition protocol) -----------------------
-
-SHARD_WORKERS = REGISTRY.gauge(
-    "repro_runtime_shard_workers",
-    "Worker count of the most recent sharded runtime run.",
-)
-SHARD_ROUNDS = REGISTRY.counter(
-    "repro_runtime_shard_clock_rounds_total",
-    "Distributed-clock rounds driven by the shard coordinator.",
-    ("kind",),
-)
-SHARD_CROSS_MESSAGES = REGISTRY.counter(
-    "repro_runtime_shard_cross_messages_total",
-    "Cross-partition records shipped between shards.",
-)
-SHARD_FRAMES = REGISTRY.counter(
-    "repro_runtime_shard_frames_total",
-    "Aggregated IPC frames carrying cross-partition records.",
-)
-SHARD_AGG_RATIO = REGISTRY.gauge(
-    "repro_runtime_shard_aggregation_ratio",
-    "Records per frame achieved by the TRAM-style aggregator (last run).",
-)
-SHARD_LOOKAHEAD_STALLS = REGISTRY.counter(
-    "repro_runtime_shard_lookahead_stalls_total",
-    "Rounds a shard idled because the instant belonged to other shards.",
-    ("shard",),
-)
-SHARD_RUN_SECONDS = REGISTRY.histogram(
-    "repro_runtime_shard_run_seconds",
-    "Wall-clock seconds per sharded runtime run.",
 )
 
 # -- caches (always-on: these back repro.cache.cache_stats()) ---------
@@ -370,36 +329,6 @@ def runtime_run_finished(
     if faulted:
         RUNTIME_FAULTED_TRANSFERS.inc(faulted)
     RUNTIME_RUN_SECONDS.observe(seconds)
-
-
-def sharded_run_finished(
-    *,
-    workers: int,
-    rounds: int,
-    conflict_rounds: int,
-    cross_records: int,
-    frames: int,
-    aggregation_ratio: float,
-    stalls_by_shard: dict[int, int],
-    seconds: float,
-) -> None:
-    """Flush one sharded run's protocol counters (the coordinator
-    calls this after joining its workers)."""
-    if not REGISTRY.enabled:
-        return
-    SHARD_WORKERS.set(workers)
-    SHARD_ROUNDS.labels(kind="total").inc(rounds)
-    if conflict_rounds:
-        SHARD_ROUNDS.labels(kind="conflict").inc(conflict_rounds)
-    if cross_records:
-        SHARD_CROSS_MESSAGES.inc(cross_records)
-    if frames:
-        SHARD_FRAMES.inc(frames)
-    SHARD_AGG_RATIO.set(aggregation_ratio)
-    for shard, stalls in stalls_by_shard.items():
-        if stalls:
-            SHARD_LOOKAHEAD_STALLS.labels(shard=str(shard)).inc(stalls)
-    SHARD_RUN_SECONDS.observe(seconds)
 
 
 def service_run_finished(result: Any, *, seconds: float) -> None:

@@ -32,38 +32,14 @@ from repro.runtime.rules import (
     RUNTIME_SCATTER_ALGORITHMS,
     build_cluster_program,
 )
-from repro.runtime.partition import PartitionMap, resolve_workers
-from repro.runtime.sharded import (
-    START_METHODS,
-    ShardedCluster,
-    ShardRunStats,
-    run_sharded,
-)
-from repro.runtime.trace import (
-    RuntimeTrace,
-    TraceEvent,
-    merge_shard_traces,
-    shard_chrome_events,
-    write_shard_chrome,
-)
+from repro.runtime.trace import RuntimeTrace, TraceEvent
 from repro.runtime.validate import (
     GridReport,
     differential_check,
     differential_grid,
-    sharded_check,
 )
 
 __all__ = [
-    "PartitionMap",
-    "resolve_workers",
-    "START_METHODS",
-    "ShardedCluster",
-    "ShardRunStats",
-    "run_sharded",
-    "merge_shard_traces",
-    "shard_chrome_events",
-    "write_shard_chrome",
-    "sharded_check",
     "Kernel",
     "NodeActor",
     "RuntimeResult",

@@ -40,6 +40,7 @@ import asyncio
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from math import isfinite
 from time import perf_counter
 
 from repro.obs.instruments import runtime_run_finished
@@ -97,10 +98,6 @@ class RuntimeResult:
             still complete delivery after these).
         repair_rounds: timeout/repair cycles that ran (repair mode).
         trace: structured event trace, when tracing was enabled.
-        shard_traces: per-shard traces of a sharded run (``trace`` is
-            then their time-ordered merge).
-        sharding: clock-protocol telemetry of a sharded run
-            (:class:`repro.runtime.sharded.ShardRunStats`).
     """
 
     time: float
@@ -112,8 +109,6 @@ class RuntimeResult:
     fault_events: list[FaultEvent] = field(default_factory=list)
     repair_rounds: int = 0
     trace: RuntimeTrace | None = None
-    shard_traces: dict[int, RuntimeTrace] | None = None
-    sharding: object | None = None
 
 
 @dataclass(slots=True)
@@ -522,11 +517,14 @@ class VirtualCluster:
         self.faults = faults
         self.on_fault = on_fault
         self.packet_elems = max(program.chunk_sizes.values(), default=1)
-        self.detect_timeout = (
-            detect_timeout
-            if detect_timeout is not None
-            else 2.0 * self.machine.send_cost(self.packet_elems)
-        )
+        if detect_timeout is None:
+            detect_timeout = 2.0 * self.machine.send_cost(self.packet_elems)
+        elif not (isfinite(detect_timeout) and detect_timeout >= 0):
+            raise ValueError(
+                "detect_timeout must be a finite non-negative time, "
+                f"got {detect_timeout!r}"
+            )
+        self.detect_timeout = detect_timeout
         self.trace = RuntimeTrace() if trace else None
         self.kernel = Kernel(self, self.machine, program.port_model)
         self.actors = {
@@ -693,8 +691,6 @@ def run_collective(
     on_fault: str = "raise",
     detect_timeout: float | None = None,
     trace: bool = False,
-    workers: int | None = None,
-    start_method: str | None = None,
 ) -> RuntimeResult | DegradedResult:
     """Build local programs and execute them on a virtual cluster.
 
@@ -702,17 +698,7 @@ def run_collective(
     it through :func:`repro.sim.run_async` — same parameters,
     same result shape, but every routing decision is taken by the node
     actors from their own addresses.
-
-    ``workers`` > 1 executes the cluster sharded across that many
-    processes (:mod:`repro.runtime.sharded`): a power of two up to the
-    node count, or ``0`` for "largest power of two the machine has
-    cores for".  ``start_method`` picks the ``multiprocessing`` start
-    method (default ``fork``, env ``REPRO_START_METHOD``); the
-    observables are bit-identical either way.
     """
-    from repro.runtime.partition import resolve_workers
-
-    k = resolve_workers(cube.dimension, workers)
     program = build_cluster_program(
         cube,
         op,
@@ -724,19 +710,6 @@ def run_collective(
         order=order,
         subtree_order=subtree_order,
     )
-    if k > 1:
-        from repro.runtime.sharded import run_sharded
-
-        return run_sharded(
-            cube,
-            program,
-            machine=machine,
-            faults=faults,
-            on_fault=on_fault,
-            trace=trace,
-            workers=k,
-            start_method=start_method,
-        )
     cluster = VirtualCluster(
         cube,
         program,

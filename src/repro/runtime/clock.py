@@ -16,9 +16,12 @@ kinds share one heap:
 
 All times within ``_EPS`` of each other form one *instant*; within an
 instant, priority keys decide order, not the sub-epsilon float a
-particular event happened to carry.  The engine's equivalence suite
-(:mod:`repro.runtime.validate`) leans on this file reproducing the
-engine's instant-representative selection bit-for-bit.
+particular event happened to carry.  The clock serves one kernel in
+one process: :meth:`VirtualClock.advance` opens the next instant and
+:meth:`VirtualClock.pop_batch` hands out its examinations.  The
+engine's equivalence suite (:mod:`repro.runtime.validate`) leans on
+this file reproducing the engine's instant-representative selection
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -156,15 +159,6 @@ class VirtualClock:
         """Next live examination of the open instant, in (pass, key)
         order, advancing the cursor; ``None`` when the instant is
         drained."""
-        entry = self.pop_batch_full()
-        if entry is None:
-            return None
-        _, key, te = entry
-        return key, te
-
-    def pop_batch_full(self) -> tuple[int, tuple, float] | None:
-        """Like :meth:`pop_batch` but keeps the pass number, which the
-        sharded coordinator needs for global (pass, key) ordering."""
         while self._batch:
             p, key, te = heapq.heappop(self._batch)
             if self.is_done(key):
@@ -175,75 +169,5 @@ class VirtualClock:
             self._scheduled[key] = None
             self.cur_pass = p
             self.cur_key = key
-            return p, key, te
+            return key, te
         return None
-
-    # -- distributed protocol (sharded runtime) ----------------------
-
-    def peek_horizon(self) -> tuple[float | None, float | None]:
-        """Non-destructive scan for the next live-event time.
-
-        Returns ``(live, cand)``: the earliest time a delivery or live
-        examination is due, and the latest pure-wake/superseded-exam
-        time strictly after ``now`` but at or before ``live`` — the
-        same representative candidate :meth:`advance` tracks, exposed
-        so a shard coordinator can min-reduce horizons across workers
-        without consuming anyone's events.  ``(None, None)`` when this
-        shard has no live event left (locally quiescent)."""
-        for p, key, te in self._batch:
-            if self.is_done(key):
-                continue
-            sc = self._scheduled.get(key)
-            if sc is None or sc < te - _EPS:
-                continue
-            return self.now, None  # the current instant is still open
-        events = self._events
-        popped: list[tuple[float, int, int, tuple]] = []
-        cand = None
-        live = None
-        while events:
-            item = heapq.heappop(events)
-            popped.append(item)
-            te, _p, kind, key = item
-            if kind == DELIVERY:
-                live = te
-                break
-            if kind == EXAM and not self.is_done(key):
-                sc = self._scheduled.get(key)
-                if sc is not None and sc >= te - _EPS:
-                    live = te
-                    break
-            if te <= self.now + _EPS:
-                continue
-            if cand is None or te > cand + _EPS:
-                cand = te
-        for item in popped:
-            heapq.heappush(events, item)
-        if live is None:
-            return None, None
-        return live, cand
-
-    def open_instant(self, rep: float) -> None:
-        """Advance to the globally agreed instant ``rep``.
-
-        The sharded analogue of :meth:`advance`'s landing step: the
-        coordinator has already min-reduced every shard's
-        :meth:`peek_horizon` and chosen the representative, so this
-        shard just moves ``now`` there and pulls in everything due —
-        possibly nothing at all, when the instant belongs entirely to
-        other shards (a lookahead stall)."""
-        self.due_deliveries = 0
-        if rep > self.now + _EPS:
-            self.now = rep
-        events = self._events
-        while events and events[0][0] <= self.now + _EPS:
-            te, p, kind, key = heapq.heappop(events)
-            if kind == DELIVERY:
-                self.due_deliveries += 1
-                continue
-            if kind != EXAM or self.is_done(key):
-                continue
-            sc = self._scheduled.get(key)
-            if sc is None or sc < te - _EPS:
-                continue
-            heapq.heappush(self._batch, (p, key, te))

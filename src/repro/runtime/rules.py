@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from repro.bits.ops import highest_set_bit, popcount
-from repro.routing.common import BCAST, MSG
+from repro.routing.common import BCAST, MSG, validate_message_args
 from repro.routing.scheduler import greedy_partition
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk
@@ -160,6 +160,7 @@ def build_cluster_program(
         a :class:`ClusterProgram` with one :class:`NodeProgram` per node.
     """
     cube.check_node(source)
+    validate_message_args(message_elems, packet_elems)
     if op == "broadcast":
         sizes = _bcast_sizes(message_elems, packet_elems)
         if algorithm == "sbt":

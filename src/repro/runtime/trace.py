@@ -1,7 +1,8 @@
 """Structured per-packet traces of runtime executions.
 
 Every admitted transfer, fault hit, and receive-timeout becomes one
-event record.  Two export formats:
+event record, kept in the order the kernel recorded it.  Two export
+formats:
 
 * **JSONL** — one JSON object per line; trivially greppable and
   streamable into pandas;
@@ -23,13 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-__all__ = [
-    "TraceEvent",
-    "RuntimeTrace",
-    "merge_shard_traces",
-    "shard_chrome_events",
-    "write_shard_chrome",
-]
+__all__ = ["TraceEvent", "RuntimeTrace"]
 
 
 @dataclass(frozen=True)
@@ -190,89 +185,3 @@ class RuntimeTrace:
         )
         return path
 
-
-# ---------------------------------------------------------------------------
-# multi-process (sharded) trace assembly
-# ---------------------------------------------------------------------------
-
-
-def merge_shard_traces(traces: dict[int, RuntimeTrace]) -> RuntimeTrace:
-    """One :class:`RuntimeTrace` combining per-shard traces.
-
-    Events are ordered by (time, src, dst) — each worker records its
-    own events in local order, so a global recording order does not
-    exist; time order is the meaningful merge.  The inputs are left
-    untouched.
-    """
-    merged = RuntimeTrace()
-    merged.events = sorted(
-        (e for t in traces.values() for e in t.events),
-        key=lambda e: (e.time, e.src if e.src is not None else -1,
-                       e.dst if e.dst is not None else -1),
-    )
-    return merged
-
-
-def shard_chrome_events(
-    traces: dict[int, RuntimeTrace], scale: float = 1e6
-) -> list[dict]:
-    """Chrome ``trace_event`` records with one **pid lane per worker**.
-
-    Where the single-process export maps pid = node, a sharded run maps
-    pid = shard (so each worker process gets its own named lane in the
-    viewer) and tid = the node within the shard; transfer slices keep
-    the port in ``args``.  Process-name metadata events label each lane
-    ``shard <w>``.
-    """
-    out: list[dict] = []
-    for shard in sorted(traces):
-        out.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": shard,
-                "tid": 0,
-                "args": {"name": f"shard {shard}"},
-            }
-        )
-        for e in traces[shard].events:
-            if e.kind == "transfer":
-                out.append(
-                    {
-                        "name": f"{e.src}->{e.dst}",
-                        "cat": "transfer",
-                        "ph": "X",
-                        "ts": e.time * scale,
-                        "dur": (e.end - e.time) * scale,
-                        "pid": shard,
-                        "tid": e.src,
-                        "args": {
-                            "port": e.port,
-                            "elems": e.elems,
-                            "chunks": [repr(c) for c in e.chunks],
-                        },
-                    }
-                )
-            else:
-                out.append(
-                    {
-                        "name": e.kind,
-                        "cat": e.kind,
-                        "ph": "i",
-                        "s": "p",
-                        "ts": e.time * scale,
-                        "pid": shard,
-                        "tid": e.src if e.src is not None else 0,
-                        "args": {"detail": list(e.detail)},
-                    }
-                )
-    return out
-
-
-def write_shard_chrome(
-    traces: dict[int, RuntimeTrace], path: str | Path
-) -> Path:
-    """Write the merged multi-process Chrome trace file."""
-    path = Path(path)
-    path.write_text(json.dumps({"traceEvents": shard_chrome_events(traces)}))
-    return path

@@ -35,7 +35,6 @@ from repro.topology.hypercube import Hypercube
 __all__ = [
     "differential_check",
     "differential_grid",
-    "sharded_check",
     "GridReport",
 ]
 
@@ -71,15 +70,9 @@ def differential_check(
     packet_elems: int,
     port_model: PortModel,
     machine: MachineParams | None = None,
-    workers: int | None = None,
-    start_method: str | None = None,
 ) -> None:
     """Assert runtime == engine for one grid point.
 
-    With ``workers`` the runtime side executes sharded across that many
-    worker shards (``start_method`` selects the process launch mode, or
-    ``"thread"`` for in-process workers), so the same assertions then
-    prove the distributed clock protocol exact against the engine.
     Raises ``AssertionError`` naming the first differing observable.
     """
     machine = machine or MachineParams()
@@ -101,8 +94,6 @@ def differential_check(
         packet_elems,
         port_model,
         machine=machine,
-        workers=workers,
-        start_method=start_method,
     )
     where = (
         f"{op}/{algorithm} n={cube.dimension} source={source} "
@@ -155,16 +146,11 @@ def differential_grid(
     sources=(0,),
     machine: MachineParams | None = None,
     fail_fast: bool = True,
-    workers: int | None = None,
-    start_method: str | None = None,
 ) -> GridReport:
     """Run :func:`differential_check` over the full grid.
 
     With ``fail_fast`` (default) the first failing point raises; with
     it off, all failures are collected in the returned report.
-    ``workers``/``start_method`` pass through to every check, sweeping
-    the grid against the sharded runtime instead of the single-process
-    one.
     """
     report = GridReport()
     for n in dims:
@@ -179,8 +165,6 @@ def differential_grid(
                                 differential_check(
                                     cube, op, algorithm, source,
                                     M, B, pm, machine=machine,
-                                    workers=workers,
-                                    start_method=start_method,
                                 )
                             except AssertionError as exc:
                                 if fail_fast:
@@ -188,68 +172,3 @@ def differential_grid(
                                 report.failures.append(str(exc))
     return report
 
-
-def sharded_check(
-    cube: Hypercube,
-    op: str,
-    algorithm: str,
-    source: int,
-    message_elems: int,
-    packet_elems: int,
-    port_model: PortModel,
-    machine: MachineParams | None = None,
-    workers_grid: tuple[int, ...] = (1, 2, 4),
-    start_method: str | None = None,
-) -> None:
-    """Assert sharded == single-process == engine for one grid point.
-
-    Runs the single-process runtime once and the sharded runtime for
-    every worker count in ``workers_grid`` (counts exceeding the node
-    count are skipped), comparing each against the single-process
-    observables — which :func:`differential_check` separately proves
-    equal to the engine's.  Holdings and per-link counts must match
-    exactly; times to 1e-9.
-    """
-    machine = machine or MachineParams()
-    base = run_collective(
-        cube, op, algorithm, source, message_elems, packet_elems,
-        port_model, machine=machine,
-    )
-    # anchor the chain: single-process == engine at this point
-    differential_check(
-        cube, op, algorithm, source, message_elems, packet_elems,
-        port_model, machine=machine,
-    )
-    for k in workers_grid:
-        if k > cube.num_nodes:
-            continue
-        sharded = run_collective(
-            cube, op, algorithm, source, message_elems, packet_elems,
-            port_model, machine=machine,
-            workers=k, start_method=start_method,
-        )
-        where = (
-            f"{op}/{algorithm} n={cube.dimension} source={source} "
-            f"M={message_elems} B={packet_elems} {port_model.name} "
-            f"workers={k}"
-        )
-        assert abs(sharded.time - base.time) < 1e-9, (
-            f"{where}: completion time {sharded.time!r} != {base.time!r}"
-        )
-        assert sharded.holdings == base.holdings, (
-            f"{where}: final holdings differ"
-        )
-        assert sharded.link_stats.elems == base.link_stats.elems, (
-            f"{where}: per-link element counts differ"
-        )
-        assert sharded.link_stats.packets == base.link_stats.packets, (
-            f"{where}: per-link packet counts differ"
-        )
-        assert sharded.transfers_executed == base.transfers_executed, (
-            f"{where}: executed {sharded.transfers_executed} "
-            f"!= {base.transfers_executed} transfers"
-        )
-        st, bt = sharded.start_times, base.start_times
-        assert len(st) == len(bt) and all(
-            abs(a - b) < 1e-9 for a, b in zip(st, bt)
-        ), f"{where}: start-time profiles differ"

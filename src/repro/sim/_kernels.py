@@ -1,13 +1,7 @@
 """Admission-prefilter kernel for the vectorized event engine.
 
-One kernel, two implementations selected at import time:
-
-* a numba ``@njit`` loop when numba is importable (opt-in acceleration;
-  the ``accel`` extra installs it) and ``REPRO_NO_NUMBA`` is unset;
-* a pure-NumPy fallback otherwise — the canonical, always-tested path.
-
-Both answer the same question for a batch of candidate transfer ids:
-*which candidates must the scalar admission loop examine at the
+Two NumPy masks answer one question for a batch of candidate transfer
+ids: *which candidates must the scalar admission loop examine at the
 current instant?*  The filter is exact, not conservative, because the
 engine maintains ``vc`` — the per-transfer constraint value — with an
 invariant that makes the comparison lossless:
@@ -26,16 +20,12 @@ invariant that makes the comparison lossless:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["HAVE_NUMBA", "prefilter"]
-
-HAVE_NUMBA = False
+__all__ = ["prefilter"]
 
 
-def _prefilter_numpy(
+def prefilter(
     idx: np.ndarray,
     ready: np.ndarray,
     vc: np.ndarray,
@@ -46,26 +36,3 @@ def _prefilter_numpy(
     if sub.size == 0:
         return sub
     return sub[vc[sub] <= limit]
-
-
-prefilter = _prefilter_numpy
-
-if not os.environ.get("REPRO_NO_NUMBA"):
-    try:
-        from numba import njit  # type: ignore[import-not-found]
-    except ImportError:
-        pass
-    else:  # pragma: no cover - exercised only when numba is installed
-        @njit(cache=True)
-        def _prefilter_jit(idx, ready, vc, limit):  # type: ignore[misc]
-            out = np.empty(idx.size, dtype=np.int64)
-            k = 0
-            for j in range(idx.size):
-                i = idx[j]
-                if ready[i] <= limit and vc[i] <= limit:
-                    out[k] = i
-                    k += 1
-            return out[:k]
-
-        prefilter = _prefilter_jit
-        HAVE_NUMBA = True

@@ -16,7 +16,7 @@ asynchronous engine models it through :attr:`MachineParams.overlap`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import ceil
+from math import ceil, isfinite
 
 __all__ = ["MachineParams", "IPSC_D7", "UNIT_COST", "ZERO_STARTUP"]
 
@@ -46,10 +46,11 @@ class MachineParams:
     name: str = "generic"
 
     def __post_init__(self) -> None:
-        if self.tau < 0:
-            raise ValueError(f"start-up time must be non-negative, got {self.tau}")
-        if self.t_c < 0:
-            raise ValueError(f"transfer time must be non-negative, got {self.t_c}")
+        for what, value in (("start-up", self.tau), ("transfer", self.t_c)):
+            if not (isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{what} time must be finite and non-negative, got {value}"
+                )
         if self.internal_packet_elems is not None and self.internal_packet_elems < 1:
             raise ValueError(
                 f"internal packet size must be >= 1 element, got {self.internal_packet_elems}"

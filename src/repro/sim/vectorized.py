@@ -54,8 +54,8 @@ heap stays bounded by the number of genuinely distinct event times.
 
 Per instant, admission candidates are prefiltered in bulk by the
 :mod:`repro.sim._kernels` kernel (NumPy masks over the payload-ready
-column and a per-transfer constraint column ``vc``; numba-jitted when
-available); only the survivors reach the exact scalar check.  The
+column and a per-transfer constraint column ``vc``); only the
+survivors reach the exact scalar check.  The
 ``vc`` gate is exact, not conservative: a blocked transfer's stored
 constraint is re-materialized by the dirty-channel sweep whenever its
 resources change, so at prefilter time ``vc > limit`` is precisely the

@@ -187,3 +187,27 @@ class TestFailureSurfaces:
                 cube, "broadcast", "sbt", 0, 2, 2,
                 PortModel.ONE_PORT_HALF, on_fault="ignore",
             )
+
+    @pytest.mark.parametrize(
+        "M,B",
+        [(8.5, 4), (-1, 4), (0, 4), (8, 0), (8, 2.5), (float("nan"), 4),
+         (8, float("inf"))],
+    )
+    @pytest.mark.parametrize("op,algorithm", [("broadcast", "sbt"),
+                                              ("scatter", "bst")])
+    def test_bad_sizes_rejected(self, op, algorithm, M, B):
+        with pytest.raises(ValueError, match="size"):
+            run_collective(
+                Hypercube(3), op, algorithm, 0, M, B,
+                PortModel.ONE_PORT_FULL,
+            )
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0])
+    def test_bad_detect_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="detect_timeout"):
+            run_collective(
+                Hypercube(3), "broadcast", "sbt", 0, 4, 4,
+                PortModel.ONE_PORT_FULL,
+                faults=FaultPlan(dead_links=[(0, 1)]),
+                on_fault="repair", detect_timeout=timeout,
+            )

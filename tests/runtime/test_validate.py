@@ -30,20 +30,47 @@ class TestDifferentialReduced:
     def test_point(self, n, op, algorithm, M, B, pm):
         differential_check(Hypercube(n), op, algorithm, 0, M, B, pm)
 
-    @pytest.mark.parametrize("op,algorithm", RUNTIME_OPS)
-    def test_nonzero_source(self, op, algorithm):
-        differential_check(
-            Hypercube(4), op, algorithm, 11, 17, 4,
-            PortModel.ONE_PORT_FULL,
-        )
+    @pytest.mark.parametrize(
+        "op,algorithm,source,M,B,pm",
+        [
+            *(
+                pytest.param(op, algorithm, 11, 17, 4,
+                             PortModel.ONE_PORT_FULL, id=f"{op}-{algorithm}")
+                for op, algorithm in RUNTIME_OPS
+            ),
+            *(
+                pytest.param("scatter", "bst", source, 33, 8,
+                             PortModel.ONE_PORT_HALF,
+                             id=f"scatter-bst-source{source}")
+                for source in (5, 15)
+            ),
+        ],
+    )
+    def test_nonzero_source(self, op, algorithm, source, M, B, pm):
+        differential_check(Hypercube(4), op, algorithm, source, M, B, pm)
 
-    def test_nonunit_machine(self):
-        machine = MachineParams(tau=2.5, t_c=0.75)
-        for op, algorithm in RUNTIME_OPS:
-            differential_check(
-                Hypercube(3), op, algorithm, 0, 9, 4,
-                PortModel.ONE_PORT_HALF, machine=machine,
-            )
+    @pytest.mark.parametrize(
+        "machine,n,op,algorithm,source,M,B,pm",
+        [
+            *(
+                pytest.param(MachineParams(tau=2.5, t_c=0.75), 3, op,
+                             algorithm, 0, 9, 4, PortModel.ONE_PORT_HALF,
+                             id=f"startup-{op}-{algorithm}")
+                for op, algorithm in RUNTIME_OPS
+            ),
+            pytest.param(MachineParams(tau=2.5, t_c=0.75, overlap=0.5), 4,
+                         "broadcast", "sbt", 3, 29, 4,
+                         PortModel.ONE_PORT_FULL, id="overlap"),
+            pytest.param(MachineParams(internal_packet_elems=8), 4,
+                         "scatter", "sbt", 0, 64, 16, PortModel.ALL_PORT,
+                         id="internal-packets"),
+        ],
+    )
+    def test_nonunit_machine(self, machine, n, op, algorithm, source, M, B,
+                             pm):
+        differential_check(
+            Hypercube(n), op, algorithm, source, M, B, pm, machine=machine,
+        )
 
     def test_grid_report_collects(self):
         report = differential_grid(
@@ -69,15 +96,3 @@ class TestDifferentialFull:
         )
         assert report.ok
         assert report.points == 72  # 4 ops x 3 port models x 3 M x 2 B
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-    def test_full_grid_sharded(self, n, workers):
-        # the same acceptance grid against the sharded runtime: every
-        # tree x port model point, K workers, still engine-identical
-        report = differential_grid(
-            dims=(n,), messages=(1, 64, 1000), packets=(1, 32),
-            fail_fast=True, workers=workers, start_method="thread",
-        )
-        assert report.ok
-        assert report.points == 72

@@ -11,7 +11,7 @@ service layer's call) and run the fault matrix on the iPSC machine.
 
 Also covers the engine dispatch layer (:mod:`repro.sim.dispatch`), the
 ``engine=`` plumbing through the collectives API, the sweep executor
-and the CLI, the prefilter kernel's NumPy fallback, and the
+and the CLI, the NumPy prefilter kernel, and the
 ``repro_engine_table_bytes_peak`` gauge.
 """
 
@@ -40,7 +40,7 @@ from repro.routing import (
 from repro.cli import build_parser
 from repro.sim import ENGINES, get_engine, resolve_engine, run_async
 from repro.sim._engine_reference import run_async_reference
-from repro.sim._kernels import HAVE_NUMBA, _prefilter_numpy, prefilter
+from repro.sim._kernels import prefilter
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
@@ -274,33 +274,23 @@ def test_prefilter_numpy_semantics():
     ready = np.array([0.0, 5.0, 1.0, np.inf, 2.0])
     vc = np.array([0.0, 0.0, 9.0, 0.0, 2.0])
     idx = np.arange(5, dtype=np.int64)
-    out = _prefilter_numpy(idx, ready, vc, 2.0)
+    out = prefilter(idx, ready, vc, 2.0)
     # kept iff ready <= limit AND vc <= limit
     assert out.tolist() == [0, 4]
-    empty = _prefilter_numpy(np.array([1, 3], dtype=np.int64), ready, vc, 2.0)
+    empty = prefilter(np.array([1, 3], dtype=np.int64), ready, vc, 2.0)
     assert empty.tolist() == []
 
 
 def test_prefilter_active_matches_fallback():
-    """Whatever implementation is bound, it must match the fallback."""
+    """The masks keep exactly the candidates a scalar scan would."""
     rng = np.random.default_rng(7)
     ready = rng.uniform(0, 10, size=64)
     vc = rng.uniform(0, 10, size=64)
     vc[::7] = np.inf
     idx = np.asarray(rng.permutation(64)[:40], dtype=np.int64)
     got = prefilter(idx, ready, vc, 5.0)
-    want = _prefilter_numpy(idx, ready, vc, 5.0)
-    assert sorted(got.tolist()) == sorted(want.tolist())
-
-
-def test_numba_gate_honours_environment():
-    """With REPRO_NO_NUMBA set (or numba absent) the fallback is bound."""
-    if os.environ.get("REPRO_NO_NUMBA"):
-        assert not HAVE_NUMBA
-        assert prefilter is _prefilter_numpy
-    elif not HAVE_NUMBA:
-        # numba not installed: the canonical NumPy path serves
-        assert prefilter is _prefilter_numpy
+    want = [i for i in idx.tolist() if ready[i] <= 5.0 and vc[i] <= 5.0]
+    assert got.tolist() == want
 
 
 # -- dispatch and plumbing --------------------------------------------

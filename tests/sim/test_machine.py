@@ -36,6 +36,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             MachineParams(overlap=-0.1)
 
+    @pytest.mark.parametrize("field", ["tau", "t_c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            MachineParams(**{field: value})
+
     def test_with_overlap(self):
         m = IPSC_D7.with_overlap(0.0)
         assert m.overlap == 0.0

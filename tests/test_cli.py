@@ -144,25 +144,6 @@ class TestCommands:
         assert code == 2
         assert "require --backend runtime" in capsys.readouterr().err
 
-    def test_sharded_runtime_broadcast(self, capsys, tmp_path):
-        chrome = tmp_path / "trace.json"
-        code = main([
-            "broadcast", "--dim", "4", "-a", "msbt", "-M", "16", "-B", "4",
-            "--backend", "runtime", "--workers", "2",
-            "--start-method", "thread", "--trace-chrome", str(chrome),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "shard workers     : 2 (thread)" in out
-        assert "one lane per shard" in out
-        doc = json.loads(chrome.read_text())
-        assert {e["pid"] for e in doc["traceEvents"]} == {0, 1}
-
-    def test_workers_requires_runtime_backend(self, capsys):
-        code = main(["broadcast", "--dim", "3", "--workers", "2"])
-        assert code == 2
-        assert "--workers requires --backend runtime" in capsys.readouterr().err
-
     def test_figure_command_dispatches(self, capsys, monkeypatch):
         # patch in a tiny stand-in so the test stays fast
         from repro import experiments
