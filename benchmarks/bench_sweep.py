@@ -1,5 +1,4 @@
-"""Sweep-executor benchmarks: serial vs parallel full-figure wall clock
-and the disk-cache cold/warm paths.
+"""Sweep-executor benchmarks: serial vs parallel full-figure wall clock.
 
 Medians are pinned in ``BENCH_SWEEP.json`` at the repo root; compare or
 refresh with::
@@ -16,10 +15,6 @@ pays the true cold generation cost.
 """
 
 from __future__ import annotations
-
-import shutil
-
-import pytest
 
 from repro import cache
 from repro.experiments import run_fig6
@@ -55,38 +50,3 @@ def test_sweep_fig6_jobs4(benchmark):
     assert len(report.rows) == len(FIG6_DIMS)
     assert report.sweep.executor == "process-pool"
 
-
-def test_sweep_disk_cold(benchmark, tmp_path):
-    cache_dir = tmp_path / "disk"
-
-    def cold_disk():
-        # fresh process-local caches AND an empty disk directory: this
-        # measures generation plus the cost of persisting everything
-        cache.clear_caches()
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-    report = benchmark.pedantic(
-        run_fig6,
-        kwargs=dict(dims=FIG6_DIMS, jobs=1, cache_dir=cache_dir),
-        setup=cold_disk,
-        rounds=1,
-        iterations=1,
-    )
-    assert report.sweep.disk_hits == 0
-
-
-def test_sweep_disk_warm(benchmark, tmp_path):
-    cache_dir = tmp_path / "disk"
-    cache.clear_caches()
-    run_fig6(dims=FIG6_DIMS, jobs=1, cache_dir=cache_dir)  # populate
-
-    report = benchmark.pedantic(
-        run_fig6,
-        kwargs=dict(dims=FIG6_DIMS, jobs=1, cache_dir=cache_dir),
-        setup=_cold,
-        rounds=1,
-        iterations=1,
-    )
-    # every generator call was served from disk: zero regeneration
-    assert report.sweep.disk_misses == 0
-    assert report.sweep.disk_hits > 0

@@ -8,8 +8,7 @@ the repo root:
 * ``--suite engine`` (default): ``benchmarks/bench_regression.py``
   vs ``BENCH_ENGINE.json`` — engines + schedule generation.
 * ``--suite sweep``: ``benchmarks/bench_sweep.py`` vs
-  ``BENCH_SWEEP.json`` — serial/parallel full-figure sweeps and the
-  disk-cache cold/warm paths.
+  ``BENCH_SWEEP.json`` — serial/parallel full-figure sweeps.
 * ``--suite runtime``: ``benchmarks/bench_runtime.py`` vs
   ``BENCH_RUNTIME.json`` — the actor runtime (collective execution,
   fault repair, one differential runtime-vs-engine check).

@@ -5,25 +5,15 @@ trees and schedules at many ``(M, B, port model)`` points; this package
 makes repeats cheap while keeping results bit-identical to the uncached
 paths (asserted by ``tests/cache``).
 
-An optional second, on-disk layer (:mod:`repro.cache.disk`) persists
-schedules and canonical trees across processes: sweep workers and fresh
-CI runs reuse previously generated artifacts instead of regenerating
-them.
+Generated artifacts live only in process memory: regenerating a tree
+or schedule is cheap (a new root is one O(N) relabelling of a cached
+canonical tree), so nothing is persisted across processes.
 
 Environment:
     ``REPRO_CACHE=0`` (or ``off``/``false``/``no``) disables the whole
     layer (read at import; re-read with ``configure(from_env=True)``).
-    ``REPRO_CACHE_DIR=<dir>`` enables the on-disk layer (read live).
 """
 
-from repro.cache.disk import (
-    DiskCache,
-    configure_disk,
-    disk_cache,
-    disk_cache_dir,
-    schedule_disk,
-    tree_disk,
-)
 from repro.cache.lru import (
     LRUCache,
     MISSING,
@@ -37,7 +27,6 @@ from repro.cache.schedules import memoize_schedule
 from repro.cache.trees import cached_msbt_graph, cached_tree
 
 __all__ = [
-    "DiskCache",
     "LRUCache",
     "MISSING",
     "cache_stats",
@@ -46,11 +35,6 @@ __all__ = [
     "cached_tree",
     "clear_caches",
     "configure",
-    "configure_disk",
     "disabled",
-    "disk_cache",
-    "disk_cache_dir",
     "memoize_schedule",
-    "schedule_disk",
-    "tree_disk",
 ]

@@ -12,10 +12,6 @@ after that, the most recent :func:`configure` call wins.  A later
 change to the environment variable is picked up only by an explicit
 ``configure(from_env=True)`` (processes spawned by the sweep executor
 import fresh, so they see the current environment automatically).
-
-The registry also admits non-LRU members (the on-disk layer in
-:mod:`repro.cache.disk`) — anything with ``stats()`` and ``clear()``
-shows up in :func:`cache_stats` / :func:`clear_caches`.
 """
 
 from __future__ import annotations
@@ -40,8 +36,8 @@ __all__ = [
 #: sentinel distinguishing "not cached" from a cached ``None``
 MISSING = object()
 
-#: every stats-bearing cache in the process (LRUs and the disk layer)
-_REGISTRY: "OrderedDict[str, Any]" = OrderedDict()
+#: every cache in the process, keyed by name
+_REGISTRY: "OrderedDict[str, LRUCache]" = OrderedDict()
 
 
 def _env_enabled() -> bool:

@@ -16,12 +16,6 @@ out directly: every call returns a fresh ``Schedule`` whose ``rounds``
 list, ``chunk_sizes`` dict and ``meta`` are copies (the ``Transfer``
 tuples inside are immutable and shared), so callers may mutate the
 result without corrupting the cache.
-
-When a disk-cache directory is configured (:mod:`repro.cache.disk`),
-an in-memory miss falls through to the on-disk layer before running
-the generator, and freshly generated schedules are persisted — so a
-cold process (a sweep worker, a fresh CI run) replays an earlier
-process's generation work instead of repeating it.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ import functools
 import inspect
 from typing import Any, Callable, Hashable, TypeVar
 
-from repro.cache.disk import schedule_disk
 from repro.cache.lru import MISSING, LRUCache, caching_enabled
 from repro.sim.faults import FaultPlan
 from repro.sim.ports import PortModel
@@ -48,8 +41,7 @@ def _normalize(value: Any) -> Hashable:
     """A hashable cache-key component for one generator argument."""
     if isinstance(value, Topology):
         # The full token — ("hypercube", n) vs ("torus", n, k) — so
-        # different topologies at the same n can never share an entry,
-        # in memory or on disk.
+        # different topologies at the same n can never share an entry.
         return value.cache_token()
     if isinstance(value, PortModel):
         return ("port", value.value)
@@ -103,14 +95,8 @@ def memoize_schedule(maxsize: int | None = 256) -> Callable[[F], F]:
             hit = cache.get(key)
             if hit is not MISSING:
                 return _copy_schedule(hit)
-            disk_hit = schedule_disk.fetch((fn.__name__, key))
-            if disk_hit is not MISSING:
-                cache.put(key, disk_hit)
-                return _copy_schedule(disk_hit)
             sched = fn(*args, **kwargs)
             cache.put(key, _copy_schedule(sched))
-            # pickling snapshots the schedule, so no extra copy is needed
-            schedule_disk.store((fn.__name__, key), sched)
             return sched
 
         wrapper.cache = cache  # type: ignore[attr-defined]

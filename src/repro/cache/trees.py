@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import TypeVar
 
-from repro.cache.disk import tree_disk
 from repro.cache.lru import MISSING, LRUCache, caching_enabled
 from repro.topology.base import Topology, topology_token
 from repro.topology.hypercube import Hypercube
@@ -37,9 +36,6 @@ _canonical = LRUCache("trees.canonical", maxsize=64)
 _instances = LRUCache("trees.instances", maxsize=256)
 #: MSBT graphs, keyed (n, source)
 _msbt_graphs = LRUCache("trees.msbt_graphs", maxsize=64)
-
-#: the cached_property names translated onto non-canonical instances
-_TRANSLATED = ("parents_map", "children_map", "levels", "subtree_sizes")
 
 
 def _build(cls: type[T], cube: Topology, root: int, extra: tuple) -> T:
@@ -95,13 +91,7 @@ def cached_tree(cls: type[T], cube: Topology, root: int = 0, *extra) -> T:
     ckey = (cls.__qualname__, topo, extra)
     canonical = _canonical.get(ckey)
     if canonical is MISSING:
-        canonical = tree_disk.fetch(ckey)
-        if canonical is MISSING:
-            canonical = _build(cls, cube, 0, extra)
-            # materialize the maps the translation reads (and persists)
-            for name in _TRANSLATED:
-                getattr(canonical, name)
-            tree_disk.store(ckey, canonical)
+        canonical = _build(cls, cube, 0, extra)
         _canonical.put(ckey, canonical)
     if root == 0:
         inst = canonical

@@ -21,9 +21,8 @@ Usage (also available as ``python -m repro``)::
 
 ``table``, ``figure`` and ``sweep`` accept ``--jobs N`` (default:
 ``REPRO_JOBS`` or serial; 0 = all cores) to fan the experiment's point
-grid out over worker processes, and ``--cache-dir DIR`` (default:
-``REPRO_CACHE_DIR``) to persist generated trees/schedules on disk
-across runs.  Output is identical at any worker count.
+grid out over worker processes.  Output is identical at any worker
+count.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         "--jobs", "-j", type=int, default=None,
         help="worker processes for the point grid "
              "(default: REPRO_JOBS or 1; 0 = all cores)")
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persist generated trees/schedules under DIR "
-             "(default: REPRO_CACHE_DIR)")
     _add_engine_option(parser)
 
 
@@ -135,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "sweep",
-        help="run experiment sweeps (parallel workers, optional disk cache)",
+        help="run experiment sweeps (parallel workers)",
     )
     s.add_argument(
         "targets", nargs="+",
@@ -166,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="workload seed (same seed -> same job list)")
     sr.add_argument("--jobs", "-j", type=int, default=None,
                     help="worker processes for schedule pregeneration "
-                         "(default: REPRO_JOBS or 1; 0 = all cores); "
-                         "output is identical at any worker count")
+                         "(default: 1; 0 = all cores); output is "
+                         "identical at any worker count")
     sr.add_argument("--ports", choices=sorted(_PORT_CHOICES), default="full",
                     help="port model: half (1 s or r), full (1 s and r), all")
     sr.add_argument("--ipsc", action="store_true",
@@ -391,7 +386,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
     all_stats: dict[str, dict] = {}
     for target in _expand_sweep_targets(args.targets):
         runner = getattr(experiments, _SWEEP_TARGETS[target])
-        report = runner(jobs=args.jobs, cache_dir=args.cache_dir)
+        report = runner(jobs=args.jobs)
         print(report.render())
         if report.sweep is not None:
             print(f"[{target}] {report.sweep.summary()}")
@@ -449,6 +444,9 @@ def _run_service_command(args: argparse.Namespace) -> int:
     except FaultError as exc:
         print(f"fault: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     unit = " s (iPSC/d7)" if args.ipsc else ""
     print(f"service run: scenario {scenario.name!r} on n={scenario.dimension} "
           f"cube, policy {result.policy}, seed {args.seed}")
@@ -618,8 +616,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     # table/figure/sweep runners reach the engines through many layers;
-    # the environment default is the documented channel for them (the
-    # sweep executor re-exports it to its workers).
+    # the environment default is the documented channel for them (sweep
+    # pool workers inherit it).
     if getattr(args, "engine", None) and args.command in (
         "table", "figure", "sweep"
     ):
@@ -629,7 +627,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro import experiments
 
         runner = getattr(experiments, f"run_table{args.number}")
-        print(runner(jobs=args.jobs, cache_dir=args.cache_dir).render())
+        print(runner(jobs=args.jobs).render())
         _write_metrics(args)
         return 0
 
@@ -637,7 +635,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro import experiments
 
         runner = getattr(experiments, f"run_fig{args.number}")
-        print(runner(jobs=args.jobs, cache_dir=args.cache_dir).render())
+        print(runner(jobs=args.jobs).render())
         _write_metrics(args)
         return 0
 

@@ -1,6 +1,6 @@
 """Experiment harness: one function per table/figure of the paper.
 
-Every runner takes ``jobs=``/``cache_dir=`` and executes its point grid
+Every runner takes ``jobs=`` and executes its point grid
 through :mod:`repro.experiments.parallel`; serial and parallel output
 are identical (see that module for the determinism contract).
 """

@@ -18,8 +18,6 @@ the report is identical whatever the worker count.
 
 from __future__ import annotations
 
-import os
-
 from repro.collectives.api import broadcast, scatter
 from repro.experiments.harness import TableReport
 from repro.experiments.parallel import run_sweep, sweep_grid
@@ -52,7 +50,6 @@ def run_fig5(
     message_bytes: tuple[int, ...] = (4096, 16384, 61440),
     machine: MachineParams = IPSC_D7,
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Figure 5: SBT broadcast time on the iPSC vs message/packet size.
 
@@ -67,7 +64,7 @@ def run_fig5(
     grid = sweep_grid(n=dims, B=packet_sizes, M=message_bytes)
     for point in grid:
         point["machine"] = machine
-    result = run_sweep(_fig5_point, grid, jobs=jobs, cache_dir=cache_dir)
+    result = run_sweep(_fig5_point, grid, jobs=jobs)
     for rows in result.values:
         for row in rows:
             report.add(*row)
@@ -95,7 +92,6 @@ def run_fig6(
     packet_bytes: int = 1024,
     machine: MachineParams = IPSC_D7,
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Figure 6: SBT vs MSBT broadcast of 60 KB in 1 KB packets.
 
@@ -110,7 +106,7 @@ def run_fig6(
         dict(n=n, M=message_bytes, B=packet_bytes, machine=machine)
         for n in dims
     ]
-    result = run_sweep(_fig6_point, grid, jobs=jobs, cache_dir=cache_dir)
+    result = run_sweep(_fig6_point, grid, jobs=jobs)
     for rows in result.values:
         for row in rows:
             report.add(*row)
@@ -124,13 +120,9 @@ def run_fig7(
     packet_bytes: int = 1024,
     machine: MachineParams = IPSC_D7,
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Figure 7: MSBT speed-up over SBT — approximately ``log N``."""
-    fig6 = run_fig6(
-        dims, message_bytes, packet_bytes, machine,
-        jobs=jobs, cache_dir=cache_dir,
-    )
+    fig6 = run_fig6(dims, message_bytes, packet_bytes, machine, jobs=jobs)
     report = TableReport(
         "Figure 7 — MSBT vs SBT broadcast speed-up",
         ["dim", "speedup", "log N"],
@@ -160,7 +152,6 @@ def run_fig8(
     message_bytes: int = 1024,
     machine: MachineParams = IPSC_D7,
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Figure 8: personalized communication, BST vs SBT on the iPSC.
 
@@ -177,7 +168,7 @@ def run_fig8(
         ["dim", "SBT time (s)", "BST time (s)", "BST/SBT"],
     )
     grid = [dict(n=n, M=message_bytes, machine=machine) for n in dims]
-    result = run_sweep(_fig8_point, grid, jobs=jobs, cache_dir=cache_dir)
+    result = run_sweep(_fig8_point, grid, jobs=jobs)
     for rows in result.values:
         for row in rows:
             report.add(*row)

@@ -13,20 +13,19 @@ Design points:
 * **Determinism.**  Each point carries its grid index; workers return
   ``(index, value)`` pairs and the caller's values land in a
   pre-allocated slot list.  Completion order is irrelevant.
-* **Chunking.**  Points are batched into contiguous chunks (default:
-  ~4 chunks per worker) so pickle/IPC overhead is amortized while load
-  still balances across heterogeneous point costs.
+* **Chunking.**  Points are batched into contiguous chunks (~4 chunks
+  per worker) so pickle/IPC overhead is amortized while load still
+  balances across heterogeneous point costs.
 * **Telemetry.**  Every point is timed in its worker and annotated
-  with the worker id and the in-memory/on-disk cache-hit deltas it
-  produced; :class:`SweepStats` aggregates them across workers.
+  with the worker id and the cache-hit deltas it produced;
+  :class:`SweepStats` aggregates them across workers.
 * **Fallback.**  ``jobs=1`` (the default), a single-point grid, or a
   platform where worker processes cannot be started all run the exact
   same per-point code in-process — no separate serial code path that
   could drift.
-* **Disk cache.**  An explicit ``cache_dir`` (or ``REPRO_CACHE_DIR``
-  in the environment) turns on :mod:`repro.cache.disk` in the parent
-  and in every worker, so cold worker processes reuse previously
-  generated trees/schedules instead of regenerating them.
+* **Environment.**  Workers inherit the parent's environment, so a
+  process-wide default such as ``REPRO_ENGINE`` (what the CLI's
+  ``--engine`` sets) reaches every point without a parameter.
 
 Point functions must be module-level callables and their kwargs
 picklable (workers may be spawned, not forked).  The ``REPRO_JOBS``
@@ -39,15 +38,13 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 from math import ceil
+from numbers import Integral
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.cache.disk import configure_disk, disk_cache
 from repro.obs.instruments import CACHE_OPS, sweep_finished
-from repro.sim.dispatch import resolve_engine
 from repro.sim.trace import LinkStats
 
 __all__ = [
@@ -60,8 +57,8 @@ __all__ = [
     "sweep_grid",
 ]
 
-#: default chunks submitted per worker (balances pickle overhead
-#: against load balancing across unevenly priced points)
+#: chunks submitted per worker (balances pickle overhead against load
+#: balancing across unevenly priced points)
 CHUNKS_PER_WORKER = 4
 
 
@@ -70,7 +67,12 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
     Precedence: an explicit ``jobs`` argument, then the ``REPRO_JOBS``
     environment variable, then 1 (serial).  ``0`` means one worker per
-    available core.
+    available core.  The schedule-pregeneration pool of the service and
+    workload layers validates its ``jobs`` through this function too.
+
+    Raises:
+        ValueError: if the count is negative, a ``bool`` or not an
+            integer.
     """
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
@@ -81,11 +83,9 @@ def resolve_jobs(jobs: int | None = None) -> int:
                 raise ValueError(f"REPRO_JOBS must be an integer, got {env!r}")
         else:
             jobs = 1
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    return jobs
+    if isinstance(jobs, bool) or not isinstance(jobs, Integral) or jobs < 0:
+        raise ValueError(f"jobs must be an integer >= 0, got {jobs!r}")
+    return int(jobs) or os.cpu_count() or 1
 
 
 def sweep_grid(**axes: Sequence[Any]) -> list[dict[str, Any]]:
@@ -111,7 +111,6 @@ class PointStats:
         worker: pid of the process that ran it.
         lru_hits / lru_misses: in-memory cache-counter deltas the point
             produced in its worker.
-        disk_hits / disk_misses: on-disk layer deltas likewise.
     """
 
     index: int
@@ -119,8 +118,6 @@ class PointStats:
     worker: int
     lru_hits: int
     lru_misses: int
-    disk_hits: int
-    disk_misses: int
 
 
 @dataclass
@@ -164,16 +161,6 @@ class SweepStats:
         """In-memory cache misses across all workers."""
         return sum(p.lru_misses for p in self.points)
 
-    @property
-    def disk_hits(self) -> int:
-        """On-disk cache hits across all workers."""
-        return sum(p.disk_hits for p in self.points)
-
-    @property
-    def disk_misses(self) -> int:
-        """On-disk cache misses across all workers."""
-        return sum(p.disk_misses for p in self.points)
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (the CI timing artifact)."""
         return {
@@ -186,8 +173,6 @@ class SweepStats:
             "workers": list(self.workers),
             "lru_hits": self.lru_hits,
             "lru_misses": self.lru_misses,
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
             "points": [
                 {
                     "index": p.index,
@@ -195,8 +180,6 @@ class SweepStats:
                     "worker": p.worker,
                     "lru_hits": p.lru_hits,
                     "lru_misses": p.lru_misses,
-                    "disk_hits": p.disk_hits,
-                    "disk_misses": p.disk_misses,
                 }
                 for p in self.points
             ],
@@ -208,8 +191,7 @@ class SweepStats:
             f"{self.num_points} points in {self.wall_s:.2f}s "
             f"({self.executor}, jobs={self.jobs}, chunksize={self.chunksize}, "
             f"{len(self.workers)} worker(s); "
-            f"lru {self.lru_hits}h/{self.lru_misses}m, "
-            f"disk {self.disk_hits}h/{self.disk_misses}m)"
+            f"lru {self.lru_hits}h/{self.lru_misses}m)"
         )
 
 
@@ -245,8 +227,8 @@ class SweepResult:
         return merged_link_stats(self.values)
 
 
-def _cache_totals() -> tuple[int, int, int, int]:
-    """(lru hits, lru misses, disk hits, disk misses) registry sums.
+def _cache_totals() -> tuple[int, int]:
+    """(hits, misses) summed over every cache in the registry.
 
     Read from the observability registry's ``repro_cache_ops_total``
     series rather than the live cache objects: the series survive a
@@ -256,20 +238,14 @@ def _cache_totals() -> tuple[int, int, int, int]:
     about which object's counters they were diffing).  One code path
     serves process-pool workers and in-process sweeps alike.
     """
-    lru_h = lru_m = disk_h = disk_m = 0
+    hits = misses = 0
     for series in CACHE_OPS.series():
         op = series.labels["op"]
         if op == "hit":
-            if series.labels["cache"].startswith("cache.disk."):
-                disk_h += series.value
-            else:
-                lru_h += series.value
+            hits += series.value
         elif op == "miss":
-            if series.labels["cache"].startswith("cache.disk."):
-                disk_m += series.value
-            else:
-                lru_m += series.value
-    return lru_h, lru_m, disk_h, disk_m
+            misses += series.value
+    return hits, misses
 
 
 def _run_point(
@@ -286,23 +262,7 @@ def _run_point(
         worker=os.getpid(),
         lru_hits=after[0] - before[0],
         lru_misses=after[1] - before[1],
-        disk_hits=after[2] - before[2],
-        disk_misses=after[3] - before[3],
     )
-
-
-def _worker_init(cache_dir: str | None, engine: str | None = None) -> None:
-    """Pool initializer: disk-cache dir and event-engine default.
-
-    The engine choice travels as ``REPRO_ENGINE`` (the
-    :func:`repro.sim.dispatch.resolve_engine` default) rather than a
-    per-point kwarg, so existing experiment point functions pick it up
-    without signature changes.
-    """
-    if cache_dir is not None:
-        configure_disk(cache_dir)
-    if engine is not None:
-        os.environ["REPRO_ENGINE"] = engine
 
 
 def _run_chunk(
@@ -316,9 +276,6 @@ def run_sweep(
     points: Sequence[Mapping[str, Any]],
     *,
     jobs: int | None = None,
-    chunksize: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
-    engine: str | None = None,
 ) -> SweepResult:
     """Execute ``fn(**point)`` for every point, possibly in parallel.
 
@@ -327,16 +284,6 @@ def run_sweep(
         points: kwargs mappings, one per grid point.  Values must be
             picklable when ``jobs > 1``.
         jobs: worker processes; see :func:`resolve_jobs` for defaults.
-        chunksize: points per submitted task (default: grid split into
-            ~:data:`CHUNKS_PER_WORKER` chunks per worker).
-        cache_dir: enable the on-disk cache at this directory for the
-            duration of the sweep, in the parent and every worker
-            (default: whatever ``REPRO_CACHE_DIR`` says).
-        engine: event-engine implementation for the sweep's duration
-            (``"vectorized"``/``"reference"``), exported
-            as ``REPRO_ENGINE`` to the parent and every worker so point
-            functions that run collectives pick it up without
-            signature changes (default: leave the environment alone).
 
     Returns:
         A :class:`SweepResult` whose ``values[i]`` is ``fn(**points[i])``
@@ -344,60 +291,37 @@ def run_sweep(
     """
     indexed = [(i, dict(p)) for i, p in enumerate(points)]
     jobs = resolve_jobs(jobs)
-    dir_ctx = disk_cache(cache_dir) if cache_dir is not None else nullcontext()
-    prev_engine = os.environ.get("REPRO_ENGINE")
-    if engine is not None:
-        engine = resolve_engine(engine)
-        os.environ["REPRO_ENGINE"] = engine
     t0 = time.perf_counter()
+    if jobs == 1 or len(indexed) <= 1:
+        return _run_serial(fn, indexed, jobs, "serial", t0)
+    chunksize = max(1, ceil(len(indexed) / (jobs * CHUNKS_PER_WORKER)))
+    chunks = [
+        indexed[i : i + chunksize] for i in range(0, len(indexed), chunksize)
+    ]
     try:
-        with dir_ctx:
-            if jobs == 1 or len(indexed) <= 1:
-                return _run_serial(fn, indexed, jobs, "serial", t0)
-            chunksize = chunksize or max(
-                1, ceil(len(indexed) / (jobs * CHUNKS_PER_WORKER))
-            )
-            chunks = [
-                indexed[i : i + chunksize]
-                for i in range(0, len(indexed), chunksize)
-            ]
-            init_dir = str(cache_dir) if cache_dir is not None else None
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(jobs, len(chunks)),
-                    initializer=_worker_init,
-                    initargs=(init_dir, engine),
-                )
-            except (OSError, ValueError, NotImplementedError):
-                # no usable multiprocessing on this platform — degrade
-                # gracefully rather than failing the sweep
-                return _run_serial(fn, indexed, jobs, "serial-fallback", t0)
-            values: list[Any] = [None] * len(indexed)
-            point_stats: list[PointStats] = []
-            with pool:
-                futures = [
-                    pool.submit(_run_chunk, fn, chunk) for chunk in chunks
-                ]
-                for future in futures:
-                    for value, ps in future.result():
-                        values[ps.index] = value
-                        point_stats.append(ps)
-            point_stats.sort(key=lambda p: p.index)
-            stats = SweepStats(
-                jobs=jobs,
-                chunksize=chunksize,
-                executor="process-pool",
-                wall_s=time.perf_counter() - t0,
-                points=point_stats,
-            )
-            sweep_finished(stats)
-            return SweepResult(values=values, stats=stats)
-    finally:
-        if engine is not None:
-            if prev_engine is None:
-                os.environ.pop("REPRO_ENGINE", None)
-            else:
-                os.environ["REPRO_ENGINE"] = prev_engine
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
+    except (OSError, ValueError, NotImplementedError):
+        # no usable multiprocessing on this platform — degrade
+        # gracefully rather than failing the sweep
+        return _run_serial(fn, indexed, jobs, "serial-fallback", t0)
+    values: list[Any] = [None] * len(indexed)
+    point_stats: list[PointStats] = []
+    with pool:
+        futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
+        for future in futures:
+            for value, ps in future.result():
+                values[ps.index] = value
+                point_stats.append(ps)
+    point_stats.sort(key=lambda p: p.index)
+    stats = SweepStats(
+        jobs=jobs,
+        chunksize=chunksize,
+        executor="process-pool",
+        wall_s=time.perf_counter() - t0,
+        points=point_stats,
+    )
+    sweep_finished(stats)
+    return SweepResult(values=values, stats=stats)
 
 
 def _run_serial(

@@ -14,8 +14,6 @@ control the worker count; output is identical at any setting).
 
 from __future__ import annotations
 
-import os
-
 from repro.analysis.models import personalized_time_one_port
 from repro.collectives.api import scatter
 from repro.experiments.harness import TableReport
@@ -48,7 +46,6 @@ def run_scatter_packet_sweep(
     t_c: float = 1.0,
     packet_sizes: tuple[int, ...] = (2, 4, 8, 32, 128, 100_000),
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Sweep ``B`` for one-port SBT and BST scatter; report sim vs model."""
     report = TableReport(
@@ -56,7 +53,7 @@ def run_scatter_packet_sweep(
         ["B", "SBT sim", "SBT model", "BST sim", "BST model"],
     )
     grid = [dict(n=n, M=M, B=B, tau=tau, t_c=t_c) for B in packet_sizes]
-    result = run_sweep(_scatter_point, grid, jobs=jobs, cache_dir=cache_dir)
+    result = run_sweep(_scatter_point, grid, jobs=jobs)
     for rows in result.values:
         for row in rows:
             report.add(*row)

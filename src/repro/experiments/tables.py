@@ -14,8 +14,6 @@ order and content are identical at any worker count.
 
 from __future__ import annotations
 
-import os
-
 from repro.analysis.compare import TABLE4_REGIMES, TABLE4_ROWS, table4_paper_entry, table4_ratio
 from repro.analysis.models import (
     broadcast_model,
@@ -73,7 +71,6 @@ def _table1_point(n: int, algo: str, pm: PortModel) -> list[list[object]]:
 def run_table1(
     n: int = 4,
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Table 1: propagation delay (cycles to broadcast one packet).
 
@@ -88,9 +85,7 @@ def run_table1(
     grid = sweep_grid(algo=_ALGOS, pm=tuple(PortModel))
     for point in grid:
         point["n"] = n
-    return _collect(
-        report, run_sweep(_table1_point, grid, jobs=jobs, cache_dir=cache_dir)
-    )
+    return _collect(report, run_sweep(_table1_point, grid, jobs=jobs))
 
 
 def _table2_point(n: int, packets: int, algo: str, pm: PortModel) -> list[list[object]]:
@@ -110,7 +105,6 @@ def run_table2(
     n: int = 4,
     packets: int = 48,
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Table 2: steady-state cycles per distinct packet.
 
@@ -125,9 +119,7 @@ def run_table2(
     grid = sweep_grid(algo=_ALGOS, pm=tuple(PortModel))
     for point in grid:
         point.update(n=n, packets=packets)
-    return _collect(
-        report, run_sweep(_table2_point, grid, jobs=jobs, cache_dir=cache_dir)
-    )
+    return _collect(report, run_sweep(_table2_point, grid, jobs=jobs))
 
 
 def _table3_point(
@@ -168,7 +160,6 @@ def run_table3(
     tau: float = 8.0,
     t_c: float = 1.0,
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Table 3: broadcast complexity ``T``, ``B_opt``, ``T_min``.
 
@@ -193,9 +184,7 @@ def run_table3(
     grid = sweep_grid(algo=_ALGOS, pm=tuple(PortModel))
     for point in grid:
         point.update(n=n, M=M, packet_sizes=tuple(packet_sizes), tau=tau, t_c=t_c)
-    return _collect(
-        report, run_sweep(_table3_point, grid, jobs=jobs, cache_dir=cache_dir)
-    )
+    return _collect(report, run_sweep(_table3_point, grid, jobs=jobs))
 
 
 def _table4_point(n: int, algo: str, pm: PortModel) -> list[list[object]]:
@@ -214,7 +203,6 @@ def _table4_point(n: int, algo: str, pm: PortModel) -> list[list[object]]:
 def run_table4(
     n: int = 6,
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Table 4: broadcast complexity relative to the MSBT routing."""
     report = TableReport(
@@ -222,9 +210,7 @@ def run_table4(
         ["algorithms", "port model", "regime", "computed", "paper"],
     )
     grid = [dict(n=n, algo=algo, pm=pm) for algo, pm in TABLE4_ROWS]
-    return _collect(
-        report, run_sweep(_table4_point, grid, jobs=jobs, cache_dir=cache_dir)
-    )
+    return _collect(report, run_sweep(_table4_point, grid, jobs=jobs))
 
 
 #: the paper's Table 5 column "BST(max)" for n = 2..20
@@ -252,7 +238,6 @@ def run_table5(
     max_n: int = 20,
     construct_up_to: int = 12,
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Table 5: maximum BST subtree size vs ``(N-1)/log N``.
 
@@ -268,9 +253,7 @@ def run_table5(
         dict(n=n, construct=n <= construct_up_to)
         for n in range(2, max_n + 1)
     ]
-    return _collect(
-        report, run_sweep(_table5_point, grid, jobs=jobs, cache_dir=cache_dir)
-    )
+    return _collect(report, run_sweep(_table5_point, grid, jobs=jobs))
 
 
 def _table6_point(
@@ -300,7 +283,6 @@ def run_table6(
     tau: float = 1.0,
     t_c: float = 1.0,
     jobs: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> TableReport:
     """Table 6: personalized-communication time at optimal packet size.
 
@@ -320,6 +302,4 @@ def run_table6(
     )
     for point in grid:
         point.update(n=n, M=M, tau=tau, t_c=t_c)
-    return _collect(
-        report, run_sweep(_table6_point, grid, jobs=jobs, cache_dir=cache_dir)
-    )
+    return _collect(report, run_sweep(_table6_point, grid, jobs=jobs))

@@ -9,7 +9,7 @@ the default :data:`~repro.obs.registry.REGISTRY`):
   nothing but integer increments;
 * **runtime** — the actor kernel flushes through
   :func:`runtime_run_finished` when a cluster run completes;
-* **caches** — the LRU and disk layers update the ``always=True``
+* **caches** — the LRUs update the ``always=True``
   cache counters synchronously (they double as the functional
   ``cache_stats()`` API, so they keep counting while telemetry is
   disabled);
@@ -29,7 +29,6 @@ from repro.obs.registry import REGISTRY
 
 __all__ = [
     "CACHE_OPS",
-    "CACHE_DISK_BYTES",
     "COLLECTIVE_PHASE_SECONDS",
     "COLLECTIVE_RUNS",
     "ENGINE_ADMISSION_BLOCKS",
@@ -144,14 +143,8 @@ RUNTIME_RUN_SECONDS = REGISTRY.histogram(
 
 CACHE_OPS = REGISTRY.counter(
     "repro_cache_ops_total",
-    "Cache operations per cache instance (hit/miss/eviction/store/error).",
+    "Cache operations per cache instance (hit/miss/eviction).",
     ("cache", "op"),
-    always=True,
-)
-CACHE_DISK_BYTES = REGISTRY.counter(
-    "repro_cache_disk_bytes_total",
-    "Bytes read from / written to the on-disk cache layer.",
-    ("cache", "direction"),
     always=True,
 )
 
@@ -426,11 +419,7 @@ def sweep_finished(stats: Any) -> None:
         SWEEP_WORKER_UTILIZATION.set(
             min(1.0, stats.point_wall_s / (stats.wall_s * stats.jobs))
         )
-    for layer, hits, misses in (
-        ("lru", stats.lru_hits, stats.lru_misses),
-        ("disk", stats.disk_hits, stats.disk_misses),
-    ):
-        if hits:
-            SWEEP_CACHE_OPS.labels(layer=layer, op="hit").inc(hits)
-        if misses:
-            SWEEP_CACHE_OPS.labels(layer=layer, op="miss").inc(misses)
+    if stats.lru_hits:
+        SWEEP_CACHE_OPS.labels(layer="lru", op="hit").inc(stats.lru_hits)
+    if stats.lru_misses:
+        SWEEP_CACHE_OPS.labels(layer="lru", op="miss").inc(stats.lru_misses)

@@ -53,13 +53,13 @@ cannot change any result bit.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
 
 from repro.collectives.api import ROOTED_OPS, check_delivery, collective_schedule
+from repro.experiments.parallel import resolve_jobs
 from repro.obs.instruments import service_run_finished
 from repro.routing.common import is_whole
 from repro.service.exec import AdmissionRun, ExecutionView, execute_program
@@ -249,26 +249,23 @@ def _build_schedule(args: tuple) -> tuple[Schedule, dict[int, set[Chunk]]]:
 
 
 def pregenerate(
-    keys: Iterable[tuple], jobs: int | None, mp_context: str | None = None
+    keys: Iterable[tuple], jobs: int | None
 ) -> dict[tuple, tuple[Schedule, dict[int, set[Chunk]]]]:
     """Build every distinct schedule, once, keyed by
     ``(dimension, op, algorithm, source, M, B, port value, subtree
     order)``.
 
-    Keys are deduplicated in first-seen order and built inline, or in a
-    ``jobs``-worker pool (``0`` = all cores) reassembled positionally —
-    so worker count and start method cannot change anything.
+    Keys are deduplicated in first-seen order and built inline
+    (``jobs=None``), or in a ``jobs``-worker pool (``0`` = all cores)
+    reassembled positionally — so the worker count cannot change
+    anything.  ``jobs`` is checked by
+    :func:`repro.experiments.parallel.resolve_jobs`.
     """
+    workers = 1 if jobs is None else resolve_jobs(jobs)
     todo = list(dict.fromkeys(keys))
-    workers = (os.cpu_count() or 1) if jobs == 0 else jobs
-    if workers is None or workers <= 1 or len(todo) <= 1:
+    if workers == 1 or len(todo) <= 1:
         return {k: _build_schedule(k) for k in todo}
-    import multiprocessing
-
-    ctx = multiprocessing.get_context(mp_context) if mp_context else None
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(todo)), mp_context=ctx
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
         return dict(zip(todo, pool.map(_build_schedule, todo)))
 
 
@@ -290,8 +287,6 @@ class CollectiveService:
         jobs: worker processes for schedule pregeneration (``None``/1 =
             inline, 0 = all cores).  Worker count never changes
             results.
-        mp_context: multiprocessing start method for the worker pool
-            (``"spawn"``/``"fork"``/``None`` = platform default).
 
     Typical use::
 
@@ -311,7 +306,6 @@ class CollectiveService:
         faults: FaultPlan | None = None,
         on_fault: str = "raise",
         jobs: int | None = None,
-        mp_context: str | None = None,
     ):
         self.cube = cube
         self.port_model = port_model
@@ -321,7 +315,6 @@ class CollectiveService:
         self.faults = faults
         self.on_fault = on_fault
         self.jobs = jobs
-        self.mp_context = mp_context
         self._specs: list[JobSpec] = []
 
     def submit(self, spec: JobSpec) -> int:
@@ -346,8 +339,7 @@ class CollectiveService:
 
     def _pregenerate(self) -> dict[tuple, tuple[Schedule, dict[int, set[Chunk]]]]:
         return pregenerate(
-            (self._schedule_key(s) for s in self._specs),
-            self.jobs, self.mp_context,
+            (self._schedule_key(s) for s in self._specs), self.jobs
         )
 
     # -- the admission event loop --------------------------------------
@@ -545,12 +537,11 @@ def run_service(
     faults: FaultPlan | None = None,
     on_fault: str = "raise",
     jobs: int | None = None,
-    mp_context: str | None = None,
 ) -> ServiceResult:
     """One-shot convenience: submit ``specs`` and run the service."""
     service = CollectiveService(
         cube, port_model, machine, policy, admission,
-        faults=faults, on_fault=on_fault, jobs=jobs, mp_context=mp_context,
+        faults=faults, on_fault=on_fault, jobs=jobs,
     )
     service.submit_many(specs)
     return service.run()

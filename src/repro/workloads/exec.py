@@ -106,7 +106,6 @@ def _pregenerate(
     workload: Workload,
     steps: int,
     jobs: int | None,
-    mp_context: str | None,
 ) -> dict[tuple, tuple[Schedule, dict[int, set[Chunk]]]]:
     """Build every distinct schedule the run will need, once (keys in
     step, then declaration order; see
@@ -117,7 +116,7 @@ def _pregenerate(
             for s in range(steps)
             for p in workload.dag(s).collective_phases
         ),
-        jobs, mp_context,
+        jobs,
     )
 
 
@@ -416,7 +415,6 @@ def run_workload(
     engine: str | None = None,
     backend: str = "sim",
     jobs: int | None = None,
-    mp_context: str | None = None,
 ) -> WorkloadReport:
     """Execute ``steps`` steps of ``workload`` end to end.
 
@@ -435,7 +433,6 @@ def run_workload(
         jobs: worker processes for schedule pregeneration (``None``/1 =
             inline, 0 = all cores).  Worker count never changes report
             bits.
-        mp_context: start method for the pregeneration pool.
 
     Returns:
         A :class:`~repro.workloads.report.WorkloadReport` with one
@@ -466,7 +463,7 @@ def run_workload(
         backend=backend,
     )
     if backend == "sim":
-        schedules = _pregenerate(workload, steps, jobs, mp_context)
+        schedules = _pregenerate(workload, steps, jobs)
         t0 = 0.0
         for s in range(steps):
             step_report = _run_step_sim(

@@ -10,6 +10,7 @@ one constructed directly, and that the translation costs one
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -163,3 +164,10 @@ def test_cached_msbt_graph_matches_direct_build():
             cached.validate()
             cached.validate_labelling()
             assert cached is cached_msbt_graph(cube, source)
+
+
+def test_pickle_roundtrip_preserves_token():
+    # a tree must survive pickling to cross a process-pool boundary
+    tree = TwoRootedCompleteBinaryTree(Hypercube(3), 0)
+    clone = pickle.loads(pickle.dumps(tree))
+    assert clone.cache_token() == tree.cache_token()

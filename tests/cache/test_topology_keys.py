@@ -2,7 +2,7 @@
 
 Regression tests for the torus/hypercube key-collision class of bug:
 a ``Torus(n, k)`` and a ``Hypercube(n)`` (or two tori of different
-arity) must never share an LRU / disk-cache entry — not in the
+arity) must never share a cache entry — not in the
 schedule memoizer, not in the tree cache, and not through a
 :class:`FaultPlan` pinned to a topology.
 """

@@ -58,8 +58,12 @@ class TestResolveJobs:
         assert resolve_jobs(0) == (os.cpu_count() or 1)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_jobs(-2)
+        # bools and non-integers are rejected too, not passed to the pool
+        for bad in (-2, -3, True, False, 2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="jobs must be"):
+                resolve_jobs(bad)
+        with pytest.raises(ValueError, match="jobs must be"):
+            run_sweep(_square, [{"x": 1}, {"x": 2}], jobs=2.5)
 
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
@@ -105,11 +109,6 @@ class TestRunSweep:
         result = run_sweep(_square, [{"x": i} for i in range(64)], jobs=2)
         assert result.stats.chunksize == 64 // (2 * CHUNKS_PER_WORKER)
 
-    def test_explicit_chunksize(self):
-        result = run_sweep(_square, [{"x": i} for i in range(7)], jobs=2, chunksize=5)
-        assert result.stats.chunksize == 5
-        assert result.values == [i * i for i in range(7)]
-
     def test_multi_kwarg_points(self):
         result = run_sweep(_pair, [{"a": 1, "b": 2}, {"a": 3, "b": 4}], jobs=2)
         assert result.values == [(1, 2), (3, 4)]
@@ -124,7 +123,8 @@ class TestRunSweep:
         assert d["num_points"] == 4
         assert len(d["points"]) == 4
         assert {p["index"] for p in d["points"]} == {0, 1, 2, 3}
-        assert "lru_hits" in d and "disk_misses" in d
+        assert "lru_hits" in d and "lru_misses" in d
+        assert not any(k.startswith("disk_") for k in d)
         assert isinstance(result.stats.summary(), str)
 
     def test_env_jobs_drives_sweep(self, monkeypatch):

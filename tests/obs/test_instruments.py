@@ -107,8 +107,6 @@ class _FakePoint:
     wall_s: float = 0.1
     lru_hits: int = 0
     lru_misses: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
 
 
 @dataclass
@@ -136,14 +134,6 @@ class _FakeStats:
     def lru_misses(self) -> int:
         return sum(p.lru_misses for p in self.points)
 
-    @property
-    def disk_hits(self) -> int:
-        return sum(p.disk_hits for p in self.points)
-
-    @property
-    def disk_misses(self) -> int:
-        return sum(p.disk_misses for p in self.points)
-
 
 class TestSweepFlush:
     def test_flush_folds_points_and_caches(self):
@@ -151,7 +141,7 @@ class TestSweepFlush:
         hits0 = SWEEP_CACHE_OPS.labels(layer="lru", op="hit").value
         stats = _FakeStats(
             points=[
-                _FakePoint(wall_s=0.4, lru_hits=3, disk_misses=1),
+                _FakePoint(wall_s=0.4, lru_hits=3, lru_misses=1),
                 _FakePoint(wall_s=0.6, lru_hits=2),
             ]
         )

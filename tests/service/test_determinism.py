@@ -1,10 +1,8 @@
 """Determinism regression: a service run is a pure function of
-(scenario, seed, policy) — worker counts and multiprocessing start
-methods for schedule pregeneration must never leak into results."""
+(scenario, seed, policy) — the worker count for schedule pregeneration
+must never leak into results."""
 
 from __future__ import annotations
-
-import multiprocessing
 
 import pytest
 
@@ -67,12 +65,8 @@ class TestRunDeterminism:
         serial = _fingerprint(_run(jobs=1))
         fanned = _fingerprint(_run(jobs=2))
         assert serial == fanned
-
-    def test_start_method_is_invisible(self):
-        methods = [
-            m for m in ("fork", "spawn")
-            if m in multiprocessing.get_all_start_methods()
-        ]
-        want = _fingerprint(_run(jobs=1))
-        for method in methods:
-            assert _fingerprint(_run(jobs=2, mp_context=method)) == want
+        # ...and a count that is not a whole number >= 0 is rejected,
+        # not run inline
+        for bad in (-3, True, 2.5):
+            with pytest.raises(ValueError, match="jobs must be"):
+                _run(jobs=bad)

@@ -64,6 +64,10 @@ class TestServiceCommands:
     def test_unknown_scenario_fails_cleanly(self, capsys):
         assert main(["service", "run", "--scenario", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+        assert main([
+            "service", "run", "--scenario", "smoke-mix", "--jobs", "-3",
+        ]) == 2
+        assert "jobs must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("policy", ["fifo", "fair-share"])
     def test_run_smoke_mix_emits_quantiles(self, policy, capsys, tmp_path):

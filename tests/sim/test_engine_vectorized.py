@@ -17,8 +17,6 @@ and the CLI, the NumPy prefilter kernel, and the
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,22 +361,28 @@ def test_collectives_engine_parameter():
         )
 
 
-def _sweep_point(n: int) -> float:
+def _sweep_point(n: int) -> tuple[float, str]:
     res = broadcast(
         Hypercube(n), 0, "sbt", 32, 8, machine=IPSC_D7, run_event_sim=True
     )
-    return res.time
+    return res.time, resolve_engine()
 
 
 def test_run_sweep_exports_engine(monkeypatch):
+    """Pool workers inherit ``REPRO_ENGINE``, which is how the CLI's
+    ``--engine`` reaches the points of a table/figure/sweep."""
+    points = [{"n": 3}, {"n": 4}]
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    serial = run_sweep(_sweep_point, [{"n": 3}, {"n": 4}])
-    ref = run_sweep(_sweep_point, [{"n": 3}, {"n": 4}], engine="reference")
-    assert serial.values == ref.values
-    # the export is scoped to the sweep
-    assert "REPRO_ENGINE" not in os.environ
+    default = run_sweep(_sweep_point, points, jobs=2)
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    ref = run_sweep(_sweep_point, points, jobs=2)
+    assert ref.stats.executor == "process-pool"
+    assert [engine for _, engine in default.values] == ["vectorized"] * 2
+    assert [engine for _, engine in ref.values] == ["reference"] * 2
+    assert [t for t, _ in default.values] == [t for t, _ in ref.values]
+    monkeypatch.setenv("REPRO_ENGINE", "bogus")
     with pytest.raises(ValueError, match="unknown engine"):
-        run_sweep(_sweep_point, [{"n": 3}], engine="bogus")
+        run_sweep(_sweep_point, points, jobs=2)
 
 
 def test_table_bytes_gauge_tracks_peak():

@@ -151,7 +151,7 @@ class TestCommands:
 
         stub = TableReport("Figure 7 — stub", ["x"], [[1]])
         monkeypatch.setattr(
-            experiments, "run_fig7", lambda jobs=None, cache_dir=None: stub
+            experiments, "run_fig7", lambda jobs=None: stub
         )
         assert main(["figure", "7"]) == 0
         assert "Figure 7 — stub" in capsys.readouterr().out
@@ -194,16 +194,11 @@ class TestSweepCommand:
         assert stats["table1"]["num_points"] >= 1
         assert all("wall_s" in p for p in stats["table1"]["points"])
 
-    def test_sweep_with_cache_dir_and_parallel(self, capsys, tmp_path):
-        code = main([
-            "sweep", "table6", "--jobs", "2",
-            "--cache-dir", str(tmp_path / "cache"),
-        ])
-        assert code == 0
+    def test_sweep_parallel(self, capsys):
+        assert main(["sweep", "table6", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "[table6]" in out
         assert "process-pool" in out
-        assert list((tmp_path / "cache").rglob("*.pkl"))  # disk cache populated
 
 
 class TestObservabilityFlags:

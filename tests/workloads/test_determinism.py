@@ -1,11 +1,10 @@
 """Determinism regression: a workload report is a pure function of
-(scenario, seed, steps) — repeats, pregeneration worker counts and
-multiprocessing start methods must yield byte-identical reports."""
+(scenario, seed, steps) — repeats and pregeneration worker counts must
+yield byte-identical reports."""
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 
 from repro.workloads import get_workload_scenario, run_workload
 
@@ -45,12 +44,3 @@ class TestRunDeterminism:
 
     def test_worker_count_is_invisible(self):
         assert _fingerprint(jobs=1) == _fingerprint(jobs=2)
-
-    def test_start_method_is_invisible(self):
-        methods = [
-            m for m in ("fork", "spawn")
-            if m in multiprocessing.get_all_start_methods()
-        ]
-        want = _fingerprint(jobs=1)
-        for method in methods:
-            assert _fingerprint(jobs=2, mp_context=method) == want
