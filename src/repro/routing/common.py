@@ -22,7 +22,12 @@ MSG = "m"
 
 
 def is_whole(value: object) -> bool:
-    """True for an integer, or a finite real with no fractional part."""
+    """True for an integer, or a finite real with no fractional part.
+
+    ``bool`` is not a size: ``True`` is rejected, not read as 1.
+    """
+    if isinstance(value, bool):
+        return False
     if isinstance(value, Integral):
         return True
     return isinstance(value, Real) and isfinite(value) and value == int(value)

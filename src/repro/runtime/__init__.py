@@ -3,13 +3,14 @@ paper's distributed routing rules.
 
 Where :mod:`repro.sim` generates a schedule centrally and replays it,
 this package *executes* the algorithms the way the paper states them:
-every hypercube node is an asyncio actor that derives its own
-transmissions from its address and the operation parameters alone
-(:mod:`~repro.runtime.rules`), submits them to a shared kernel
+every hypercube node is an actor that derives its own transmissions
+from its address and the operation parameters alone
+(:mod:`~repro.runtime.rules`) and submits them to a shared kernel
 enforcing port-model capacity and link serialization
-(:mod:`~repro.runtime.channels`, :mod:`~repro.runtime.actors`) over a
-virtual clock with the event engine's exact timing semantics
-(:mod:`~repro.runtime.clock`).  The differential harness
+(:mod:`~repro.runtime.channels`, :mod:`~repro.runtime.actors`).
+Messages between actors run in FIFO order, and the virtual clock,
+which has the event engine's exact timing semantics
+(:mod:`~repro.runtime.clock`), advances only when that FIFO is empty.  The differential harness
 (:mod:`~repro.runtime.validate`) proves runtime executions identical
 to engine replays across the whole parameter grid, and
 :mod:`~repro.runtime.trace` streams per-packet events to JSONL or

@@ -2,22 +2,24 @@
 
 Execution model
 ---------------
-Every hypercube node is a :class:`NodeActor` — an asyncio coroutine
-with an inbox, a wake event, and its :class:`~repro.runtime.rules.
-NodeProgram`.  Actors know nothing global: they submit a planned send
-to the kernel the moment its payload is locally held, and otherwise
-wait for deliveries.  The :class:`Kernel` owns the shared physics —
-the :class:`~repro.runtime.clock.VirtualClock`, the
+Every hypercube node is a :class:`NodeActor` holding its
+:class:`~repro.runtime.rules.NodeProgram` and a message handler.
+Actors know nothing global: they submit a planned send to the kernel
+the moment its payload is locally held, and otherwise wait for
+deliveries.  Messages between actors go through one FIFO owned by the
+:class:`VirtualCluster` and run in the order they were posted.  The
+:class:`Kernel` owns the shared physics — the
+:class:`~repro.runtime.clock.VirtualClock`, the
 :class:`~repro.runtime.channels.PortAdmission` capacity, per-link
 serialization, and the fault plan — and advances virtual time only
-when every actor is quiescent.
+when the FIFO is empty.
 
 Determinism
 -----------
-asyncio interleaving never influences results: all contention is
-resolved by the priority keys of :mod:`repro.runtime.rules`, and the
-kernel admits competing sends in key order within each coalesced
-instant, mirroring :func:`repro.sim.run_async` exactly.  The
+Message order never influences results: all contention is resolved
+by the priority keys of :mod:`repro.runtime.rules`, and the kernel
+admits competing sends in key order within each coalesced instant,
+mirroring :func:`repro.sim.run_async` exactly.  The
 differential harness (:mod:`repro.runtime.validate`) asserts
 completion times, link counters, and start-time profiles identical to
 the engine's.
@@ -36,7 +38,6 @@ until delivery completes or stops making progress.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -132,10 +133,7 @@ class NodeActor:
         "expected",
         "pending",
         "cancelled",
-        "inbox",
-        "wake",
         "stats",
-        "stopped",
         "_expect_reports",
         "_reports",
     )
@@ -149,10 +147,7 @@ class NodeActor:
         self.pending: list[PlannedSend] = list(program.sends)
         #: phase-1 sends dropped by a receive-timeout (superseded by repair)
         self.cancelled: list[PlannedSend] = []
-        self.inbox: deque = deque()
-        self.wake = asyncio.Event()
         self.stats = LinkStats()
-        self.stopped = False
         # coordinator-only state (populated on the source's actor)
         self._expect_reports: int | None = None
         self._reports: dict[int, frozenset] = {}
@@ -160,26 +155,7 @@ class NodeActor:
     def missing(self) -> set[Chunk]:
         return {c for c in self.expected if c not in self.held}
 
-    async def run(self) -> None:
-        kernel = self.cluster.kernel
-        inbox = self.inbox
-        popleft = inbox.popleft
-        handle = self._handle
-        task_done = kernel.task_done
-        wake = self.wake
-        while True:
-            await wake.wait()
-            wake.clear()
-            if self.stopped:
-                return
-            while inbox:
-                msg = popleft()
-                try:
-                    handle(msg)
-                finally:
-                    task_done()
-
-    # -- local decision logic (synchronous between awaits) -----------
+    # -- local decision logic -----------------------------------------
 
     def _handle(self, msg: tuple) -> None:
         kind = msg[0]
@@ -327,9 +303,6 @@ class Kernel:
         self.start_times: list[float] = []
         self.fault_events: list[FaultEvent] = []
         self.lost: list[Transfer] = []
-        self._active = 0
-        self._quiescent = asyncio.Event()
-        self._quiescent.set()
 
     # -- actor-facing API --------------------------------------------
 
@@ -359,14 +332,9 @@ class Kernel:
         )
         self.clock.push_submission(key)
 
-    def task_done(self) -> None:
-        self._active -= 1
-        if self._active == 0:
-            self._quiescent.set()
-
     # -- drain loop ---------------------------------------------------
 
-    async def drain(self) -> None:
+    def drain(self) -> None:
         """Run virtual time forward until no live event remains."""
         clock = self.clock
         pop_batch = clock.pop_batch
@@ -377,7 +345,7 @@ class Kernel:
                 if not clock.advance():
                     return
                 if clock.due_deliveries:
-                    await self._flush_deliveries()
+                    self._flush_deliveries()
             item = pop_batch()
             if item is None:
                 continue  # instant held only deliveries; advance again
@@ -480,17 +448,12 @@ class Kernel:
                 t.src, t.dst, port, start, end, t.elems, t.chunks
             )
 
-    async def _flush_deliveries(self) -> None:
+    def _flush_deliveries(self) -> None:
         now = self.clock.now
         while self._deliveries and self._deliveries[0][0] <= now + _EPS:
             end, _, dst, chunks = heapq.heappop(self._deliveries)
             self.cluster.post(dst, ("deliver", chunks, end))
-        await self.wait_quiescent()
-
-    async def wait_quiescent(self) -> None:
-        while self._active:
-            self._quiescent.clear()
-            await self._quiescent.wait()
+        self.cluster.pump()
 
 
 class VirtualCluster:
@@ -533,22 +496,33 @@ class VirtualCluster:
         }
         self.repair_rounds = 0
         self.receive_timeouts = 0
+        self._queue: deque[tuple[NodeActor, tuple]] = deque()
 
     # -- message plane (zero virtual cost, in-instant) ----------------
 
     def post(self, node: int, msg: tuple) -> None:
-        actor = self.actors[node]
-        actor.inbox.append(msg)
-        self.kernel._active += 1
-        actor.wake.set()
+        self._queue.append((self.actors[node], msg))
+
+    def pump(self) -> None:
+        """Run posted messages in FIFO order until none is left."""
+        queue = self._queue
+        popleft = queue.popleft
+        while queue:
+            actor, msg = popleft()
+            actor._handle(msg)
 
     # -- execution ----------------------------------------------------
 
     def run(self) -> RuntimeResult | DegradedResult:
-        """Execute the collective; blocking wrapper over asyncio."""
+        """Execute the collective and return its result.
+
+        Messages run in FIFO order, and the virtual clock advances only
+        when the FIFO is empty.  An exception raised by an actor's
+        handler propagates from here.
+        """
         t0 = perf_counter()
         try:
-            return asyncio.run(self._execute())
+            return self._execute()
         finally:
             # Flushed on every exit (FaultError and deadlock included);
             # the kernel state carries whatever actually ran.
@@ -564,45 +538,33 @@ class VirtualCluster:
                 faulted=len(kernel.lost),
             )
 
-    async def _execute(self) -> RuntimeResult | DegradedResult:
-        tasks = [
-            asyncio.ensure_future(actor.run())
-            for actor in self.actors.values()
-        ]
-        try:
-            for node in self.actors:
-                self.post(node, ("start",))
-            await self.kernel.wait_quiescent()
-            while True:
-                await self.kernel.drain()
-                incomplete = [
-                    a for a in self.actors.values() if a.missing()
+    def _execute(self) -> RuntimeResult | DegradedResult:
+        for node in self.actors:
+            self.post(node, ("start",))
+        self.pump()
+        while True:
+            self.kernel.drain()
+            incomplete = [a for a in self.actors.values() if a.missing()]
+            if not incomplete:
+                break
+            if self.faults is None or not (
+                self.kernel.fault_events or self.on_fault == "repair"
+            ):
+                stuck = [
+                    (a.node, sorted(map(repr, a.missing()))[:4])
+                    for a in incomplete[:4]
                 ]
-                if not incomplete:
-                    break
-                if self.faults is None or not (
-                    self.kernel.fault_events or self.on_fault == "repair"
-                ):
-                    stuck = [
-                        (a.node, sorted(map(repr, a.missing()))[:4])
-                        for a in incomplete[:4]
-                    ]
-                    raise RuntimeError(
-                        f"runtime deadlocked with {len(incomplete)} nodes "
-                        f"starved, e.g. {stuck}"
-                    )
-                if self.on_fault == "report":
-                    break  # engine parity: stop at the starved frontier
-                if not await self._repair_round(incomplete):
-                    break  # no progress possible; give up degraded
-        finally:
-            for actor in self.actors.values():
-                actor.stopped = True
-                actor.wake.set()
-            await asyncio.gather(*tasks)
+                raise RuntimeError(
+                    f"runtime deadlocked with {len(incomplete)} nodes "
+                    f"starved, e.g. {stuck}"
+                )
+            if self.on_fault == "report":
+                break  # engine parity: stop at the starved frontier
+            if not self._repair_round(incomplete):
+                break  # no progress possible; give up degraded
         return self._result()
 
-    async def _repair_round(self, incomplete: list[NodeActor]) -> bool:
+    def _repair_round(self, incomplete: list[NodeActor]) -> bool:
         """One receive-timeout + survivor-tree repair cycle.
 
         Returns ``False`` when the cycle cannot make progress (every
@@ -626,8 +588,8 @@ class VirtualCluster:
         self.receive_timeouts += len(incomplete)
         for actor in incomplete:
             self.post(actor.node, ("timeout",))
-        await kernel.wait_quiescent()
-        await kernel.drain()
+        self.pump()
+        kernel.drain()
         after = sum(len(a.missing()) for a in self.actors.values())
         return after < before
 

@@ -109,9 +109,8 @@ class AdmissionControl:
             v = getattr(self, name)
             if v is None:
                 continue
-            # bool is an Integral; a NaN cap would compare False and
-            # never block
-            if isinstance(v, bool) or not is_whole(v) or v < 1:
+            # a NaN cap would compare False and never block
+            if not is_whole(v) or v < 1:
                 raise ValueError(
                     f"{name} must be a whole number >= 1 or None, got {v!r}"
                 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import ceil, isfinite
+from numbers import Real
 
 __all__ = ["MachineParams", "IPSC_D7", "UNIT_COST", "ZERO_STARTUP"]
 
@@ -51,9 +52,16 @@ class MachineParams:
                 raise ValueError(
                     f"{what} time must be finite and non-negative, got {value}"
                 )
-        if self.internal_packet_elems is not None and self.internal_packet_elems < 1:
+        ipe = self.internal_packet_elems
+        if ipe is not None and not (
+            isinstance(ipe, Real)
+            and not isinstance(ipe, bool)
+            and isfinite(ipe)
+            and ipe == int(ipe)
+            and ipe >= 1
+        ):
             raise ValueError(
-                f"internal packet size must be >= 1 element, got {self.internal_packet_elems}"
+                f"internal packet size must be a whole number >= 1 of elements, got {ipe!r}"
             )
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")

@@ -20,12 +20,25 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
+from numbers import Integral
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     import numpy as np
 
 __all__ = ["Topology", "topology_token", "resolve_topology", "TOPOLOGY_KINDS"]
+
+
+def require_integer(value: object, what: str) -> int:
+    """Return ``value`` as an ``int`` if it is an integer; raise
+    ``ValueError`` otherwise.
+
+    ``bool`` is rejected although it subclasses ``int``: ``True`` as a
+    node address or dimension is a caller bug, not node 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 class Topology(ABC):
@@ -93,6 +106,8 @@ class Topology(ABC):
 
     def check_node(self, node: int) -> int:
         """Validate and return ``node``; raise ``ValueError`` otherwise."""
+        if type(node) is not int:
+            require_integer(node, "node address")
         if not self.contains(node):
             raise ValueError(f"node {node} outside {self!r} (N={self.num_nodes})")
         return node

@@ -23,7 +23,7 @@ from repro.bits.ops import (
     mask,
     popcount,
 )
-from repro.topology.base import Topology
+from repro.topology.base import Topology, require_integer
 
 __all__ = ["Hypercube", "DirectedEdge"]
 
@@ -73,6 +73,7 @@ class Hypercube(Topology):
     kind = "hypercube"
 
     def __init__(self, n: int):
+        n = require_integer(n, "cube dimension")
         if n < 1:
             raise ValueError(f"cube dimension must be >= 1, got {n}")
         if n > 24:
@@ -124,6 +125,8 @@ class Hypercube(Topology):
 
     def check_node(self, node: int) -> int:
         """Validate and return ``node``; raise ``ValueError`` otherwise."""
+        if type(node) is not int:
+            require_integer(node, "node address")
         if not self.contains(node):
             raise ValueError(f"node {node} outside a {self._n}-cube (N={self.num_nodes})")
         return node

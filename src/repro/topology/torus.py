@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.topology.base import Topology
+from repro.topology.base import Topology, require_integer
 
 __all__ = ["Torus"]
 
@@ -43,6 +43,8 @@ class Torus(Topology):
     kind = "torus"
 
     def __init__(self, n: int, k: int):
+        n = require_integer(n, "torus dimension")
+        k = require_integer(k, "torus arity")
         if n < 1:
             raise ValueError(f"torus dimension must be >= 1, got {n}")
         if k < 2:

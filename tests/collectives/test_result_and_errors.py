@@ -10,10 +10,12 @@ from repro.topology import Hypercube
 
 class TestErrorPaths:
     def test_bad_source_rejected(self, cube4):
-        with pytest.raises(ValueError):
-            broadcast(cube4, 99, "sbt", 4, 4)
-        with pytest.raises(ValueError):
-            scatter(cube4, -1, "bst", 4, 4)
+        for source in (99, True, 2.0):
+            with pytest.raises(ValueError):
+                broadcast(cube4, source, "sbt", 4, 4)
+        for source in (-1, False, 2.5):
+            with pytest.raises(ValueError):
+                scatter(cube4, source, "bst", 4, 4)
 
     def test_bad_message_sizes_rejected(self, cube4):
         with pytest.raises(ValueError):

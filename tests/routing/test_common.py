@@ -61,7 +61,9 @@ class TestValidate:
         validate_message_args(8.0, np.int64(4))
         validate_message_args(np.float64(16.0), 3)
 
-    @pytest.mark.parametrize("bad", [8.5, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [8.5, float("nan"), float("inf"), -float("inf"), True, False]
+    )
     def test_non_integral_sizes_rejected(self, bad):
         with pytest.raises(ValueError, match="message size must be a whole number"):
             validate_message_args(bad, 4)

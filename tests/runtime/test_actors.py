@@ -170,6 +170,25 @@ class TestFailureSurfaces:
         with pytest.raises(RuntimeError, match="starved"):
             VirtualCluster(cube, program).run()
 
+    def test_handler_exception_propagates(self):
+        cube = Hypercube(3)
+        program = build_cluster_program(
+            cube, "broadcast", "sbt", 0, 8, 4, PortModel.ONE_PORT_HALF
+        )
+        # sabotage: relay 1's first send also carries a chunk that is
+        # missing from chunk_sizes, so pricing it raises inside node 1's
+        # handler on the first delivery, while the second delivery to
+        # node 1 is still to come
+        bogus = ("b", 99)
+        relay = program.programs[1]
+        first, *rest = relay.sends
+        bad = replace(first, chunks=first.chunks | {bogus})
+        program.programs[1] = replace(
+            relay, sends=(bad, *rest), initial=relay.initial | {bogus}
+        )
+        with pytest.raises(KeyError):
+            VirtualCluster(cube, program).run()
+
     def test_fault_with_raise_mode_raises(self):
         cube = Hypercube(3)
         with pytest.raises(FaultError, match="dead"):
@@ -191,7 +210,7 @@ class TestFailureSurfaces:
     @pytest.mark.parametrize(
         "M,B",
         [(8.5, 4), (-1, 4), (0, 4), (8, 0), (8, 2.5), (float("nan"), 4),
-         (8, float("inf"))],
+         (8, float("inf")), (True, 4), (8, True)],
     )
     @pytest.mark.parametrize("op,algorithm", [("broadcast", "sbt"),
                                               ("scatter", "bst")])

@@ -29,8 +29,9 @@ class TestValidation:
             MachineParams(tau=-1)
         with pytest.raises(ValueError):
             MachineParams(t_c=-1)
-        with pytest.raises(ValueError):
-            MachineParams(internal_packet_elems=0)
+        for elems in (0, 2.5, float("nan"), True):
+            with pytest.raises(ValueError):
+                MachineParams(internal_packet_elems=elems)
         with pytest.raises(ValueError):
             MachineParams(overlap=1.0)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from repro.topology import DirectedEdge, Hypercube
@@ -16,10 +17,9 @@ class TestShape:
         assert cube.diameter == n
 
     def test_bad_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            Hypercube(0)
-        with pytest.raises(ValueError):
-            Hypercube(25)
+        for n in (0, 25, 2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError):
+                Hypercube(n)
 
     def test_nodes_enumeration(self, cube4):
         assert list(cube4.nodes()) == list(range(16))
@@ -27,8 +27,10 @@ class TestShape:
     def test_contains_and_check(self, cube4):
         assert cube4.contains(0) and cube4.contains(15)
         assert not cube4.contains(16) and not cube4.contains(-1)
-        with pytest.raises(ValueError):
-            cube4.check_node(16)
+        for node in (16, True, False, 2.0, 2.5, "3", None):
+            with pytest.raises(ValueError):
+                cube4.check_node(node)
+        assert cube4.check_node(np.int64(15)) == 15
 
     def test_equality_and_hash(self):
         assert Hypercube(3) == Hypercube(3)

@@ -116,13 +116,15 @@ class TestTorusValidation:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             Torus(0, 3)
-        with pytest.raises(ValueError):
-            Torus(2, 1)
+        for n, k in ((2, 1), (2, 2.5), (2.5, 3), (True, 3), (2, True)):
+            with pytest.raises(ValueError):
+                Torus(n, k)
 
     def test_check_node_and_port(self):
         t = Torus(2, 3)
-        with pytest.raises(ValueError):
-            t.check_node(9)
+        for node in (9, True, 2.0, 2.5):
+            with pytest.raises(ValueError):
+                t.check_node(node)
         with pytest.raises(ValueError):
             t.check_port(4)
 
