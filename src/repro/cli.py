@@ -210,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(concurrent phases contend); runtime: execute "
                          "each phase on the actor runtime (serial DAGs "
                          "of broadcast/scatter only)")
-    wr.add_argument("--engine", choices=ENGINES, default=None,
-                    help="event engine; the merged-program lowering "
-                         "requires vectorized (the default), not the "
-                         "reference oracle")
     wr.add_argument("--jobs", "-j", type=int, default=None,
                     help="worker processes for schedule pregeneration "
                          "(default: 1; 0 = all cores); output is "
@@ -493,8 +489,7 @@ def _run_workload_command(args: argparse.Namespace) -> int:
         scenario = get_workload_scenario(args.scenario)
         workload = scenario.build(args.seed)
         report = run_workload(
-            workload, args.steps,
-            engine=args.engine, backend=args.backend, jobs=args.jobs,
+            workload, args.steps, backend=args.backend, jobs=args.jobs,
         )
     except (ValueError, FaultError) as exc:
         print(str(exc), file=sys.stderr)

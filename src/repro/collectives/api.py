@@ -1,9 +1,11 @@
 """High-level collective operations on a simulated topology.
 
-Each function generates the requested routing schedule, runs it on the
-lock-step engine (validating it against the port model and checking
-complete delivery), optionally times it on the event-driven engine, and
-returns a :class:`~repro.collectives.result.CollectiveResult`.
+Every function runs one pipeline: :func:`collective_schedule` builds
+the routing schedule, the lock-step engine validates it against the
+port model, the event-driven engine optionally times it, and
+:func:`check_delivery` must pass before a
+:class:`~repro.collectives.result.CollectiveResult` is returned (an
+``AssertionError`` names the first short node otherwise).
 
 Every rooted collective accepts any :class:`~repro.topology.Topology`;
 ``algorithm=None`` resolves per topology (hypercube defaults below,
@@ -166,8 +168,8 @@ def _ring_tree(cube: Topology, root: int) -> RingDecompositionTree:
 def _check_torus_supported(
     cube: Topology,
     op: str,
-    backend: str = "sim",
-    faults: FaultPlan | None = None,
+    backend: str,
+    faults: FaultPlan | None,
 ) -> None:
     """Reject backend/fault combinations the torus paths don't implement."""
     if isinstance(cube, Hypercube):
@@ -195,13 +197,13 @@ def _runtime_collective(
     algorithm: str,
     source: int,
     message_elems: int,
-    packet_elems: int,
+    packet_elems: int | None,
     port_model: PortModel,
     machine: MachineParams | None,
     faults: FaultPlan | None,
     on_fault: str,
-    subtree_order: str = "depth_first",
-    trace: bool = False,
+    subtree_order: str,
+    trace: bool,
 ) -> CollectiveResult:
     """Execute on the actor runtime, packaged as a CollectiveResult.
 
@@ -210,7 +212,9 @@ def _runtime_collective(
     execution (``result.async_``, hence ``result.time``) comes from
     :func:`repro.runtime.run_collective`, and under faults the runtime
     handles degradation itself (including the ``"repair"`` mode the
-    schedule replay does not offer).
+    schedule replay does not offer).  Delivery is checked on the
+    runtime's own holdings, at every node it does not report
+    undelivered.
     """
     allowed = (
         RUNTIME_BROADCAST_ALGORITHMS
@@ -222,6 +226,7 @@ def _runtime_collective(
             f"the runtime backend implements {op} for {allowed}, "
             f"got {algorithm!r}"
         )
+    packet_elems = message_elems if packet_elems is None else packet_elems
     collector = RunCollector(op, algorithm, backend="runtime", topology=cube.kind)
     with collector.phase("runtime"):
         rt = run_collective(
@@ -230,18 +235,10 @@ def _runtime_collective(
             faults=faults, on_fault=on_fault, trace=trace,
         )
     with collector.phase("schedule"):
-        if op == "broadcast":
-            sched = (
-                sbt_broadcast_schedule
-                if algorithm == "sbt"
-                else msbt_broadcast_schedule
-            )(cube, source, message_elems, packet_elems, port_model)
-        else:
-            sched = _scatter_schedule(
-                cube, source, algorithm, message_elems, packet_elems,
-                port_model, subtree_order,
-            )
-    initial = {source: set(sched.chunk_sizes)}
+        sched, initial = collective_schedule(
+            cube, op, algorithm, source, message_elems, packet_elems,
+            port_model, subtree_order,
+        )
     with collector.phase("sync"):
         sync = run_synchronous(
             cube, sched, port_model, initial, machine,
@@ -252,6 +249,7 @@ def _runtime_collective(
         if isinstance(rt, DegradedResult)
         else frozenset()
     )
+    _require_delivery(cube, op, source, sched, rt.holdings, undelivered)
     result = CollectiveResult(
         schedule=sched,
         sync=sync,
@@ -263,41 +261,144 @@ def _runtime_collective(
     return result
 
 
-def _run(
+def _collective(
     cube: Topology,
-    schedule: Schedule,
+    op: str,
+    algorithm: str,
+    source: int,
+    message_elems: int,
+    packet_elems: int | None,
     port_model: PortModel,
-    initial: dict[int, set[Chunk]],
     machine: MachineParams | None,
     run_event_sim: bool,
+    engine: str | None,
+    subtree_order: str = "depth_first",
     faults: FaultPlan | None = None,
     on_fault: str = "raise",
-    undelivered: frozenset[int] = frozenset(),
-    collector: RunCollector | None = None,
-    engine: str | None = None,
+    backend: str = "sim",
+    trace: bool = False,
 ) -> CollectiveResult:
-    collector = collector or RunCollector("-", schedule.algorithm)
+    """The one pipeline behind every public collective.
+
+    Builds the schedule with :func:`collective_schedule` (under a
+    non-empty ``faults`` plan, with :func:`_fault_schedule`), runs it
+    on the lock-step engine and, with ``run_event_sim``, on the event
+    engine, then raises ``AssertionError`` unless :func:`check_delivery`
+    passes at every node the schedule serves.  ``backend="runtime"``
+    hands the call to :func:`_runtime_collective`.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    _check_torus_supported(cube, op, backend, faults)
+    if backend == "runtime":
+        return _runtime_collective(
+            cube, op, algorithm, source, message_elems, packet_elems,
+            port_model, machine, faults, on_fault, subtree_order, trace,
+        )
+    packet_elems = message_elems if packet_elems is None else packet_elems
+    collector = RunCollector(op, algorithm, topology=cube.kind)
+    undelivered: frozenset[int] = frozenset()
+    with collector.phase("schedule"):
+        if faults:
+            sched, undelivered = _fault_schedule(
+                cube, op, algorithm, source, message_elems, packet_elems,
+                port_model, faults, on_fault,
+            )
+            initial = {source: set(sched.chunk_sizes)}
+        else:
+            faults, on_fault = None, "raise"
+            sched, initial = collective_schedule(
+                cube, op, algorithm, source, message_elems, packet_elems,
+                port_model, subtree_order,
+            )
     with collector.phase("sync"):
         sync = run_synchronous(
-            cube, schedule, port_model, initial, machine,
+            cube, sched, port_model, initial, machine,
             faults=faults, on_fault=on_fault,
         )
+    async_ = None
     if run_event_sim:
         run_async = get_engine(engine)
         with collector.phase("async"):
             async_ = run_async(
-                cube, schedule, port_model, initial, machine,
+                cube, sched, port_model, initial, machine,
                 faults=faults, on_fault=on_fault,
             )
-    else:
-        async_ = None
-    return CollectiveResult(
-        schedule=schedule,
+    _require_delivery(cube, op, source, sched, sync.holdings, undelivered)
+    result = CollectiveResult(
+        schedule=sched,
         sync=sync,
         async_=async_,
         faults=faults,
         undelivered_nodes=undelivered,
     )
+    collector.finalize(result)
+    return result
+
+
+def _fault_schedule(
+    cube: Hypercube,
+    op: str,
+    algorithm: str,
+    source: int,
+    message_elems: int,
+    packet_elems: int,
+    port_model: PortModel,
+    faults: FaultPlan,
+    on_fault: str,
+) -> tuple[Schedule, frozenset[int]]:
+    """Fault-routed broadcast or scatter schedule, and the nodes it
+    cannot serve.
+
+    The requested ``algorithm`` is honoured only as far as faults
+    allow: a ``"msbt"`` broadcast under link-only faults keeps the
+    edge-disjoint pipelining (the degraded MSBT schedule); every other
+    combination falls back to a fault-avoiding BFS survivor tree, whose
+    schedule the requested algorithm cannot improve on once its
+    structure is broken.
+    """
+    allowed = BROADCAST_ALGORITHMS if op == "broadcast" else SCATTER_ALGORITHMS
+    if algorithm not in allowed:
+        raise ValueError(
+            f"unknown {op} algorithm {algorithm!r}; pick one of {allowed}"
+        )
+    partial = on_fault == "report"
+    if op == "broadcast" and algorithm == "msbt" and not faults.dead_nodes:
+        try:
+            return msbt_broadcast_schedule(
+                cube, source, message_elems, packet_elems, port_model,
+                dead_links=tuple(sorted(faults.dead_links)),
+            ), frozenset()
+        except FaultError:
+            if not partial:
+                raise
+    build = (
+        fault_tolerant_broadcast_schedule
+        if op == "broadcast"
+        else fault_tolerant_scatter_schedule
+    )
+    sched, tree = build(
+        cube, source, message_elems, packet_elems, port_model,
+        faults, partial=partial,
+    )
+    return sched, frozenset(cube.nodes()) - tree.covered
+
+
+def _require_delivery(
+    cube: Topology,
+    op: str,
+    source: int,
+    schedule: Schedule,
+    holdings: dict[int, set[Chunk]],
+    undelivered: frozenset[int],
+) -> None:
+    """Raise ``AssertionError`` naming the first node outside
+    ``undelivered`` that :func:`check_delivery` finds short."""
+    for v, short in check_delivery(cube, op, source, schedule, holdings).items():
+        if v not in undelivered:
+            raise AssertionError(
+                f"{op} left node {v} short of {len(short)} chunk(s)"
+            )
 
 
 def broadcast(
@@ -355,36 +456,12 @@ def broadcast(
             ``"vectorized"``, the production engine; ``"reference"``
             is the slow bit-identical oracle).
     """
-    packet_elems = message_elems if packet_elems is None else packet_elems
-    algorithm = _resolve_algorithm(cube, "broadcast", algorithm)
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    _check_torus_supported(cube, "broadcast", backend, faults)
-    if backend == "runtime":
-        return _runtime_collective(
-            cube, "broadcast", algorithm, source, message_elems,
-            packet_elems, port_model, machine, faults, on_fault,
-            trace=trace,
-        )
-    if faults:
-        return _broadcast_with_faults(
-            cube, source, algorithm, message_elems, packet_elems,
-            port_model, machine, run_event_sim, faults, on_fault,
-            engine=engine,
-        )
-    collector = RunCollector("broadcast", algorithm, topology=cube.kind)
-    with collector.phase("schedule"):
-        sched = _broadcast_schedule(
-            cube, source, algorithm, message_elems, packet_elems, port_model
-        )
-    initial = {source: set(sched.chunk_sizes)}
-    result = _run(
-        cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+    return _collective(
+        cube, "broadcast", _resolve_algorithm(cube, "broadcast", algorithm),
+        source, message_elems, packet_elems, port_model, machine,
+        run_event_sim, engine, faults=faults, on_fault=on_fault,
+        backend=backend, trace=trace,
     )
-    _check_broadcast_delivery(cube, result)
-    collector.finalize(result)
-    return result
 
 
 def _broadcast_schedule(
@@ -427,63 +504,6 @@ def _broadcast_schedule(
     raise ValueError(
         f"unknown broadcast algorithm {algorithm!r}; pick one of {BROADCAST_ALGORITHMS}"
     )
-
-
-def _broadcast_with_faults(
-    cube: Hypercube,
-    source: int,
-    algorithm: str,
-    message_elems: int,
-    packet_elems: int,
-    port_model: PortModel,
-    machine: MachineParams | None,
-    run_event_sim: bool,
-    faults: FaultPlan,
-    on_fault: str,
-    engine: str | None = None,
-) -> CollectiveResult:
-    """Fault-routed broadcast: degraded MSBT when possible, else FAST.
-
-    The requested ``algorithm`` is honoured only as far as faults
-    allow: ``"msbt"`` with link-only faults keeps the edge-disjoint
-    pipelining; every other combination falls back to the survivor
-    tree (whose schedule the requested algorithm cannot improve on
-    once its structure is broken).
-    """
-    if algorithm not in BROADCAST_ALGORITHMS:
-        raise ValueError(
-            f"unknown broadcast algorithm {algorithm!r}; pick one of {BROADCAST_ALGORITHMS}"
-        )
-    collector = RunCollector("broadcast", algorithm, topology=cube.kind)
-    partial = on_fault == "report"
-    covered = frozenset(cube.nodes())
-    sched: Schedule | None = None
-    with collector.phase("schedule"):
-        if algorithm == "msbt" and not faults.dead_nodes:
-            try:
-                sched = msbt_broadcast_schedule(
-                    cube, source, message_elems, packet_elems, port_model,
-                    dead_links=tuple(sorted(faults.dead_links)),
-                )
-            except FaultError:
-                if not partial:
-                    raise
-        if sched is None:
-            sched, tree = fault_tolerant_broadcast_schedule(
-                cube, source, message_elems, packet_elems, port_model,
-                faults, partial=partial,
-            )
-            covered = tree.covered
-    initial = {source: set(sched.chunk_sizes)}
-    result = _run(
-        cube, sched, port_model, initial, machine, run_event_sim,
-        faults=faults, on_fault=on_fault,
-        undelivered=frozenset(cube.nodes()) - covered,
-        collector=collector, engine=engine,
-    )
-    _check_broadcast_delivery(cube, result, covered=covered)
-    collector.finalize(result)
-    return result
 
 
 def scatter(
@@ -534,51 +554,12 @@ def scatter(
         engine: event-engine implementation for ``run_event_sim``
             (see :data:`repro.sim.ENGINES`).
     """
-    packet_elems = message_elems if packet_elems is None else packet_elems
-    algorithm = _resolve_algorithm(cube, "scatter", algorithm)
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    _check_torus_supported(cube, "scatter", backend, faults)
-    if backend == "runtime":
-        return _runtime_collective(
-            cube, "scatter", algorithm, source, message_elems,
-            packet_elems, port_model, machine, faults, on_fault,
-            subtree_order=subtree_order, trace=trace,
-        )
-    collector = RunCollector("scatter", algorithm, topology=cube.kind)
-    if faults:
-        if algorithm not in SCATTER_ALGORITHMS:
-            raise ValueError(
-                f"unknown scatter algorithm {algorithm!r}; pick one of {SCATTER_ALGORITHMS}"
-            )
-        partial = on_fault == "report"
-        with collector.phase("schedule"):
-            sched, tree = fault_tolerant_scatter_schedule(
-                cube, source, message_elems, packet_elems, port_model,
-                faults, partial=partial,
-            )
-        initial = {source: set(sched.chunk_sizes)}
-        result = _run(
-            cube, sched, port_model, initial, machine, run_event_sim,
-            faults=faults, on_fault=on_fault,
-            undelivered=frozenset(cube.nodes()) - tree.covered,
-            collector=collector, engine=engine,
-        )
-        _check_scatter_delivery(cube, source, result, covered=tree.covered)
-        collector.finalize(result)
-        return result
-    with collector.phase("schedule"):
-        sched = _scatter_schedule(
-            cube, source, algorithm, message_elems, packet_elems, port_model, subtree_order
-        )
-    initial = {source: set(sched.chunk_sizes)}
-    result = _run(
-        cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+    return _collective(
+        cube, "scatter", _resolve_algorithm(cube, "scatter", algorithm),
+        source, message_elems, packet_elems, port_model, machine,
+        run_event_sim, engine, subtree_order=subtree_order,
+        faults=faults, on_fault=on_fault, backend=backend, trace=trace,
     )
-    _check_scatter_delivery(cube, source, result)
-    collector.finalize(result)
-    return result
 
 
 def _scatter_schedule(
@@ -632,25 +613,11 @@ def gather(
     ``algorithm=None`` resolves per topology (``"bst"`` on the
     hypercube, ``"ring"`` on the torus).
     """
-    packet_elems = message_elems if packet_elems is None else packet_elems
     algorithm = _resolve_algorithm(cube, "gather", algorithm)
-    collector = RunCollector("gather", algorithm, topology=cube.kind)
-    with collector.phase("schedule"):
-        sched = gather_from_scatter(
-            _scatter_schedule(cube, root, algorithm, message_elems, packet_elems, port_model)
-        )
-    initial = {
-        v: {c for c in sched.chunk_sizes if c[0] == MSG and c[1] == v}
-        for v in cube.nodes()
-    }
-    result = _run(
-        cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+    return _collective(
+        cube, "gather", algorithm, root, message_elems, packet_elems,
+        port_model, machine, run_event_sim, engine,
     )
-    if not result.sync.holdings[root] >= set(sched.chunk_sizes):
-        raise AssertionError("gather failed to collect every message at the root")
-    collector.finalize(result)
-    return result
 
 
 def reduce(
@@ -670,19 +637,11 @@ def reduce(
     spanning binomial tree, §3 of the paper) on the hypercube,
     ``"ring"`` (the reversed ring-decomposition tree) on the torus.
     """
-    packet_elems = message_elems if packet_elems is None else packet_elems
     algorithm = _resolve_algorithm(cube, "reduce", algorithm)
-    collector = RunCollector("reduce", algorithm, topology=cube.kind)
-    with collector.phase("schedule"):
-        sched, initial = _reduce_schedule(
-            cube, root, algorithm, message_elems, packet_elems, port_model
-        )
-    result = _run(
-        cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+    return _collective(
+        cube, "reduce", algorithm, root, message_elems, packet_elems,
+        port_model, machine, run_event_sim, engine,
     )
-    collector.finalize(result)
-    return result
 
 
 def _reduce_schedule(
@@ -772,21 +731,10 @@ def allgather(
     engine: str | None = None,
 ) -> CollectiveResult:
     """All-to-all broadcast: every node ends holding every contribution."""
-    collector = RunCollector(
-        "allgather", "dimension-exchange", topology=cube.kind
+    return _collective(
+        cube, "allgather", "dimension-exchange", 0, message_elems, None,
+        port_model, machine, run_event_sim, engine,
     )
-    with collector.phase("schedule"):
-        sched = allgather_schedule(cube, message_elems, port_model)
-    initial = allgather_initial_holdings(cube)
-    result = _run(
-        cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
-    )
-    for v in cube.nodes():
-        if len(result.sync.holdings[v]) != cube.num_nodes:
-            raise AssertionError(f"allgather incomplete at node {v}")
-    collector.finalize(result)
-    return result
 
 
 def all_broadcast(
@@ -806,20 +754,10 @@ def all_broadcast(
     around the dimension's rings (bidirectionally under the all-port
     model, as arc matchings under half-duplex).
     """
-    algorithm = default_algorithm(cube, "all_broadcast")
-    collector = RunCollector("all_broadcast", algorithm, topology=cube.kind)
-    with collector.phase("schedule"):
-        sched = all_broadcast_schedule(cube, message_elems, port_model)
-    initial = all_broadcast_initial_holdings(cube)
-    result = _run(
-        cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+    return _collective(
+        cube, "all_broadcast", default_algorithm(cube, "all_broadcast"), 0,
+        message_elems, None, port_model, machine, run_event_sim, engine,
     )
-    for v in cube.nodes():
-        if len(result.sync.holdings[v]) != cube.num_nodes:
-            raise AssertionError(f"all-broadcast incomplete at node {v}")
-    collector.finalize(result)
-    return result
 
 
 def alltoall_personalized(
@@ -838,32 +776,10 @@ def alltoall_personalized(
     extension, which is about ``log N`` times faster in transfer time
     under the all-port model (and requires it).
     """
-    collector = RunCollector("alltoall", algorithm, topology=cube.kind)
-    with collector.phase("schedule"):
-        if algorithm == "dimension-exchange":
-            sched = alltoall_personalized_schedule(cube, message_elems, port_model)
-        elif algorithm == "bst":
-            if port_model is not PortModel.ALL_PORT:
-                raise ValueError("the N-BST total exchange requires the all-port model")
-            from repro.routing.alltoall import alltoall_bst_schedule
-
-            sched = alltoall_bst_schedule(cube, message_elems)
-        else:
-            raise ValueError(
-                f"unknown total-exchange algorithm {algorithm!r}; "
-                "pick 'dimension-exchange' or 'bst'"
-            )
-    initial = alltoall_initial_holdings(cube)
-    result = _run(
-        cube, sched, port_model, initial, machine, run_event_sim,
-        collector=collector, engine=engine,
+    return _collective(
+        cube, "alltoall", algorithm, 0, message_elems, None,
+        port_model, machine, run_event_sim, engine,
     )
-    for v in cube.nodes():
-        got = {c for c in result.sync.holdings[v] if c[2] == v}
-        if len(got) != cube.num_nodes - 1:
-            raise AssertionError(f"total exchange incomplete at node {v}")
-    collector.finalize(result)
-    return result
 
 
 def collective_schedule(
@@ -977,72 +893,53 @@ def check_delivery(
 ) -> dict[int, set[Chunk]]:
     """Chunks each node should hold after ``op`` but does not.
 
-    Mirrors the per-op delivery assertions of the high-level functions,
-    but over a bare holdings map (e.g. one job's
-    :func:`repro.sim.multi.untag_holdings` view of a merged service
-    run) and reporting instead of raising.  Empty result = complete.
+    The one definition of a delivered collective.  Every public
+    collective raises ``AssertionError`` when it reports a short node
+    the run was meant to serve; the service and the workload layer
+    report it per job over a bare holdings map (e.g. one job's
+    :func:`repro.sim.multi.untag_holdings` view of a merged run).
+    Empty result = complete; short nodes come in ascending order.
+
+    Obligations per op:
+
+    * ``broadcast``, ``allgather``, ``all_broadcast``: every chunk at
+      every node;
+    * ``scatter``: every node but ``source`` holds the chunks addressed
+      to it (``c[1]``);
+    * ``alltoall``: every node holds the chunks addressed to it
+      (``c[2]``);
+    * ``gather``: the root holds every chunk;
+    * ``reduce``: the root holds its own operand plus the combined
+      partial each tree child sends in — exactly the chunks of the
+      transfers terminating at the root (on the hypercube SBT these
+      are the ``source ^ 2**j`` partials).
     """
     if op not in SCHEDULE_OPS:
         raise ValueError(f"op must be one of {SCHEDULE_OPS}, got {op!r}")
-    missing: dict[int, set[Chunk]] = {}
     chunks = schedule.chunk_sizes
-    for v in cube.nodes():
-        have = holdings.get(v, set())
-        if op == "broadcast":
-            want = set(chunks)
-        elif op == "scatter":
-            if v == source:
-                continue
-            want = {c for c in chunks if c[1] == v}
-        elif op == "gather":
-            # only the root has a delivery obligation: every message
-            if v != source:
-                continue
-            want = set(chunks)
-        elif op == "reduce":
-            # the root must end holding its own operand plus the
-            # combined partial each tree child sends in — exactly the
-            # chunks of the transfers terminating at the root (on the
-            # hypercube SBT these are the ``source ^ 2**j`` partials)
-            if v != source:
-                continue
-            want = {c for c in chunks if c[1] == source}
-            for r in schedule.rounds:
-                for t in r:
-                    if t.dst == source:
-                        want.update(t.chunks)
-        elif op in ("allgather", "all_broadcast"):
-            want = set(chunks)
-        else:  # alltoall: every chunk addressed to v (c[2] = destination)
-            want = {c for c in chunks if c[2] == v}
-        short = want - have
-        if short:
-            missing[v] = short
+    missing: dict[int, set[Chunk]] = {}
+    if op in ("scatter", "alltoall"):
+        # each chunk is owed to the one node it is addressed to, so a
+        # single pass over the chunks checks everything: O(C), not O(N * C)
+        dst = 1 if op == "scatter" else 2
+        exempt = source if op == "scatter" else None
+        for c in chunks:
+            v = c[dst]
+            if v != exempt and c not in holdings.get(v, ()):
+                missing.setdefault(v, set()).add(c)
+        return dict(sorted(missing.items()))
+    if op == "gather":
+        want, nodes = set(chunks), (source,)
+    elif op == "reduce":
+        want, nodes = {c for c in chunks if c[1] == source}, (source,)
+        for r in schedule.rounds:
+            for t in r:
+                if t.dst == source:
+                    want.update(t.chunks)
+    else:
+        want, nodes = set(chunks), cube.nodes()
+    for v in nodes:
+        have = holdings.get(v, frozenset())
+        if not want <= have:
+            missing[v] = want - have
     return missing
-
-
-def _check_broadcast_delivery(
-    cube: Topology,
-    result: CollectiveResult,
-    covered: frozenset[int] | None = None,
-) -> None:
-    want = set(result.schedule.chunk_sizes)
-    nodes = cube.nodes() if covered is None else sorted(covered)
-    for v in nodes:
-        if not result.sync.holdings[v] >= want:
-            raise AssertionError(f"broadcast failed to reach node {v} completely")
-
-
-def _check_scatter_delivery(
-    cube: Topology,
-    source: int,
-    result: CollectiveResult,
-    covered: frozenset[int] | None = None,
-) -> None:
-    nodes = cube.nodes() if covered is None else sorted(covered)
-    for v in nodes:
-        if v == source:
-            continue
-        mine = {c for c in result.schedule.chunk_sizes if c[1] == v}
-        if not result.sync.holdings[v] >= mine:
-            raise AssertionError(f"scatter failed to deliver node {v}'s message")

@@ -20,12 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.routing import (
-    bst_scatter_schedule,
-    msbt_broadcast_schedule,
-    sbt_broadcast_schedule,
-    sbt_scatter_schedule,
-)
 from repro.runtime.actors import run_collective
 from repro.sim import run_async
 from repro.sim.machine import MachineParams
@@ -46,20 +40,6 @@ RUNTIME_OPS = (
     ("scatter", "bst"),
 )
 
-_GENERATORS = {
-    ("broadcast", "sbt"): sbt_broadcast_schedule,
-    ("broadcast", "msbt"): msbt_broadcast_schedule,
-    ("scatter", "sbt"): sbt_scatter_schedule,
-    ("scatter", "bst"): bst_scatter_schedule,
-}
-
-
-def _engine_initial(cube, op, source, sched):
-    if op == "broadcast":
-        return {source: set(sched.chunk_sizes)}
-    # scatter: the source holds every destination's pieces
-    return {source: set(sched.chunk_sizes)}
-
 
 def differential_check(
     cube: Hypercube,
@@ -75,16 +55,14 @@ def differential_check(
 
     Raises ``AssertionError`` naming the first differing observable.
     """
+    # imported here: repro.collectives.api imports repro.runtime
+    from repro.collectives.api import collective_schedule
+
     machine = machine or MachineParams()
-    gen = _GENERATORS[(op, algorithm)]
-    sched = gen(cube, source, message_elems, packet_elems, port_model)
-    engine = run_async(
-        cube,
-        sched,
-        port_model,
-        _engine_initial(cube, op, source, sched),
-        machine=machine,
+    sched, initial = collective_schedule(
+        cube, op, algorithm, source, message_elems, packet_elems, port_model
     )
+    engine = run_async(cube, sched, port_model, initial, machine=machine)
     runtime = run_collective(
         cube,
         op,

@@ -27,6 +27,7 @@ from repro.collectives.api import SCHEDULE_OPS
 from repro.routing.common import is_whole
 from repro.sim.schedule import Chunk
 from repro.sim.trace import LinkStats
+from repro.topology.base import require_integer
 
 __all__ = ["JobSpec", "JobResult"]
 
@@ -85,6 +86,8 @@ class JobSpec:
                 "packet_elems must be a whole number >= 1 or None, "
                 f"got {self.packet_elems!r}"
             )
+        # the priority feeds the strict-priority sort key
+        require_integer(self.priority, "priority")
 
 
 @dataclass

@@ -86,10 +86,6 @@ class MergedProgram:
         """Number of merged jobs."""
         return len(self.entries)
 
-    def job_transfers(self, position: int) -> list[int]:
-        """Transfer indices owned by the entry at ``position``."""
-        return [i for i, o in enumerate(self.owners) if o == position]
-
 
 def merge_programs(entries: Sequence[JobEntry]) -> MergedProgram:
     """Compose job entries into one :class:`MergedProgram`.

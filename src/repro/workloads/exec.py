@@ -412,7 +412,6 @@ def run_workload(
     workload: Workload,
     steps: int = 1,
     *,
-    engine: str | None = None,
     backend: str = "sim",
     jobs: int | None = None,
 ) -> WorkloadReport:
@@ -424,10 +423,6 @@ def run_workload(
             seeded instances).
         steps: number of steps; step ``s+1`` starts at step ``s``'s
             finish, so steps never contend with each other.
-        engine: event-engine selection.  The merged-program lowering
-            needs release-time gating and the transfer log, which only
-            the vectorized engine provides — ``None`` (the default) and
-            ``"vectorized"`` are accepted; anything else raises.
         backend: ``"sim"`` (default) or ``"runtime"`` (serial DAGs of
             runtime-supported ops only).
         jobs: worker processes for schedule pregeneration (``None``/1 =
@@ -444,12 +439,6 @@ def run_workload(
     if backend not in WORKLOAD_BACKENDS:
         raise ValueError(
             f"backend must be one of {WORKLOAD_BACKENDS}, got {backend!r}"
-        )
-    if engine not in (None, "vectorized"):
-        raise ValueError(
-            "the workload merged-program lowering requires the "
-            f"vectorized engine (release gating + transfer log), "
-            f"got engine={engine!r}"
         )
     if workload.on_fault not in ("raise", "report"):
         raise ValueError(

@@ -36,17 +36,6 @@ __all__ = [
 ]
 
 
-def _median(sorted_samples: list[float]) -> float:
-    """Median of ascending ``sorted_samples`` (nan when empty)."""
-    n = len(sorted_samples)
-    if not n:
-        return float("nan")
-    mid = n // 2
-    if n % 2:
-        return sorted_samples[mid]
-    return (sorted_samples[mid - 1] + sorted_samples[mid]) / 2.0
-
-
 @dataclass
 class PhaseReport:
     """One phase's outcome within a step.

@@ -49,6 +49,13 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="packet_elems must be a whole number"):
             JobSpec(tenant="t", message_elems=8, packet_elems=b)
 
+    @pytest.mark.parametrize(
+        "priority", [True, float("nan"), float("inf"), -float("inf"), 2.5]
+    )
+    def test_rejects_non_integer_priority(self, priority):
+        with pytest.raises(ValueError, match="priority must be an integer"):
+            JobSpec(tenant="t", priority=priority)
+
     def test_accepts_whole_packet(self):
         assert JobSpec(tenant="t", message_elems=8, packet_elems=4.0).packet_elems == 4
 

@@ -325,9 +325,8 @@ def test_indexed_engine_name_rejected(monkeypatch):
     [
         ["broadcast", "--dim", "3", "--engine", "indexed"],
         ["table", "3", "--engine", "indexed"],
-        ["workload", "run", "--scenario", "pipeline-4stage", "--engine", "indexed"],
     ],
-    ids=["collective", "table", "workload"],
+    ids=["collective", "table"],
 )
 def test_cli_rejects_indexed_engine(argv, capsys):
     with pytest.raises(SystemExit) as exc:

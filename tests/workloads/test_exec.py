@@ -215,15 +215,6 @@ class TestBackendsAndValidation:
         with pytest.raises(ValueError, match="backend must be one of"):
             run_workload(w, backend="quantum")
 
-    def test_non_vectorized_engine_rejected(self):
-        w = _workload([PhaseSpec("a", compute=1.0)])
-        with pytest.raises(ValueError, match="vectorized"):
-            run_workload(w, engine="reference")
-
-    def test_vectorized_engine_accepted(self):
-        w = _workload([PhaseSpec("a", compute=1.0)])
-        assert run_workload(w, engine="vectorized").makespan == 1.0
-
     def test_runtime_backend_serial_chain(self):
         w = _workload([
             PhaseSpec("c", compute=2.0),

@@ -95,11 +95,3 @@ class TestCLI:
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["workload", "run", "--scenario", "nope"]) == 2
         assert "pick one of" in capsys.readouterr().err
-
-    def test_bad_engine_exits_2(self, capsys):
-        code = main([
-            "workload", "run", "--scenario", "pipeline-4stage",
-            "--engine", "reference",
-        ])
-        assert code == 2
-        assert "vectorized" in capsys.readouterr().err
