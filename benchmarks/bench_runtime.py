@@ -1,8 +1,8 @@
-"""Benchmark suite for the actor runtime: baselines in BENCH_RUNTIME.json.
+"""Benchmark suite for the distributed runtime: baselines in BENCH_RUNTIME.json.
 
-Pins the cost of executing collectives on the message-passing runtime
-(actors + virtual clock + port admission), of the repair path under
-faults, and of one differential runtime-vs-engine check.  Compare or refresh with::
+Pins the cost of executing collectives on the runtime (local rule
+derivation + the engine run of the key-sorted sends), of the repair
+path under faults, and of one differential runtime-vs-engine check.  Compare or refresh with::
 
     python scripts/bench_compare.py --suite runtime [--update]
 

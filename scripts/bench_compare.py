@@ -10,7 +10,7 @@ the repo root:
 * ``--suite sweep``: ``benchmarks/bench_sweep.py`` vs
   ``BENCH_SWEEP.json`` — serial/parallel full-figure sweeps.
 * ``--suite runtime``: ``benchmarks/bench_runtime.py`` vs
-  ``BENCH_RUNTIME.json`` — the actor runtime (collective execution,
+  ``BENCH_RUNTIME.json`` — the distributed runtime (collective execution,
   fault repair, one differential runtime-vs-engine check).
 * ``--suite service``: ``benchmarks/bench_service.py`` vs
   ``BENCH_SERVICE.json`` — the multi-tenant collective service

@@ -46,13 +46,12 @@ executor reassembles results in grid order, so this file is
 byte-for-byte the same at any worker count.
 
 All numbers below come from the schedule-replay simulator (the `sim`
-backend).  The same collectives also run on the actor-based
-message-passing runtime — `python -m repro broadcast ... --backend
-runtime` — where every node derives its sends locally from its own
-address; the differential harness (`tests/runtime/test_validate.py`)
-asserts the runtime's virtual-clock times and per-link traffic are
-identical to the event engine's, so these tables describe both
-backends.
+backend).  The same collectives also run on the distributed runtime —
+`python -m repro broadcast ... --backend runtime` — where every node
+derives its sends locally from its own address; the differential
+harness (`tests/runtime/test_validate.py`) asserts the runtime's times
+and per-link traffic are identical to the event engine's replay of the
+central schedule, so these tables describe both backends.
 """
 
 SECTIONS = [

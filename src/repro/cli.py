@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     wr.add_argument("--backend", choices=("sim", "runtime"), default="sim",
                     help="sim: one merged vectorized-engine run per step "
                          "(concurrent phases contend); runtime: execute "
-                         "each phase on the actor runtime (serial DAGs "
+                         "each phase on the distributed runtime (serial DAGs "
                          "of broadcast/scatter only)")
     wr.add_argument("--jobs", "-j", type=int, default=None,
                     help="worker processes for schedule pregeneration "
@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "over the survivor tree")
         c.add_argument("--backend", choices=("sim", "runtime"), default="sim",
                        help="sim: replay the central schedule on the engines; "
-                            "runtime: execute on the actor-based "
-                            "message-passing runtime")
+                            "runtime: derive every node's sends from its "
+                            "own address and run them on the event engine")
         c.add_argument("--trace-jsonl", default=None, metavar="PATH",
                        help="write the runtime's per-packet trace to PATH "
                             "as JSON lines (requires --backend runtime)")

@@ -55,13 +55,18 @@ from repro.routing import (
     tree_scatter_schedule,
 )
 from repro.routing.common import MSG
-from repro.runtime.actors import run_collective
+from repro.runtime.execute import RUNTIME_FAULT_MODES, run_collective
 from repro.runtime.rules import (
     RUNTIME_BROADCAST_ALGORITHMS,
     RUNTIME_SCATTER_ALGORITHMS,
 )
-from repro.sim.dispatch import get_engine
-from repro.sim.faults import DegradedResult, FaultError, FaultPlan
+from repro.sim.dispatch import get_engine, resolve_engine
+from repro.sim.faults import (
+    ON_FAULT_MODES,
+    DegradedResult,
+    FaultError,
+    FaultPlan,
+)
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule
@@ -186,8 +191,8 @@ def _check_torus_supported(
 
 #: execution backends: ``"sim"`` replays a centrally generated schedule
 #: through the engines; ``"runtime"`` executes the operation on the
-#: actor-based message-passing runtime (:mod:`repro.runtime`), where
-#: every node derives its sends locally.
+#: distributed runtime (:mod:`repro.runtime`), where every node derives
+#: its sends locally from its own address and the engine runs them.
 BACKENDS = ("sim", "runtime")
 
 
@@ -205,7 +210,7 @@ def _runtime_collective(
     subtree_order: str,
     trace: bool,
 ) -> CollectiveResult:
-    """Execute on the actor runtime, packaged as a CollectiveResult.
+    """Execute on the distributed runtime, packaged as a CollectiveResult.
 
     The central schedule is still generated — it documents the
     operation and drives the lock-step validation — but the *timed*
@@ -289,6 +294,13 @@ def _collective(
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    modes = RUNTIME_FAULT_MODES if backend == "runtime" else ON_FAULT_MODES
+    if on_fault not in modes:
+        raise ValueError(
+            f"on_fault must be one of {modes} on the {backend!r} backend, "
+            f"got {on_fault!r}"
+        )
+    resolve_engine(engine)
     _check_torus_supported(cube, op, backend, faults)
     if backend == "runtime":
         return _runtime_collective(
@@ -446,7 +458,7 @@ def broadcast(
             accepts ``"repair"`` (timeout-driven survivor-tree
             recovery).
         backend: ``"sim"`` (default) replays the central schedule on
-            the engines; ``"runtime"`` executes on the actor runtime
+            the engines; ``"runtime"`` executes on the distributed runtime
             (``"sbt"``/``"msbt"`` only) — the runtime result becomes
             ``result.async_``, so ``run_event_sim`` is implied.
         trace: record a per-packet :class:`repro.runtime.RuntimeTrace`
@@ -454,7 +466,8 @@ def broadcast(
         engine: event engine for ``run_event_sim`` (see
             :data:`repro.sim.ENGINES`; default: ``REPRO_ENGINE`` or
             ``"vectorized"``, the production engine; ``"reference"``
-            is the slow bit-identical oracle).
+            is the slow bit-identical oracle).  The runtime backend
+            always runs on the vectorized engine.
     """
     return _collective(
         cube, "broadcast", _resolve_algorithm(cube, "broadcast", algorithm),
@@ -547,12 +560,13 @@ def scatter(
             ``result.undelivered_nodes``.  The runtime backend also
             accepts ``"repair"``.
         backend: ``"sim"`` (default) replays the central schedule on
-            the engines; ``"runtime"`` executes on the actor runtime
+            the engines; ``"runtime"`` executes on the distributed runtime
             (``"sbt"``/``"bst"`` only).
         trace: record a per-packet :class:`repro.runtime.RuntimeTrace`
             on ``result.async_.trace`` (runtime backend only).
         engine: event-engine implementation for ``run_event_sim``
-            (see :data:`repro.sim.ENGINES`).
+            (see :data:`repro.sim.ENGINES`); the runtime backend always
+            runs on the vectorized engine.
     """
     return _collective(
         cube, "scatter", _resolve_algorithm(cube, "scatter", algorithm),

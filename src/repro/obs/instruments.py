@@ -7,8 +7,9 @@ the default :data:`~repro.obs.registry.REGISTRY`):
   into *local* variables during a run and call
   :func:`engine_run_finished` once at the end, so the hot loops gain
   nothing but integer increments;
-* **runtime** — the actor kernel flushes through
-  :func:`runtime_run_finished` when a cluster run completes;
+* **runtime** — :func:`repro.runtime.run_program` flushes through
+  :func:`runtime_run_finished` when a run completes (its engine runs
+  also flush the engine counters);
 * **caches** — the LRUs update the ``always=True``
   cache counters synchronously (they double as the functional
   ``cache_stats()`` API, so they keep counting while telemetry is
@@ -112,19 +113,19 @@ ENGINE_TABLE_BYTES_PEAK = REGISTRY.gauge(
     "Largest lowered-schedule table (bytes) seen by the vectorized engine.",
 )
 
-# -- actor runtime ----------------------------------------------------
+# -- distributed runtime ----------------------------------------------
 
 RUNTIME_PACKETS = REGISTRY.counter(
     "repro_runtime_packets_total",
-    "Packets the actor runtime moved (each is one send and one receive).",
+    "Packets the runtime moved (each is one send and one receive).",
 )
 RUNTIME_ELEMS = REGISTRY.counter(
     "repro_runtime_elems_total",
-    "Elements the actor runtime moved.",
+    "Elements the runtime moved.",
 )
 RUNTIME_TIMEOUTS = REGISTRY.counter(
     "repro_runtime_receive_timeouts_total",
-    "Receive timeouts fired on starved actors (repair mode).",
+    "Receive timeouts fired on starved nodes (repair mode).",
 )
 RUNTIME_REPAIR_ROUNDS = REGISTRY.counter(
     "repro_runtime_repair_rounds_total",
@@ -310,7 +311,7 @@ def runtime_run_finished(
     repair_rounds: int = 0,
     faulted: int = 0,
 ) -> None:
-    """Flush one virtual-cluster run's counters (called by the kernel)."""
+    """Flush one runtime run's counters (called by ``run_program``)."""
     if not REGISTRY.enabled:
         return
     RUNTIME_PACKETS.inc(packets)

@@ -5,7 +5,7 @@ per-process semantics as the cache registry it now backs): instruments
 are *families* registered under a unique name, and a family fans out
 into labeled *series* — ``counter.labels(cache="trees", op="hit")`` —
 each holding one value.  The registry is deliberately tiny and
-dependency-free so the simulation engines, the actor runtime, the
+dependency-free so the simulation engines, the distributed runtime, the
 cache layer, and the sweep executor can all report through it without
 pulling anything into their hot paths.
 

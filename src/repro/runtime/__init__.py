@@ -1,29 +1,26 @@
-"""repro.runtime — a concurrent message-passing runtime for the
-paper's distributed routing rules.
+"""repro.runtime — the paper's distributed routing rules, run locally.
 
 Where :mod:`repro.sim` generates a schedule centrally and replays it,
-this package *executes* the algorithms the way the paper states them:
-every hypercube node is an actor that derives its own transmissions
-from its address and the operation parameters alone
-(:mod:`~repro.runtime.rules`) and submits them to a shared kernel
-enforcing port-model capacity and link serialization
-(:mod:`~repro.runtime.channels`, :mod:`~repro.runtime.actors`).
-Messages between actors run in FIFO order, and the virtual clock,
-which has the event engine's exact timing semantics
-(:mod:`~repro.runtime.clock`), advances only when that FIFO is empty.  The differential harness
+this package derives the algorithms the way the paper states them:
+every hypercube node computes its own transmissions from its address
+and the operation parameters alone (:mod:`~repro.runtime.rules`), each
+send carrying a locally computed priority key.
+:func:`~repro.runtime.execute.run_program` sorts every node's sends by
+key into one program and runs it on the vectorized event engine, which
+gates sends on their payload, serializes links and enforces the port
+model; the runtime adds receive-timeout repair on top
+(:mod:`~repro.runtime.execute`).  The differential harness
 (:mod:`~repro.runtime.validate`) proves runtime executions identical
-to engine replays across the whole parameter grid, and
-:mod:`~repro.runtime.trace` streams per-packet events to JSONL or
-Chrome ``trace_event`` timelines.
+to engine replays of the central schedules across the whole parameter
+grid, and :mod:`~repro.runtime.trace` streams per-packet events to
+JSONL or Chrome ``trace_event`` timelines.
 """
 
-from repro.runtime.actors import (
-    Kernel,
-    NodeActor,
+from repro.runtime.execute import (
     RuntimeResult,
     RUNTIME_FAULT_MODES,
-    VirtualCluster,
     run_collective,
+    run_program,
 )
 from repro.runtime.rules import (
     ClusterProgram,
@@ -41,12 +38,10 @@ from repro.runtime.validate import (
 )
 
 __all__ = [
-    "Kernel",
-    "NodeActor",
     "RuntimeResult",
     "RUNTIME_FAULT_MODES",
-    "VirtualCluster",
     "run_collective",
+    "run_program",
     "ClusterProgram",
     "NodeProgram",
     "PlannedSend",

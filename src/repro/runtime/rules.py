@@ -18,9 +18,10 @@ carries a **priority key**: a tuple, computed locally, with the
 property that sorting every node's sends by key reproduces exactly the
 order in which the central generator would have emitted them.  The key
 is pure address arithmetic (step, packet, relative address, ...); the
-kernel uses it the way real routers use header fields — deterministic
-tie-breaking — which is what makes runtime executions reproducible and
-bit-comparable against the engine (see :mod:`repro.runtime.validate`).
+runtime orders sends by it the way real routers use header fields —
+deterministic tie-breaking — which is what makes runtime executions
+reproducible and bit-comparable against the engine (see
+:mod:`repro.runtime.validate`).
 
 Common knowledge
 ----------------
@@ -100,7 +101,7 @@ class ClusterProgram:
 
     ``chunk_sizes`` is itself locally derivable (every chunk id encodes
     its packet index, and sizes follow from ``(M, B)``); it is carried
-    here so the kernel prices transfers without re-deriving it.
+    here so the engine prices transfers without re-deriving it.
     """
 
     programs: dict[int, NodeProgram]
@@ -292,7 +293,7 @@ def _msbt_broadcast(
     One-port (both variants): the edge into ``child`` in tree ``j``
     fires in round ``f(child, j) + q*n`` for batch ``q = p // n``;
     key ``(round, p, child)``.  Under one-send-*or*-receive the same
-    local plan is submitted and the port admission serializes it (the
+    local plan is run and the engine's port model serializes it (the
     §3.3.2 two-cycle transformation realized greedily, as in the
     central generator).
 

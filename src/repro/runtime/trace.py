@@ -1,8 +1,7 @@
 """Structured per-packet traces of runtime executions.
 
-Every admitted transfer, fault hit, and receive-timeout becomes one
-event record, kept in the order the kernel recorded it.  Two export
-formats:
+Every executed transfer, fault hit, and receive-timeout becomes one
+event record, in execution order.  Two export formats:
 
 * **JSONL** — one JSON object per line; trivially greppable and
   streamable into pandas;
@@ -13,7 +12,7 @@ formats:
   native unit.
 
 The trace complements :class:`repro.sim.trace.LinkStats` (which the
-runtime also maintains, per sending actor): stats aggregate, the trace
+runtime also reports per sending node): stats aggregate, the trace
 keeps per-packet order and timing.
 """
 
@@ -76,7 +75,7 @@ class RuntimeTrace:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    # -- recording (called by the kernel) -----------------------------
+    # -- recording (called by run_program) ----------------------------
 
     def add_transfer(
         self,

@@ -1,7 +1,7 @@
 """Differential validation: runtime execution vs. engine replay.
 
 The runtime claims that executing the paper's routing rules *locally*
-(each actor deciding from its own address) reproduces the event
+(each node deciding from its own address) reproduces the event
 engine's replay of the centrally generated schedule **exactly** — same
 virtual completion time, same per-link element and packet counts, same
 final holdings, same multiset of transfer start instants.  This module
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.runtime.actors import run_collective
+from repro.runtime.execute import run_collective
 from repro.sim import run_async
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel

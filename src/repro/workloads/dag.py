@@ -208,7 +208,7 @@ class WorkloadDAG:
         Holds when the collective phases form a chain under the
         transitive dependency closure — the precondition for the
         ``"runtime"`` execution backend, which runs one collective at
-        a time on the actor cluster.
+        a time on the distributed runtime.
         """
         closure: dict[str, set[str]] = {}
         for p in self.topological():

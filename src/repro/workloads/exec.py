@@ -82,7 +82,7 @@ __all__ = ["run_workload", "WORKLOAD_BACKENDS"]
 
 #: execution backends: ``"sim"`` lowers each step onto one merged
 #: vectorized-engine run (concurrent phases contend; full reporting);
-#: ``"runtime"`` executes each phase on the actor runtime — serial
+#: ``"runtime"`` executes each phase on the distributed runtime — serial
 #: DAGs only, runtime-supported ops only, summary reporting only.
 WORKLOAD_BACKENDS = ("sim", "runtime")
 
@@ -342,14 +342,15 @@ def _run_step_runtime(
     cube: Hypercube,
     machine: MachineParams,
 ) -> StepReport:
-    """Execute one serial step phase-by-phase on the actor runtime.
+    """Execute one serial step phase-by-phase on the distributed runtime.
 
-    Each collective runs standalone (the runtime has no merged-program
-    notion), which is only meaningful when no two collectives could
-    overlap — enforced via :attr:`WorkloadDAG.serial`.  Reporting is
+    Each collective is one standalone runtime call (its locally derived
+    sends run as their own engine run, not merged with other phases),
+    which is only meaningful when no two collectives could overlap —
+    enforced via :attr:`WorkloadDAG.serial`.  Reporting is
     summary-level: per-phase times and traffic, critical path, but no
-    link-utilization or straggler analysis (the runtime keeps no
-    global transfer log).
+    link-utilization or straggler analysis (the runtime result carries
+    no transfer log).
     """
     from repro.collectives.api import broadcast as _broadcast
     from repro.collectives.api import scatter as _scatter

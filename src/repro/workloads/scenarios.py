@@ -20,7 +20,7 @@ Registry (``WORKLOAD_SCENARIOS``, listing order):
 ``pipeline-4stage``  n=8 pipeline step: four stages, each a compute
                      gap followed by a BST scatter of activations from
                      the stage root — a serial chain, so it also runs
-                     on the actor runtime backend
+                     on the runtime backend
 ``train-under-faults`` the dp-train step on n=8 with two dead links
                      (``on_fault="report"``): degraded phases are
                      reported, nothing crashes

@@ -91,6 +91,15 @@ class TestBroadcastFaults:
                 CUBE, 0, "msbt", 4, 2,
                 faults=FaultPlan(dead_links=[(0, 1)]), on_fault="maybe",
             )
+        # checked on every call, not only when a fault plan is given;
+        # "repair" exists on the runtime backend only
+        for kwargs in (
+            dict(on_fault="bogus"),
+            dict(on_fault="repair"),
+            dict(on_fault="bogus", backend="runtime"),
+        ):
+            with pytest.raises(ValueError, match="on_fault"):
+                broadcast(Hypercube(3), 0, "sbt", 8, 4, **kwargs)
 
     def test_fault_free_result_unaffected_after_faulted_calls(self):
         plan = FaultPlan(dead_links=[(0, 2)])

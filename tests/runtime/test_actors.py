@@ -1,5 +1,5 @@
-"""End-to-end execution on the virtual cluster: delivery, determinism,
-result shape, tracing, and failure surfaces."""
+"""End-to-end runtime execution: delivery, determinism, result shape,
+tracing, and failure surfaces."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ import pytest
 
 from repro.runtime import (
     RuntimeResult,
-    VirtualCluster,
     build_cluster_program,
     run_collective,
+    run_program,
 )
 from repro.sim.faults import FaultError, FaultPlan
 from repro.sim.machine import MachineParams
@@ -86,7 +86,7 @@ class TestResultShape:
                 total_packets[edge] = total_packets.get(edge, 0) + n
         assert dict(res.link_stats.elems) == total_elems
         assert dict(res.link_stats.packets) == total_packets
-        # each actor only ever records its own outgoing edges
+        # each node's stats hold only its own outgoing edges
         for node, stats in res.per_node_stats.items():
             assert all(edge.src == node for edge in stats.elems)
 
@@ -167,8 +167,8 @@ class TestFailureSurfaces:
         # sabotage: drop the source's first send; its subtree starves
         src_prog = program.programs[0]
         program.programs[0] = replace(src_prog, sends=src_prog.sends[1:])
-        with pytest.raises(RuntimeError, match="starved"):
-            VirtualCluster(cube, program).run()
+        with pytest.raises(RuntimeError, match="deadlocked"):
+            run_program(cube, program)
 
     def test_handler_exception_propagates(self):
         cube = Hypercube(3)
@@ -176,9 +176,8 @@ class TestFailureSurfaces:
             cube, "broadcast", "sbt", 0, 8, 4, PortModel.ONE_PORT_HALF
         )
         # sabotage: relay 1's first send also carries a chunk that is
-        # missing from chunk_sizes, so pricing it raises inside node 1's
-        # handler on the first delivery, while the second delivery to
-        # node 1 is still to come
+        # missing from chunk_sizes, so pricing it raises and the error
+        # must reach the caller instead of being swallowed
         bogus = ("b", 99)
         relay = program.programs[1]
         first, *rest = relay.sends
@@ -187,7 +186,7 @@ class TestFailureSurfaces:
             relay, sends=(bad, *rest), initial=relay.initial | {bogus}
         )
         with pytest.raises(KeyError):
-            VirtualCluster(cube, program).run()
+            run_program(cube, program)
 
     def test_fault_with_raise_mode_raises(self):
         cube = Hypercube(3)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.runtime import RuntimeResult, run_collective
 from repro.sim.faults import DegradedResult, FaultPlan
+from repro.sim.machine import IPSC_D7, MachineParams
 from repro.sim.ports import PortModel
 from repro.topology import Hypercube
 
@@ -148,3 +149,89 @@ class TestRepairMode:
             detect_timeout=10.0,
         )
         assert repaired.time > clean.time + 10.0
+
+
+_STARTUP = MachineParams(tau=2.5, t_c=0.75)
+_HALF, _FULL = PortModel.ONE_PORT_HALF, PortModel.ONE_PORT_FULL
+
+
+@pytest.mark.parametrize(
+    "mode,n,op,algorithm,M,B,pm,machine,plan,expected",
+    [
+        pytest.param(
+            "report", 4, "broadcast", "sbt", 8, 4, _HALF, None,
+            dict(dead_links=[(0, 8)]), (40.0, None, 28, (8,)),
+            id="report-sbt-dead-link",
+        ),
+        pytest.param(
+            "report", 3, "scatter", "bst", 17, 4, _FULL, IPSC_D7,
+            dict(dead_nodes=[5]), (0.027866, None, 50, (5,)),
+            id="report-bst-dead-node-ipsc",
+        ),
+        pytest.param(
+            "report", 4, "broadcast", "msbt", 17, 4, _FULL, _STARTUP,
+            dict(dead_links=[(0, 1), (0, 2)]),
+            (33.0, None, 30, tuple(range(1, 16))),
+            id="report-msbt-two-links-startup",
+        ),
+        pytest.param(
+            "repair", 4, "broadcast", "sbt", 8, 4, _HALF, None,
+            dict(dead_links=[(0, 1)]), (90.0, 1, 36, ()),
+            id="repair-sbt-dead-link",
+        ),
+        pytest.param(
+            "repair", 3, "broadcast", "sbt", 8, 2, _HALF, None,
+            dict(dead_links=[(0, 4, 1.5)]), (66.0, 1, 36, ()),
+            id="repair-sbt-link-dies-at-1.5",
+        ),
+        pytest.param(
+            "repair", 4, "broadcast", "sbt", 12, 4, _FULL, None,
+            dict(dead_nodes=[5]), (85.0, None, 48, (5,)),
+            id="repair-sbt-dead-node",
+        ),
+        pytest.param(
+            "repair", 3, "scatter", "sbt", 16, 4, _FULL, IPSC_D7,
+            dict(dead_links=[(0, 4)]), (0.029088000000000006, 1, 56, ()),
+            id="repair-sbt-scatter-ipsc",
+        ),
+        pytest.param(
+            "repair", 4, "broadcast", "msbt", 17, 4, PortModel.ALL_PORT,
+            _STARTUP, dict(dead_links=[(0, 1), (0, 2)]), (69.25, 1, 75, ()),
+            id="repair-msbt-two-links-startup",
+        ),
+        pytest.param(
+            "repair", 4, "scatter", "bst", 17, 4, _HALF, _STARTUP,
+            dict(dead_links=[(0, 1), (0, 2)]), (615.75, 1, 171, ()),
+            id="repair-bst-two-links-startup",
+        ),
+        # The link to a subtree head dies once the head's own piece is
+        # on its way: the head completes, but its forwarding sends never
+        # get their payload and must stay pending through the repair.
+        pytest.param(
+            "repair", 3, "scatter", "bst", 1, 1, _HALF, None,
+            dict(dead_links=[(0, 1, 0.5)]), (26.0, 1, 12, ()),
+            id="repair-bst-head-link-dies-after-first-packet",
+        ),
+        pytest.param(
+            "repair", 4, "scatter", "bst", 2, 1, _FULL, None,
+            dict(dead_links=[(0, 1, 10.0)]), (68.0, 1, 64, ()),
+            id="repair-bst-head-complete-then-link-dies",
+        ),
+    ],
+)
+def test_fault_mode_results_pinned(
+    mode, n, op, algorithm, M, B, pm, machine, plan, expected
+):
+    """Exact outcomes of faulted runs: completion time (``==``), repair
+    rounds (``None`` on a degraded result, which does not carry them),
+    executed transfers and undelivered nodes."""
+    res = run_collective(
+        Hypercube(n), op, algorithm, 0, M, B, pm, machine=machine,
+        faults=FaultPlan(**plan), on_fault=mode,
+    )
+    assert (
+        res.time,
+        getattr(res, "repair_rounds", None),
+        res.transfers_executed,
+        getattr(res, "undelivered_nodes", ()),
+    ) == expected

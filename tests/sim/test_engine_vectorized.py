@@ -358,6 +358,10 @@ def test_collectives_engine_parameter():
         broadcast(
             cube, 0, "msbt", 64, 8, run_event_sim=True, engine="bogus"
         )
+    # the name is checked on every call, whether or not an engine runs
+    for kwargs in (dict(), dict(backend="runtime")):
+        with pytest.raises(ValueError, match="unknown engine"):
+            broadcast(cube, 0, "msbt", 64, 8, engine="bogus", **kwargs)
 
 
 def _sweep_point(n: int) -> tuple[float, str]:
