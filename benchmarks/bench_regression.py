@@ -2,7 +2,7 @@
 
 The workloads cover the event and lock-step engines, the
 schedule-generation path (cold and cached) and the translation of
-cached trees to a new root.  ``scripts/bench_compare.py`` runs this file with
+cached trees and broadcast schedules to a new root.  ``scripts/bench_compare.py`` runs this file with
 ``--benchmark-json``, extracts each benchmark's median, and compares it
 against the medians recorded in ``BENCH_ENGINE.json`` at the repo root;
 ``--update`` refreshes the baseline.  Run the suite directly with::
@@ -117,3 +117,18 @@ def test_regress_generate_msbt_cached(benchmark):
         msbt_broadcast_schedule, cube, 0, 61440, 1024, PortModel.ONE_PORT_FULL
     )
     assert sched.num_transfers > 0
+
+
+def test_regress_generate_msbt_new_source_n10(benchmark):
+    # every round broadcasts from a source not asked for before, so the
+    # schedule is the cached source-0 schedule translated
+    cube = Hypercube(10)
+    cache.clear_caches()
+    msbt_broadcast_schedule(cube, 0, 1024, 1024, PortModel.ONE_PORT_FULL)  # warm
+    sources = itertools.cycle(range(1, cube.num_nodes))
+    sched = benchmark(
+        lambda: msbt_broadcast_schedule(
+            cube, next(sources), 1024, 1024, PortModel.ONE_PORT_FULL
+        )
+    )
+    assert sched.num_transfers == cube.num_nodes - 1

@@ -5,17 +5,24 @@ LRU over normalized arguments makes repeated points of a parameter
 sweep (same ``(n, source, algorithm, port_model, M, B, ...)``) cost a
 dictionary lookup plus a shallow copy instead of a full re-generation.
 
-Schedules are *not* reliably XOR-translation-equivariant — the
-generators iterate absolute node addresses when packing rounds, so the
-schedule for source ``s`` is generally not the source-0 schedule
-translated (the trees are; see :mod:`repro.cache.trees`).  The source
-is therefore part of the cache key.
+The hypercube is a Cayley graph, so a broadcast from source ``s`` can
+be the source-0 broadcast relabelled by ``i ^ s``.  The SBT and MSBT
+broadcast generators walk relative addresses ``s ^ c`` so that this
+holds exactly, round order included; they are memoized with an
+``equivariant`` predicate, and every fault-free call shares one
+source-0 entry per ``(n, M, B, port model, order)`` that a hit
+translates (:meth:`~repro.sim.schedule.Schedule.translated`).  Every
+other generator keeps the source in its key: scatter schedules name
+their destinations in the chunk ids and pack rounds by absolute
+address, the tree/HP generators take a rooted tree, and a
+fault-routed schedule depends on where the faults sit relative to the
+source.
 
 Cached :class:`~repro.sim.schedule.Schedule` objects are never handed
 out directly: every call returns a fresh ``Schedule`` whose ``rounds``
 list, ``chunk_sizes`` dict and ``meta`` are copies (the ``Transfer``
-tuples inside are immutable and shared), so callers may mutate the
-result without corrupting the cache.
+tuples inside are immutable and shared; a translated hit builds new
+ones), so callers may mutate the result without corrupting the cache.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import copy
 import functools
 import inspect
-from typing import Any, Callable, Hashable, TypeVar
+from typing import Any, Callable, Hashable, Mapping, TypeVar
 
 from repro.cache.lru import MISSING, LRUCache, caching_enabled
 from repro.sim.faults import FaultPlan
@@ -69,13 +76,25 @@ def _copy_schedule(sched: Schedule) -> Schedule:
     )
 
 
-def memoize_schedule(maxsize: int | None = 256) -> Callable[[F], F]:
+def memoize_schedule(
+    maxsize: int | None = 256,
+    equivariant: Callable[[Mapping[str, Any]], bool] | None = None,
+) -> Callable[[F], F]:
     """Decorator memoizing a schedule generator in a named LRU cache.
 
     The cache key binds the call against the generator's signature
     (defaults applied), so positional and keyword spellings of the same
     call share an entry.  The wrapped function gains a ``cache``
     attribute exposing the underlying :class:`LRUCache`.
+
+    Args:
+        maxsize: LRU capacity.
+        equivariant: for a generator taking ``cube`` and ``source``, a
+            predicate over the bound arguments that is true when the
+            call's schedule is the source-0 schedule translated by
+            ``source``.  Such calls are keyed at source 0 and served by
+            :meth:`~repro.sim.schedule.Schedule.translated`; the
+            rest keep ``source`` in the key.
     """
 
     def decorate(fn: F) -> F:
@@ -88,16 +107,22 @@ def memoize_schedule(maxsize: int | None = 256) -> Callable[[F], F]:
                 return fn(*args, **kwargs)
             bound = sig.bind(*args, **kwargs)
             bound.apply_defaults()
+            arguments = bound.arguments
+            source = 0
+            if equivariant is not None and equivariant(arguments):
+                cube = arguments["cube"]
+                source = cube.check_node(arguments["source"])
+                arguments["source"] = 0
             key = tuple(
-                (name, _normalize(value))
-                for name, value in bound.arguments.items()
+                (name, _normalize(value)) for name, value in arguments.items()
             )
-            hit = cache.get(key)
-            if hit is not MISSING:
-                return _copy_schedule(hit)
-            sched = fn(*args, **kwargs)
-            cache.put(key, _copy_schedule(sched))
-            return sched
+            sched = cache.get(key)
+            if sched is MISSING:
+                sched = fn(*bound.args, **bound.kwargs)
+                cache.put(key, sched)
+            if source:
+                return sched.translated(cube, source)
+            return _copy_schedule(sched)
 
         wrapper.cache = cache  # type: ignore[attr-defined]
         return wrapper  # type: ignore[return-value]

@@ -67,6 +67,7 @@ from repro.sim.faults import (
     FaultError,
     FaultPlan,
 )
+from repro.sim.lowering import lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule
@@ -248,6 +249,7 @@ def _runtime_collective(
         sync = run_synchronous(
             cube, sched, port_model, initial, machine,
             faults=faults, on_fault="report" if faults else "raise",
+            lowered=None if faults else lower_schedule(cube, sched, initial),
         )
     undelivered = (
         frozenset(rt.undelivered_nodes)
@@ -300,7 +302,7 @@ def _collective(
             f"on_fault must be one of {modes} on the {backend!r} backend, "
             f"got {on_fault!r}"
         )
-    resolve_engine(engine)
+    engine = resolve_engine(engine)
     _check_torus_supported(cube, op, backend, faults)
     if backend == "runtime":
         return _runtime_collective(
@@ -323,18 +325,21 @@ def _collective(
                 cube, op, algorithm, source, message_elems, packet_elems,
                 port_model, subtree_order,
             )
+    # One lowering serves the lock-step check and the event engine.
+    lowered = None if faults else lower_schedule(cube, sched, initial)
     with collector.phase("sync"):
         sync = run_synchronous(
             cube, sched, port_model, initial, machine,
-            faults=faults, on_fault=on_fault,
+            faults=faults, on_fault=on_fault, lowered=lowered,
         )
     async_ = None
     if run_event_sim:
         run_async = get_engine(engine)
+        shared = {"lowered": lowered} if engine == "vectorized" else {}
         with collector.phase("async"):
             async_ = run_async(
                 cube, sched, port_model, initial, machine,
-                faults=faults, on_fault=on_fault,
+                faults=faults, on_fault=on_fault, **shared,
             )
     _require_delivery(cube, op, source, sched, sync.holdings, undelivered)
     result = CollectiveResult(

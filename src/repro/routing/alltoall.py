@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from repro.bits.ops import bit
 from repro.cache import cached_tree, memoize_schedule
+from repro.routing.common import validate_message_args
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.topology.hypercube import Hypercube
@@ -56,8 +57,7 @@ def allgather_schedule(
     contribution.  Full-duplex (and all-port) runs take ``log N``
     steps; half-duplex doubles each step.
     """
-    if message_elems < 1:
-        raise ValueError(f"message size must be >= 1 element, got {message_elems}")
+    validate_message_args(message_elems)
     n = cube.dimension
     sizes: dict[Chunk, int] = {
         (GATHER_TAG, v): message_elems for v in cube.nodes()
@@ -101,8 +101,7 @@ def alltoall_personalized_schedule(
     ``t`` moves every chunk whose destination differs from its current
     holder in bit ``t``.
     """
-    if message_elems < 1:
-        raise ValueError(f"message size must be >= 1 element, got {message_elems}")
+    validate_message_args(message_elems)
     n = cube.dimension
     sizes: dict[Chunk, int] = {}
     location: dict[Chunk, int] = {}
@@ -174,8 +173,7 @@ def alltoall_bst_schedule(
         packet_elems: optional maximum packet size; bundles beyond it
             are split into micro-rounds.
     """
-    if message_elems < 1:
-        raise ValueError(f"message size must be >= 1 element, got {message_elems}")
+    validate_message_args(message_elems)
     from repro.routing.scheduler import split_oversized
     from repro.sim.schedule import Transfer as _Transfer
     from repro.trees.bst import BalancedSpanningTree

@@ -42,7 +42,7 @@ from repro.trees.msbt import MSBTGraph
 __all__ = ["msbt_broadcast_schedule"]
 
 
-@memoize_schedule()
+@memoize_schedule(equivariant=lambda args: not args["dead_links"])
 def msbt_broadcast_schedule(
     cube: Hypercube,
     source: int,
@@ -98,17 +98,29 @@ def msbt_broadcast_schedule(
     return half
 
 
+def _relative_order(cube: Hypercube, source: int) -> list[int]:
+    """Every node, by ascending relative address ``node ^ source``.
+
+    Walking nodes in this order makes a fault-free schedule from any
+    source the source-0 schedule translated, round order included
+    (labels, parents and levels of the ERSBTs translate with the root),
+    which lets :func:`memoize_schedule` serve every source from one
+    source-0 entry.
+    """
+    return [source ^ c for c in range(cube.num_nodes)]
+
+
 def _full_duplex(graph: MSBTGraph, sizes: dict, n_packets: int) -> Schedule:
     n = graph.n
-    cube = graph.cube
     total_rounds = 0
     placed: list[tuple[int, Transfer]] = []
+    nodes = _relative_order(graph.cube, graph.source)
     for p in range(n_packets):
         j = p % n
         q = p // n
         tree = graph.trees[j]
         chunk = frozenset({(BCAST, p)})
-        for node in cube.nodes():
+        for node in nodes:
             lab = tree.label(node)
             if lab is None:
                 continue
@@ -134,18 +146,18 @@ def _full_duplex(graph: MSBTGraph, sizes: dict, n_packets: int) -> Schedule:
 
 def _all_port(graph: MSBTGraph, sizes: dict, n_packets: int) -> Schedule:
     n = graph.n
-    cube = graph.cube
     # Tree j carries packets p ≡ j (mod n); batch q = p // n pipelines
     # one round behind batch q - 1 within its (edge-disjoint) tree.
     placed: list[tuple[int, Transfer]] = []
     total_rounds = 0
     levels = [graph.trees[j].levels for j in range(n)]
+    nodes = _relative_order(graph.cube, graph.source)
     for p in range(n_packets):
         j = p % n
         q = p // n
         tree = graph.trees[j]
         chunk = frozenset({(BCAST, p)})
-        for node in cube.nodes():
+        for node in nodes:
             parent = tree.parent(node)
             if parent is None:
                 continue

@@ -17,12 +17,13 @@ Two schedules:
 
 from __future__ import annotations
 
-from repro.cache import cached_tree, memoize_schedule
+from repro.bits.ops import popcount
+from repro.cache import memoize_schedule
 from repro.routing.common import BCAST, broadcast_chunks
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Schedule, Transfer
 from repro.topology.hypercube import Hypercube
-from repro.trees.sbt import SpanningBinomialTree
+from repro.trees.sbt import sbt_children
 
 __all__ = ["sbt_broadcast_schedule"]
 
@@ -33,7 +34,7 @@ __all__ = ["sbt_broadcast_schedule"]
 SBT_ORDERS = ("port", "packet")
 
 
-@memoize_schedule()
+@memoize_schedule(equivariant=lambda args: True)
 def sbt_broadcast_schedule(
     cube: Hypercube,
     source: int,
@@ -108,20 +109,22 @@ def _pipelined(
     sizes: dict,
     n_packets: int,
 ) -> Schedule:
-    tree = cached_tree(SpanningBinomialTree, cube, source)
+    # Nodes and their children are walked by relative address
+    # ``c = node ^ source`` (``sbt_children`` lists them by ascending
+    # relative address), so the schedule from any source is the
+    # source-0 schedule translated, round order included.
     n = cube.dimension
     total_rounds = n_packets + n - 1
     rounds: list[list[Transfer]] = [[] for _ in range(total_rounds)]
-    for node in cube.nodes():
-        level = tree.level(node)
-        kids = tree.children(node)
+    for c in range(cube.num_nodes):
+        node = source ^ c
+        kids = sbt_children(node, source, n)
         if not kids:
             continue
+        level = popcount(c)
         for p in range(n_packets):
-            r = level + p
             chunk = frozenset({(BCAST, p)})
-            for child in kids:
-                rounds[r].append(Transfer(node, child, chunk))
+            rounds[level + p].extend(Transfer(node, child, chunk) for child in kids)
     return Schedule(
         rounds=[tuple(r) for r in rounds],
         chunk_sizes=sizes,

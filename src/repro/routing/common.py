@@ -33,13 +33,18 @@ def is_whole(value: object) -> bool:
     return isinstance(value, Real) and isfinite(value) and value == int(value)
 
 
-def validate_message_args(message_elems: int, packet_elems: int) -> None:
+def validate_message_args(message_elems: int, packet_elems: int | None = None) -> None:
     """Common argument validation for all generators.
 
     Sizes count elements: NaN, infinite and fractional sizes raise
-    instead of being rounded into a plausible packet count.
+    instead of being rounded into a plausible packet count.  The
+    rootless generators, which send one message per packet, pass no
+    ``packet_elems``.
     """
-    for what, size in (("message", message_elems), ("packet", packet_elems)):
+    sizes = [("message", message_elems)]
+    if packet_elems is not None:
+        sizes.append(("packet", packet_elems))
+    for what, size in sizes:
         if not is_whole(size):
             raise ValueError(
                 f"{what} size must be a whole number of elements, got {size!r}"

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from repro.cache import memoize_schedule
 from repro.routing.alltoall import GATHER_TAG, allgather_schedule
+from repro.routing.common import validate_message_args
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.topology.base import Topology
@@ -55,8 +56,7 @@ def torus_all_broadcast_schedule(
     Every node contributes ``message_elems`` and ends holding all ``N``
     contributions (chunk ``("g", origin)``).
     """
-    if message_elems < 1:
-        raise ValueError(f"message size must be >= 1 element, got {message_elems}")
+    validate_message_args(message_elems)
     n, k = cube.dimension, cube.arity
     sizes: dict[Chunk, int] = {(GATHER_TAG, v): message_elems for v in cube.nodes()}
     held: dict[int, frozenset[Chunk]] = {

@@ -239,8 +239,8 @@ def _sbt_broadcast(
 
     All-port: a node at tree level ``l = popcount(c)`` forwards packet
     ``p`` to all its SBT children in round ``l + p``; key
-    ``(l + p, i, port)`` — children in ascending-dimension (port)
-    order, the natural SBT child order.
+    ``(l + p, c, port)`` — senders in relative-address order, children
+    in ascending-dimension (port) order, the natural SBT child order.
     """
     if order not in ("port", "packet"):
         raise ValueError(f"unknown SBT order {order!r}; pick 'port' or 'packet'")
@@ -260,7 +260,7 @@ def _sbt_broadcast(
                 for p in range(n_packets):
                     sends.append(
                         PlannedSend(
-                            (level + p, i, port), child, frozenset({(BCAST, p)})
+                            (level + p, c, port), child, frozenset({(BCAST, p)})
                         )
                     )
         else:
@@ -292,7 +292,8 @@ def _msbt_broadcast(
 
     One-port (both variants): the edge into ``child`` in tree ``j``
     fires in round ``f(child, j) + q*n`` for batch ``q = p // n``;
-    key ``(round, p, child)``.  Under one-send-*or*-receive the same
+    key ``(round, p, child ^ source)`` — receivers in relative-address
+    order within a round and packet.  Under one-send-*or*-receive the same
     local plan is run and the engine's port model serializes it (the
     §3.3.2 two-cycle transformation realized greedily, as in the
     central generator).
@@ -332,7 +333,9 @@ def _msbt_broadcast(
                     q = p // n
                     r = base_round + (q if allport else q * n)
                     sends.append(
-                        PlannedSend((r, p, child), child, frozenset({(BCAST, p)}))
+                        PlannedSend(
+                            (r, p, child ^ source), child, frozenset({(BCAST, p)})
+                        )
                     )
         sends.sort(key=lambda s: s.key)
         programs[i] = NodeProgram(

@@ -158,7 +158,7 @@ class FaultPlan:
                 raise ValueError(f"dead link must be (a, b) or (a, b, at_time), got {item!r}")
             if a == b:
                 raise ValueError(f"a link needs two distinct endpoints, got {item!r}")
-            if at < 0:
+            if not at >= 0:  # NaN fails this too
                 raise ValueError(f"activation time must be >= 0, got {item!r}")
             key = (min(a, b), max(a, b))
             prev = links.get(key)
@@ -169,7 +169,7 @@ class FaultPlan:
                 v, at = item
             else:
                 v, at = item, 0.0
-            if at < 0:
+            if not at >= 0:  # NaN fails this too
                 raise ValueError(f"activation time must be >= 0, got {item!r}")
             prev = nodes.get(v)
             nodes[v] = float(at) if prev is None else min(prev, float(at))

@@ -48,9 +48,9 @@ class MachineParams:
 
     def __post_init__(self) -> None:
         for what, value in (("start-up", self.tau), ("transfer", self.t_c)):
-            if not (isfinite(value) and value >= 0):
+            if isinstance(value, bool) or not (isfinite(value) and value >= 0):
                 raise ValueError(
-                    f"{what} time must be finite and non-negative, got {value}"
+                    f"{what} time must be finite and non-negative, got {value!r}"
                 )
         ipe = self.internal_packet_elems
         if ipe is not None and not (

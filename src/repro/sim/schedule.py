@@ -20,7 +20,10 @@ generators in :mod:`repro.routing`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
+
+if TYPE_CHECKING:
+    from repro.topology.base import Topology
 
 __all__ = ["Transfer", "Schedule", "Chunk", "merge_schedules"]
 
@@ -136,6 +139,30 @@ class Schedule:
             chunk_sizes=dict(self.chunk_sizes),
             algorithm=f"{self.algorithm}-reversed",
             meta=dict(self.meta),
+        )
+
+    def translated(self, cube: "Topology", by: int) -> "Schedule":
+        """The schedule relabelled by the automorphism ``cube.translation(by)``.
+
+        Every transfer's endpoints move through the translation (XOR
+        with ``by`` on the hypercube); rounds, their order and the
+        chunk ids stay as they are, so only schedules whose chunk ids
+        name no node (broadcast packets) translate to the schedule of
+        the moved source.  ``meta["source"]``, when present, is
+        translated too.
+        """
+        perm = cube.translation(by)
+        meta = dict(self.meta)
+        if "source" in meta:
+            meta["source"] = perm[meta["source"]]
+        return Schedule(
+            rounds=[
+                tuple(Transfer(perm[t.src], perm[t.dst], t.chunks) for t in r)
+                for r in self.rounds
+            ],
+            chunk_sizes=dict(self.chunk_sizes),
+            algorithm=self.algorithm,
+            meta=meta,
         )
 
     def __repr__(self) -> str:

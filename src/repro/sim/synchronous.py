@@ -23,10 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from time import perf_counter
 
-try:  # the vectorized constraint fast path is optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a standard dependency
-    _np = None
+import numpy as np
 
 from repro.obs.instruments import engine_run_finished
 from repro.sim.faults import (
@@ -37,11 +34,13 @@ from repro.sim.faults import (
     _check_mode,
     undelivered_map,
 )
+from repro.sim.lowering import LoweredSchedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.sim.trace import LinkStats
 from repro.topology.base import Topology
+from repro.topology.hypercube import DirectedEdge
 
 __all__ = ["SyncResult", "run_synchronous", "check_round_constraints"]
 
@@ -91,18 +90,18 @@ def _round_ok_vectorized(
     scalar path to raise the precise diagnostic).
     """
     k = len(round_transfers)
-    src = _np.fromiter((t.src for t in round_transfers), dtype=_np.int64, count=k)
-    dst = _np.fromiter((t.dst for t in round_transfers), dtype=_np.int64, count=k)
+    src = np.fromiter((t.src for t in round_transfers), dtype=np.int64, count=k)
+    dst = np.fromiter((t.dst for t in round_transfers), dtype=np.int64, count=k)
     num = cube.num_nodes
     if (cube.edge_ports(src, dst) < 0).any():  # not an edge of the topology
         return False
     keys = src * num + dst
-    if _np.unique(keys).size != k:  # directed edge used twice
+    if np.unique(keys).size != k:  # directed edge used twice
         return False
     if port_model is PortModel.ALL_PORT:
         return True
-    send_counts = _np.bincount(src, minlength=num)
-    recv_counts = _np.bincount(dst, minlength=num)
+    send_counts = np.bincount(src, minlength=num)
+    recv_counts = np.bincount(dst, minlength=num)
     if (send_counts > 1).any() or (recv_counts > 1).any():
         return False
     if port_model.half_duplex and ((send_counts > 0) & (recv_counts > 0)).any():
@@ -118,8 +117,7 @@ def check_round_constraints(
 ) -> None:
     """Validate one round against the port model; raise on violation."""
     if (
-        _np is not None
-        and len(round_transfers) >= _VECTOR_THRESHOLD
+        len(round_transfers) >= _VECTOR_THRESHOLD
         and _round_ok_vectorized(cube, round_transfers, port_model)
     ):
         return
@@ -164,6 +162,93 @@ def check_round_constraints(
                 )
 
 
+def _run_lowered(
+    cube: Topology,
+    schedule: Schedule,
+    port_model: PortModel,
+    low: LoweredSchedule,
+    machine: MachineParams,
+    validate: bool,
+) -> SyncResult | None:
+    """A fault-free lock-step run as one pass over the lowered columns.
+
+    Every check of the per-round loop becomes one array test over the
+    whole run, with a round id per transfer: each directed link used
+    once per round, at most one send and one receive per (round, node)
+    off the all-port model, no node doing both under half duplex, and
+    causality — every payload slot a transfer reads arrived in an
+    earlier round (first arrival per slot by ``np.minimum.at``; initial
+    holdings count as round ``-1``).  Adjacency needs no test: the
+    lowering already refused non-edges.  Returns ``None`` when any
+    check fails, so the caller can rerun the scalar loop for the exact
+    :class:`ScheduleViolation`.
+    """
+    n_rounds = len(schedule.rounds)
+    lens = np.fromiter(map(len, schedule.rounds), dtype=np.int64, count=n_rounds)
+    rnd = np.repeat(np.arange(n_rounds, dtype=np.int64), lens)
+    n_transfers = low.n_transfers
+    if validate and n_transfers:
+        num = cube.num_nodes
+        if port_model is PortModel.ALL_PORT:
+            if np.unique(rnd * low.n_links + low.link).size != n_transfers:
+                return None
+        else:  # one send per (round, node) also rules out a reused link
+            send_key = np.unique(rnd * num + low.src)
+            recv_key = np.unique(rnd * num + low.dst)
+            if send_key.size != n_transfers or recv_key.size != n_transfers:
+                return None
+            if port_model.half_duplex and np.intersect1d(
+                send_key, recv_key, assume_unique=True
+            ).size:
+                return None
+        slot_round = np.repeat(rnd, np.diff(low.in_ptr))
+        arrival = np.where(
+            np.isfinite(low.init_avail), -1, np.iinfo(np.int64).max
+        )
+        np.minimum.at(arrival, low.out_idx, slot_round)
+        if (arrival[low.in_idx] >= slot_round).any():
+            return None
+
+    step_costs: list[float] = []
+    stats = LinkStats()
+    if n_transfers:
+        starts = np.cumsum(lens) - lens
+        biggest = np.maximum.reduceat(low.elems, starts[lens > 0])
+        send_cost = machine.send_cost
+        step_costs = [send_cost(b) for b in biggest.tolist()]
+        # links in first-use order, as the per-transfer loop records them
+        _, first = np.unique(low.link, return_index=True)
+        order = np.argsort(first)
+        packets = np.bincount(low.link, minlength=low.n_links)[order]
+        elems = np.bincount(
+            low.link, weights=low.elems.astype(np.float64),
+            minlength=low.n_links,
+        )[order].astype(np.int64)
+        edges = list(map(
+            DirectedEdge, low.link_src[order].tolist(), low.link_dst[order].tolist()
+        ))
+        stats = LinkStats(
+            elems=Counter(dict(zip(edges, elems.tolist()))),
+            packets=Counter(dict(zip(edges, packets.tolist()))),
+        )
+
+    held = np.isfinite(low.init_avail)
+    held[low.out_idx] = True
+    chunks = low.chunk_objects
+    holdings: dict[int, set[Chunk]] = {node: set() for node in cube.nodes()}
+    for node, c in zip(
+        low.slot_node[held].tolist(), low.slot_chunk[held].tolist()
+    ):
+        holdings[node].add(chunks[c])
+    return SyncResult(
+        cycles=len(step_costs),
+        time=sum(step_costs),
+        holdings=holdings,
+        link_stats=stats,
+        step_costs=step_costs,
+    )
+
+
 def run_synchronous(
     cube: Topology,
     schedule: Schedule,
@@ -173,6 +258,7 @@ def run_synchronous(
     validate: bool = True,
     faults: FaultPlan | None = None,
     on_fault: str = "raise",
+    lowered: LoweredSchedule | None = None,
 ) -> SyncResult | DegradedResult:
     """Execute ``schedule`` in lock-step under ``port_model``.
 
@@ -195,6 +281,13 @@ def run_synchronous(
             a degraded run returns a
             :class:`~repro.sim.faults.DegradedResult` naming every
             undelivered ``(node, chunk)``.
+        lowered: a :class:`~repro.sim.lowering.LoweredSchedule` of this
+            exact ``schedule`` and ``initial_holdings`` (the one the
+            event engine replays).  A run without ``faults`` is then
+            checked and priced by one array pass over its columns; if
+            that pass finds a violation, the per-round loop reruns to
+            raise the same :class:`ScheduleViolation` it always did.
+            Faulted runs ignore it.
 
     Returns:
         A :class:`SyncResult` (``cycles`` counts non-empty rounds), or
@@ -203,6 +296,18 @@ def run_synchronous(
     """
     machine = machine or MachineParams()
     _check_mode(on_fault)
+    if lowered is not None and faults is None:
+        t0 = perf_counter()
+        result = _run_lowered(cube, schedule, port_model, lowered, machine, validate)
+        if result is not None:
+            engine_run_finished(
+                "sync", port_model,
+                transfers=lowered.n_transfers,
+                elems=result.link_stats.total_elems(),
+                seconds=perf_counter() - t0,
+                faulted=0,
+            )
+            return result
     report = faults is not None and on_fault == "report"
     fault_events: list[FaultEvent] = []
     lost: list[Transfer] = []

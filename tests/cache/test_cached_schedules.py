@@ -120,8 +120,8 @@ def test_positional_and_keyword_calls_share_an_entry():
 
 
 def test_source_is_part_of_the_key():
-    """Schedules are not translation-equivariant; distinct sources must
-    be distinct entries, not translated hits."""
+    """Scatter schedules are not equivariant; distinct sources must be
+    distinct entries, not translated hits."""
     cube = Hypercube(4)
     pm = PortModel.ONE_PORT_FULL
     s0 = bst_scatter_schedule(cube, 0, 12, 4, pm)
@@ -129,3 +129,52 @@ def test_source_is_part_of_the_key():
     assert s0.meta["source"] == 0
     assert s5.meta["source"] == 5
     assert s0.rounds != s5.rounds
+
+
+BROADCASTS = [
+    ("sbt-port", lambda cube, s, M, B, pm: sbt_broadcast_schedule(cube, s, M, B, pm, "port")),
+    ("sbt-packet", lambda cube, s, M, B, pm: sbt_broadcast_schedule(cube, s, M, B, pm, "packet")),
+    ("msbt", lambda cube, s, M, B, pm: msbt_broadcast_schedule(cube, s, M, B, pm)),
+]
+
+
+@pytest.mark.parametrize("name,gen", BROADCASTS, ids=[g[0] for g in BROADCASTS])
+def test_broadcast_from_any_source_is_the_translated_source_0_schedule(name, gen):
+    """Generated directly, the SBT and MSBT broadcast from every source
+    equals the source-0 schedule translated, round order included —
+    what lets the cache serve every source from one entry."""
+    with disabled():
+        for n in range(2, 7):
+            cube = Hypercube(n)
+            for pm in PortModel:
+                for M, B in ((1, 1), (17, 4), (64, 16), (9, 1)):
+                    base = gen(cube, 0, M, B, pm)
+                    for s in cube.nodes():
+                        sched = gen(cube, s, M, B, pm)
+                        moved = base.translated(cube, s)
+                        assert sched.rounds == moved.rounds, (n, pm, M, B, s)
+                        assert sched.meta == moved.meta
+                        assert sched.chunk_sizes == moved.chunk_sizes
+                        assert sched.algorithm == moved.algorithm
+
+
+@pytest.mark.parametrize("gen", [sbt_broadcast_schedule, msbt_broadcast_schedule])
+def test_broadcasts_from_two_sources_share_one_entry(gen):
+    cube = Hypercube(4)
+    pm = PortModel.ONE_PORT_HALF
+    first = gen(cube, 3, 12, 4, pm)
+    second = gen(cube, 9, 12, 4, pm)
+    stats = gen.cache.stats()
+    assert (stats["misses"], stats["hits"]) == (1, 1)
+    assert first.meta["source"] == 3
+    assert second.meta["source"] == 9
+
+
+def test_degraded_msbt_keeps_the_source_in_the_key():
+    cube = Hypercube(4)
+    pm = PortModel.ONE_PORT_FULL
+    dead = ((0, 1),)
+    a = msbt_broadcast_schedule(cube, 2, 12, 4, pm, dead_links=dead)
+    b = msbt_broadcast_schedule(cube, 6, 12, 4, pm, dead_links=dead)
+    assert msbt_broadcast_schedule.cache.stats()["misses"] == 2
+    assert a.meta["source"] == 2 and b.meta["source"] == 6

@@ -2,10 +2,19 @@
 
 import pytest
 
-from repro.collectives import allreduce, broadcast, scatter
+from repro.collectives import (
+    all_broadcast,
+    allgather,
+    allreduce,
+    alltoall_personalized,
+    broadcast,
+    collective_schedule,
+    scatter,
+)
 from repro.collectives.result import CollectiveResult
 from repro.sim import PortModel
 from repro.topology import Hypercube
+from repro.topology.torus import Torus
 
 
 class TestErrorPaths:
@@ -22,6 +31,25 @@ class TestErrorPaths:
             broadcast(cube4, 0, "sbt", 0)
         with pytest.raises(ValueError):
             scatter(cube4, 0, "bst", 4, 0)
+        # the rootless ops take whole sizes too, not just sizes >= 1
+        cube3 = Hypercube(3)
+        for size in (2.5, float("nan"), True):
+            for call in (allgather, alltoall_personalized, all_broadcast):
+                with pytest.raises(ValueError, match="whole number"):
+                    call(cube3, size)
+            with pytest.raises(ValueError, match="whole number"):
+                all_broadcast(Torus(2, 3), size)
+            for topo, op, algorithm, pm in (
+                (cube3, "allgather", None, PortModel.ONE_PORT_FULL),
+                (cube3, "alltoall", None, PortModel.ONE_PORT_FULL),
+                (cube3, "alltoall", "bst", PortModel.ALL_PORT),
+                (cube3, "all_broadcast", None, PortModel.ONE_PORT_FULL),
+                (Torus(2, 3), "all_broadcast", None, PortModel.ALL_PORT),
+            ):
+                with pytest.raises(ValueError, match="whole number"):
+                    collective_schedule(
+                        topo, op, algorithm, message_elems=size, port_model=pm
+                    )
 
     def test_bad_subtree_order_rejected(self, cube4):
         with pytest.raises(ValueError, match="subtree order"):

@@ -63,6 +63,10 @@ class TestFaultPlan:
             FaultPlan(dead_links=[(0, 1, -1.0)])
         with pytest.raises(ValueError, match=">= 0"):
             FaultPlan(dead_nodes=[(2, -0.5)])
+        with pytest.raises(ValueError, match=">= 0"):
+            FaultPlan(dead_links=[(0, 1, float("nan"))])
+        with pytest.raises(ValueError, match=">= 0"):
+            FaultPlan(dead_nodes=[(3, float("nan"))])
         with pytest.raises(ValueError, match="dead link"):
             FaultPlan(dead_links=[(0,)])
 

@@ -29,6 +29,9 @@ class TestValidation:
             MachineParams(tau=-1)
         with pytest.raises(ValueError):
             MachineParams(t_c=-1)
+        for bad in ({"tau": True}, {"t_c": False}):
+            with pytest.raises(ValueError):
+                MachineParams(**bad)
         for elems in (0, 2.5, float("nan"), True):
             with pytest.raises(ValueError):
                 MachineParams(internal_packet_elems=elems)
