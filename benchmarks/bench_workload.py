@@ -60,8 +60,3 @@ def test_workload_dp_train_n10_step(benchmark, dp_train):
     report = benchmark(run_workload, dp_train, 1)
     assert not report.degraded
 
-
-def test_workload_pipeline_runtime_backend(benchmark, pipeline):
-    """The runtime lowering of the same serial DAG (actor backend)."""
-    report = benchmark(run_workload, pipeline, 1, backend="runtime")
-    assert not report.degraded

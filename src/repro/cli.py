@@ -205,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="training steps to execute (serial; default 1)")
     wr.add_argument("--seed", type=int, default=0,
                     help="workload seed (same seed -> same step DAGs)")
-    wr.add_argument("--backend", choices=("sim", "runtime"), default="sim",
-                    help="sim: one merged vectorized-engine run per step "
-                         "(concurrent phases contend); runtime: execute "
-                         "each phase on the distributed runtime (serial DAGs "
-                         "of broadcast/scatter only)")
     wr.add_argument("--jobs", "-j", type=int, default=None,
                     help="worker processes for schedule pregeneration "
                          "(default: 1; 0 = all cores); output is "
@@ -488,16 +483,13 @@ def _run_workload_command(args: argparse.Namespace) -> int:
     try:
         scenario = get_workload_scenario(args.scenario)
         workload = scenario.build(args.seed)
-        report = run_workload(
-            workload, args.steps, backend=args.backend, jobs=args.jobs,
-        )
+        report = run_workload(workload, args.steps, jobs=args.jobs)
     except (ValueError, FaultError) as exc:
         print(str(exc), file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
     summary = report.summary()
     print(f"workload run: scenario {scenario.name!r} on "
-          f"n={scenario.dimension} cube, backend {report.backend}, "
-          f"seed {args.seed}")
+          f"n={scenario.dimension} cube, seed {args.seed}")
     print(f"  steps             : {report.num_steps}")
     print(f"  makespan          : {report.makespan:.6g}")
     print(f"  step time mean/max: {summary['step_time_mean']:.6g} / "

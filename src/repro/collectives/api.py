@@ -302,7 +302,14 @@ def _collective(
             f"on_fault must be one of {modes} on the {backend!r} backend, "
             f"got {on_fault!r}"
         )
-    engine = resolve_engine(engine)
+    explicit, engine = engine, resolve_engine(engine)
+    # the runtime always runs on the vectorized engine; REPRO_ENGINE
+    # does not apply to it, but an explicit other engine is an error
+    if backend == "runtime" and explicit not in (None, "vectorized"):
+        raise ValueError(
+            "the runtime backend always runs on the vectorized engine, "
+            f"got engine={explicit!r}"
+        )
     _check_torus_supported(cube, op, backend, faults)
     if backend == "runtime":
         return _runtime_collective(
@@ -472,7 +479,8 @@ def broadcast(
             :data:`repro.sim.ENGINES`; default: ``REPRO_ENGINE`` or
             ``"vectorized"``, the production engine; ``"reference"``
             is the slow bit-identical oracle).  The runtime backend
-            always runs on the vectorized engine.
+            always runs on the vectorized engine and rejects any
+            other explicit ``engine``.
     """
     return _collective(
         cube, "broadcast", _resolve_algorithm(cube, "broadcast", algorithm),
@@ -571,7 +579,8 @@ def scatter(
             on ``result.async_.trace`` (runtime backend only).
         engine: event-engine implementation for ``run_event_sim``
             (see :data:`repro.sim.ENGINES`); the runtime backend always
-            runs on the vectorized engine.
+            runs on the vectorized engine and rejects any other
+            explicit ``engine``.
     """
     return _collective(
         cube, "scatter", _resolve_algorithm(cube, "scatter", algorithm),

@@ -221,7 +221,7 @@ SERVICE_RUN_SECONDS = REGISTRY.histogram(
 WORKLOAD_STEPS = REGISTRY.counter(
     "repro_workload_steps_total",
     "Workload steps executed.",
-    ("workload", "backend", "outcome"),
+    ("workload", "outcome"),
 )
 WORKLOAD_PHASES = REGISTRY.counter(
     "repro_workload_phases_total",
@@ -381,9 +381,7 @@ def workload_run_finished(report: Any, *, seconds: float) -> None:
     ratio_worst = float("nan")
     for step in report.steps:
         outcome = "degraded" if step.degraded else "completed"
-        WORKLOAD_STEPS.labels(
-            workload=name, backend=report.backend, outcome=outcome
-        ).inc()
+        WORKLOAD_STEPS.labels(workload=name, outcome=outcome).inc()
         WORKLOAD_STEP_TIME.labels(workload=name).observe(step.duration)
         for phase in step.phases:
             kind = phase.op if phase.op is not None else "compute"

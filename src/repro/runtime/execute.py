@@ -161,7 +161,9 @@ def run_program(
     packet_elems = max(program.chunk_sizes.values(), default=1)
     if detect_timeout is None:
         detect_timeout = 2.0 * machine.send_cost(packet_elems)
-    elif not (isfinite(detect_timeout) and detect_timeout >= 0):
+    elif isinstance(detect_timeout, bool) or not (
+        isfinite(detect_timeout) and detect_timeout >= 0
+    ):
         raise ValueError(
             "detect_timeout must be a finite non-negative time, "
             f"got {detect_timeout!r}"

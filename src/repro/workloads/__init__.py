@@ -17,7 +17,7 @@ Typical use::
 """
 
 from repro.workloads.dag import PhaseSpec, Workload, WorkloadDAG
-from repro.workloads.exec import WORKLOAD_BACKENDS, run_workload
+from repro.workloads.exec import run_workload
 from repro.workloads.report import (
     CriticalPath,
     LinkUtilization,
@@ -39,7 +39,6 @@ __all__ = [
     "PhaseSpec",
     "StepReport",
     "StragglerReport",
-    "WORKLOAD_BACKENDS",
     "WORKLOAD_SCENARIOS",
     "Workload",
     "WorkloadDAG",

@@ -86,7 +86,9 @@ class PhaseSpec:
                 f"phase {self.name!r}: op must be None or one of "
                 f"{SCHEDULE_OPS}, got {self.op!r}"
             )
-        if not (isfinite(self.compute) and self.compute >= 0):
+        if isinstance(self.compute, bool) or not (
+            isfinite(self.compute) and self.compute >= 0
+        ):
             raise ValueError(
                 f"phase {self.name!r}: compute must be >= 0 and finite, "
                 f"got {self.compute}"
@@ -200,29 +202,6 @@ class WorkloadDAG:
     def collective_phases(self) -> tuple[PhaseSpec, ...]:
         """The phases that move data, in declaration order."""
         return tuple(p for p in self.phases if p.op is not None)
-
-    @property
-    def serial(self) -> bool:
-        """True when no two collective phases can ever overlap.
-
-        Holds when the collective phases form a chain under the
-        transitive dependency closure — the precondition for the
-        ``"runtime"`` execution backend, which runs one collective at
-        a time on the distributed runtime.
-        """
-        closure: dict[str, set[str]] = {}
-        for p in self.topological():
-            anc: set[str] = set()
-            for d in p.deps:
-                anc.add(d)
-                anc |= closure[d]
-            closure[p.name] = anc
-        colls = [p.name for p in self.collective_phases]
-        for i, a in enumerate(colls):
-            for b in colls[i + 1:]:
-                if a not in closure[b] and b not in closure[a]:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,7 @@ from repro.service.scheduler import pregenerate
 from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry, merge_programs, untag_holdings
 from repro.sim.schedule import Chunk, Schedule
+from repro.topology.base import require_integer
 from repro.topology.hypercube import Hypercube
 from repro.workloads.dag import PhaseSpec, Workload, WorkloadDAG
 from repro.workloads.report import (
@@ -78,13 +79,7 @@ from repro.workloads.report import (
     WorkloadReport,
 )
 
-__all__ = ["run_workload", "WORKLOAD_BACKENDS"]
-
-#: execution backends: ``"sim"`` lowers each step onto one merged
-#: vectorized-engine run (concurrent phases contend; full reporting);
-#: ``"runtime"`` executes each phase on the distributed runtime — serial
-#: DAGs only, runtime-supported ops only, summary reporting only.
-WORKLOAD_BACKENDS = ("sim", "runtime")
+__all__ = ["run_workload"]
 
 #: top-k entries kept in the busiest-links / slowest-nodes tables
 _TOP_K = 3
@@ -198,7 +193,7 @@ def _critical_path(
     )
 
 
-def _run_step_sim(
+def _run_step(
     workload: Workload,
     step: int,
     t0: float,
@@ -335,85 +330,10 @@ def _run_step_sim(
     )
 
 
-def _run_step_runtime(
-    workload: Workload,
-    step: int,
-    t0: float,
-    cube: Hypercube,
-    machine: MachineParams,
-) -> StepReport:
-    """Execute one serial step phase-by-phase on the distributed runtime.
-
-    Each collective is one standalone runtime call (its locally derived
-    sends run as their own engine run, not merged with other phases),
-    which is only meaningful when no two collectives could overlap —
-    enforced via :attr:`WorkloadDAG.serial`.  Reporting is
-    summary-level: per-phase times and traffic, critical path, but no
-    link-utilization or straggler analysis (the runtime result carries
-    no transfer log).
-    """
-    from repro.collectives.api import broadcast as _broadcast
-    from repro.collectives.api import scatter as _scatter
-
-    dag = workload.dag(step)
-    if not dag.serial:
-        raise ValueError(
-            f"step {step} of workload {workload.name!r} has concurrent "
-            "collective phases; the runtime backend executes one "
-            "collective at a time — use backend='sim'"
-        )
-    reports: dict[str, PhaseReport] = {}
-    finish: dict[str, float] = {}
-    for p in dag.topological():
-        t = max((finish[d] for d in p.deps), default=t0)
-        rel = t + p.compute
-        rep = PhaseReport(
-            name=p.name, kind=p.kind, op=p.op,
-            algorithm=(
-                (p.algorithm or DEFAULT_ALGORITHMS[p.op])
-                if p.op is not None else None
-            ),
-            ready=t, release=rel, finish=rel, compute=p.compute,
-        )
-        if p.op is not None:
-            if p.op not in ("broadcast", "scatter"):
-                raise ValueError(
-                    f"phase {p.name!r}: the runtime backend implements "
-                    f"broadcast and scatter, not {p.op!r}"
-                )
-            fn = _broadcast if p.op == "broadcast" else _scatter
-            result = fn(
-                cube, p.source,
-                p.algorithm or DEFAULT_ALGORITHMS[p.op],
-                p.message_elems, p.packet_elems, workload.port_model,
-                machine, backend="runtime",
-                faults=workload.faults, on_fault=workload.on_fault,
-            )
-            rep.finish = rel + result.time
-            rep.transfers_scheduled = result.schedule.num_transfers
-            rep.transfers_executed = sum(
-                result.link_stats.packets.values()
-            )
-            rep.elems = result.link_stats.total_elems()
-            rep.undelivered_nodes = tuple(sorted(result.undelivered_nodes))
-            rep.degraded = result.degraded
-        finish[p.name] = rep.finish
-        reports[p.name] = rep
-    end = max(finish.values())
-    return StepReport(
-        step=step,
-        start=t0,
-        duration=end - t0,
-        phases=[reports[p.name] for p in dag.phases],
-        critical_path=_critical_path(dag, reports),
-    )
-
-
 def run_workload(
     workload: Workload,
     steps: int = 1,
     *,
-    backend: str = "sim",
     jobs: int | None = None,
 ) -> WorkloadReport:
     """Execute ``steps`` steps of ``workload`` end to end.
@@ -422,10 +342,9 @@ def run_workload(
         workload: the workload to run (see
             :data:`repro.workloads.WORKLOAD_SCENARIOS` for named,
             seeded instances).
-        steps: number of steps; step ``s+1`` starts at step ``s``'s
-            finish, so steps never contend with each other.
-        backend: ``"sim"`` (default) or ``"runtime"`` (serial DAGs of
-            runtime-supported ops only).
+        steps: number of steps (an integer >= 1); step ``s+1`` starts
+            at step ``s``'s finish, so steps never contend with each
+            other.
         jobs: worker processes for schedule pregeneration (``None``/1 =
             inline, 0 = all cores).  Worker count never changes report
             bits.
@@ -435,12 +354,8 @@ def run_workload(
         :class:`~repro.workloads.report.StepReport` per step.
     """
     t_wall = perf_counter()
-    if steps < 1:
+    if require_integer(steps, "steps") < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if backend not in WORKLOAD_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {WORKLOAD_BACKENDS}, got {backend!r}"
-        )
     if workload.on_fault not in ("raise", "report"):
         raise ValueError(
             f"on_fault must be 'raise' or 'report', got {workload.on_fault!r}"
@@ -448,24 +363,13 @@ def run_workload(
     cube = Hypercube(workload.dimension)
     machine = workload.machine or MachineParams()
     report = WorkloadReport(
-        workload=workload.name,
-        dimension=workload.dimension,
-        backend=backend,
+        workload=workload.name, dimension=workload.dimension
     )
-    if backend == "sim":
-        schedules = _pregenerate(workload, steps, jobs)
-        t0 = 0.0
-        for s in range(steps):
-            step_report = _run_step_sim(
-                workload, s, t0, schedules, cube, machine
-            )
-            report.steps.append(step_report)
-            t0 = step_report.end
-    else:
-        t0 = 0.0
-        for s in range(steps):
-            step_report = _run_step_runtime(workload, s, t0, cube, machine)
-            report.steps.append(step_report)
-            t0 = step_report.end
+    schedules = _pregenerate(workload, steps, jobs)
+    t0 = 0.0
+    for s in range(steps):
+        step_report = _run_step(workload, s, t0, schedules, cube, machine)
+        report.steps.append(step_report)
+        t0 = step_report.end
     workload_run_finished(report, seconds=perf_counter() - t_wall)
     return report

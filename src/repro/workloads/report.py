@@ -231,7 +231,6 @@ class WorkloadReport:
 
     workload: str
     dimension: int
-    backend: str
     steps: list[StepReport] = field(default_factory=list)
 
     @property
@@ -275,7 +274,6 @@ class WorkloadReport:
         return {
             "workload": self.workload,
             "dimension": self.dimension,
-            "backend": self.backend,
             "summary": self.summary(),
             "steps": [s.to_dict() for s in self.steps],
         }

@@ -19,8 +19,8 @@ Registry (``WORKLOAD_SCENARIOS``, listing order):
                      the gate-weight allreduce
 ``pipeline-4stage``  n=8 pipeline step: four stages, each a compute
                      gap followed by a BST scatter of activations from
-                     the stage root — a serial chain, so it also runs
-                     on the runtime backend
+                     the stage root, each stage waiting for the
+                     previous one (a serial chain)
 ``train-under-faults`` the dp-train step on n=8 with two dead links
                      (``on_fault="report"``): degraded phases are
                      reported, nothing crashes
@@ -238,7 +238,7 @@ WORKLOAD_SCENARIOS: ScenarioRegistry[WorkloadScenario] = ScenarioRegistry(
             name="pipeline-4stage",
             description=(
                 "n=8 pipeline step: four compute stages chained by BST "
-                "activation scatters (serial; runtime-backend capable)"
+                "activation scatters (a serial chain)"
             ),
             dimension=8,
             builder=_pipeline_4stage,

@@ -220,12 +220,23 @@ class TestFailureSurfaces:
                 PortModel.ONE_PORT_FULL,
             )
 
-    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), -1.0, True, False]
+    )
     def test_bad_detect_timeout_rejected(self, timeout):
+        faults = FaultPlan(dead_links=[(0, 1)])
         with pytest.raises(ValueError, match="detect_timeout"):
             run_collective(
                 Hypercube(3), "broadcast", "sbt", 0, 4, 4,
                 PortModel.ONE_PORT_FULL,
-                faults=FaultPlan(dead_links=[(0, 1)]),
-                on_fault="repair", detect_timeout=timeout,
+                faults=faults, on_fault="repair", detect_timeout=timeout,
+            )
+        program = build_cluster_program(
+            Hypercube(3), "broadcast", "sbt", 0, 4, 4,
+            PortModel.ONE_PORT_FULL,
+        )
+        with pytest.raises(ValueError, match="detect_timeout"):
+            run_program(
+                Hypercube(3), program, faults=faults, on_fault="repair",
+                detect_timeout=timeout,
             )

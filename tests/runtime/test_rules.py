@@ -160,3 +160,38 @@ class TestProgramStructure:
                 cube, "scatter", "bst", 0, 4, 2,
                 PortModel.ONE_PORT_FULL, subtree_order="random",
             )
+
+
+class TestBroadcastTranslation:
+    """A broadcast's local programs from source ``s`` are the source-0
+    programs relabelled by ``i ^ s`` (the hypercube is a Cayley graph):
+    node ``i ^ s`` plans node ``i``'s sends with every ``dst`` XORed by
+    ``s`` and the same keys, chunks, initial and expected sets."""
+
+    @pytest.mark.parametrize("pm", PMS)
+    @pytest.mark.parametrize(
+        "algorithm,order",
+        [("sbt", "port"), ("sbt", "packet"), ("msbt", "port")],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_programs_translate(self, n, algorithm, order, pm):
+        cube = Hypercube(n)
+        for M, B in [(5, 2), (17, 3), (8, 8)]:
+            base = build_cluster_program(
+                cube, "broadcast", algorithm, 0, M, B, pm, order=order
+            )
+            for s in cube.nodes():
+                prog = build_cluster_program(
+                    cube, "broadcast", algorithm, s, M, B, pm, order=order
+                )
+                assert prog.chunk_sizes == base.chunk_sizes
+                for i, p0 in base.programs.items():
+                    p = prog.programs[i ^ s]
+                    assert p.node == i ^ s
+                    assert p.initial == p0.initial
+                    assert p.expected == p0.expected
+                    assert [
+                        (x.key, x.dst ^ s, x.chunks) for x in p.sends
+                    ] == [(x.key, x.dst, x.chunks) for x in p0.sends], (
+                        M, B, s, i,
+                    )

@@ -42,6 +42,10 @@ class TestPhaseSpec:
     def test_negative_compute_rejected(self):
         with pytest.raises(ValueError, match="compute must be >= 0"):
             PhaseSpec("x", compute=-1.0)
+        # a bool is not a time: True is rejected, not read as a 1.0 gap
+        for compute in (True, False):
+            with pytest.raises(ValueError, match="compute must be >= 0"):
+                PhaseSpec("x", compute=compute)
 
     @pytest.mark.parametrize("compute", [float("nan"), float("inf")])
     def test_non_finite_compute_rejected(self, compute):
@@ -108,26 +112,6 @@ class TestWorkloadDAG:
         assert dag.phase("b").deps == ("a",)
         with pytest.raises(KeyError):
             dag.phase("zzz")
-
-    def test_serial_chain(self):
-        dag = _chain("a", "b", "c", op="broadcast")
-        assert dag.serial
-
-    def test_serial_through_compute_bridge(self):
-        # collective -> compute -> collective is still a serial chain
-        dag = WorkloadDAG((
-            PhaseSpec("b1", op="broadcast"),
-            PhaseSpec("mid", compute=1.0, deps=("b1",)),
-            PhaseSpec("b2", op="broadcast", deps=("mid",)),
-        ))
-        assert dag.serial
-
-    def test_concurrent_collectives_not_serial(self):
-        dag = WorkloadDAG((
-            PhaseSpec("b1", op="broadcast"),
-            PhaseSpec("b2", op="broadcast", source=1),
-        ))
-        assert not dag.serial
 
     def test_collective_phases_filter(self):
         dag = WorkloadDAG((

@@ -1,4 +1,4 @@
-"""Workload execution: dependency timing, contention, faults, backends."""
+"""Workload execution: dependency timing, contention, faults, validation."""
 
 from __future__ import annotations
 
@@ -209,36 +209,9 @@ class TestBackendsAndValidation:
         w = _workload([PhaseSpec("a", compute=1.0)])
         with pytest.raises(ValueError, match="steps must be >= 1"):
             run_workload(w, steps=0)
-
-    def test_bad_backend(self):
-        w = _workload([PhaseSpec("a", compute=1.0)])
-        with pytest.raises(ValueError, match="backend must be one of"):
-            run_workload(w, backend="quantum")
-
-    def test_runtime_backend_serial_chain(self):
-        w = _workload([
-            PhaseSpec("c", compute=2.0),
-            PhaseSpec("b", op="broadcast", algorithm="sbt",
-                      message_elems=4, deps=("c",)),
-        ])
-        rep = run_workload(w, backend="runtime")
-        b = rep.steps[0].phase("b")
-        assert b.release == 2.0
-        assert b.finish > 2.0
-        assert rep.backend == "runtime"
-
-    def test_runtime_backend_rejects_concurrency(self):
-        w = _workload([
-            PhaseSpec("b1", op="broadcast", message_elems=2),
-            PhaseSpec("b2", op="broadcast", source=1, message_elems=2),
-        ])
-        with pytest.raises(ValueError, match="concurrent"):
-            run_workload(w, backend="runtime")
-
-    def test_runtime_backend_rejects_unsupported_op(self):
-        w = _workload([PhaseSpec("aa", op="alltoall")])
-        with pytest.raises(ValueError, match="broadcast and scatter"):
-            run_workload(w, backend="runtime")
+        for steps in (True, 2.5):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                run_workload(w, steps=steps)
 
     def test_report_roundtrips_to_dict(self):
         w = _workload([

@@ -36,7 +36,7 @@ def _run():
 class TestWorkloadFlush:
     def test_steps_and_phases_counted(self):
         steps_before = WORKLOAD_STEPS.labels(
-            workload="obs-test", backend="sim", outcome="completed"
+            workload="obs-test", outcome="completed"
         ).value
         bcast_before = WORKLOAD_PHASES.labels(
             workload="obs-test", kind="broadcast"
@@ -46,7 +46,7 @@ class TestWorkloadFlush:
         ).value
         _run()
         assert WORKLOAD_STEPS.labels(
-            workload="obs-test", backend="sim", outcome="completed"
+            workload="obs-test", outcome="completed"
         ).value == steps_before + 2
         assert WORKLOAD_PHASES.labels(
             workload="obs-test", kind="broadcast"
@@ -76,10 +76,10 @@ class TestWorkloadFlush:
     def test_disabled_registry_is_untouched(self):
         REGISTRY.configure(enabled=False)
         before = WORKLOAD_STEPS.labels(
-            workload="obs-test", backend="sim", outcome="completed"
+            workload="obs-test", outcome="completed"
         ).value
         _run()
         after = WORKLOAD_STEPS.labels(
-            workload="obs-test", backend="sim", outcome="completed"
+            workload="obs-test", outcome="completed"
         ).value
         assert after == before
