@@ -2,7 +2,12 @@
 
 Pins the cost of executing collectives on the runtime (local rule
 derivation + the engine run of the key-sorted sends), of the repair
-path under faults, and of one differential runtime-vs-engine check.  Compare or refresh with::
+path under faults, and of one differential runtime-vs-engine check.
+Broadcast programs are derived once at source 0 and translated to
+every other source, so the source-0 broadcast entries time a cache hit
+plus the engine run; ``test_runtime_build_msbt_new_source_n9`` times
+the translation and ``test_runtime_build_msbt_cold_n9`` the derivation
+itself.  Compare or refresh with::
 
     python scripts/bench_compare.py --suite runtime [--update]
 
@@ -10,9 +15,16 @@ The names of these tests are the keys of the baseline file — renaming
 one orphans its baseline entry.
 """
 
+import itertools
+
 import pytest
 
-from repro.runtime import differential_check, run_collective
+from repro import cache
+from repro.runtime import (
+    build_cluster_program,
+    differential_check,
+    run_collective,
+)
 from repro.sim.faults import FaultPlan
 from repro.sim.ports import PortModel
 from repro.topology import Hypercube
@@ -67,3 +79,31 @@ def test_runtime_differential_point_n5(benchmark):
         differential_check,
         cube, "broadcast", "msbt", 0, 64, 8, PortModel.ONE_PORT_FULL,
     )
+
+
+def test_runtime_build_msbt_new_source_n9(benchmark):
+    # every round builds from a source not asked for before, so the
+    # programs are the cached source-0 programs translated
+    cube = Hypercube(9)
+    pm = PortModel.ONE_PORT_FULL
+    build_cluster_program(cube, "broadcast", "msbt", 0, 64, 32, pm)  # warm
+    sources = itertools.cycle(range(1, cube.num_nodes))
+    prog = benchmark(
+        lambda: build_cluster_program(
+            cube, "broadcast", "msbt", next(sources), 64, 32, pm
+        )
+    )
+    assert prog.total_sends() == 2 * (cube.num_nodes - 1)
+
+
+def test_runtime_build_msbt_cold_n9(benchmark):
+    cube = Hypercube(9)
+
+    def cold():
+        with cache.disabled():
+            return build_cluster_program(
+                cube, "broadcast", "msbt", 0, 64, 32, PortModel.ONE_PORT_FULL
+            )
+
+    prog = benchmark(cold)
+    assert prog.total_sends() == 2 * (cube.num_nodes - 1)

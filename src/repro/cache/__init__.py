@@ -9,6 +9,11 @@ Generated artifacts live only in process memory: regenerating a tree
 or schedule is cheap (a new root is one O(N) relabelling of a cached
 canonical tree), so nothing is persisted across processes.
 
+:class:`LRUCache` is also used outside this package: the runtime keeps
+its source-0 broadcast programs in ``runtime.cluster_programs``
+(:func:`repro.runtime.rules.build_cluster_program`), under the same
+switch and in the same :func:`cache_stats`.
+
 Environment:
     ``REPRO_CACHE=0`` (or ``off``/``false``/``no``) disables the whole
     layer (read at import; re-read with ``configure(from_env=True)``).

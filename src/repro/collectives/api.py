@@ -296,6 +296,8 @@ def _collective(
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    if not isinstance(port_model, PortModel):
+        raise ValueError(f"port_model must be a PortModel, got {port_model!r}")
     modes = RUNTIME_FAULT_MODES if backend == "runtime" else ON_FAULT_MODES
     if on_fault not in modes:
         raise ValueError(

@@ -32,6 +32,20 @@ bundling) need the *same* deterministic derivation at several nodes;
 hands each node its slice.  That is memoized common knowledge — any
 node could recompute it alone from the parameters — not schedule
 distribution.
+
+Translated broadcasts
+---------------------
+The SBT and MSBT broadcast rules read a node's address only relative
+to the source, ``i ^ source``, and their keys are relative too.  The
+hypercube is a Cayley graph, so the programs from source ``s`` are the
+source-0 programs relabelled: node ``i ^ s`` plans node ``i``'s sends
+with every ``dst`` XORed by ``s`` and the same keys, chunks, initial
+and expected sets.  :func:`build_cluster_program` derives each
+broadcast once at source 0 per ``(n, algorithm, M, B, port model,
+order)``, keeps it in the ``runtime.cluster_programs`` LRU, and serves
+every source by that relabelling.  Scatter programs are derived per
+call: their chunk ids, bundle order and BST child order follow
+absolute addresses.
 """
 
 from __future__ import annotations
@@ -40,7 +54,10 @@ from dataclasses import dataclass
 from math import ceil
 
 from repro.bits.ops import highest_set_bit, popcount
+from repro.cache import MISSING, LRUCache, caching_enabled
+from repro.routing.broadcast_sbt import SBT_ORDERS
 from repro.routing.common import BCAST, MSG, validate_message_args
+from repro.routing.scatter_bst import SUBTREE_ORDERS
 from repro.routing.scheduler import greedy_partition
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk
@@ -77,7 +94,7 @@ class PlannedSend:
     chunks: frozenset[Chunk]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class NodeProgram:
     """A node's complete local plan for one collective operation.
 
@@ -132,6 +149,11 @@ def _piece_sizes(dest: int, message_elems: int, packet_elems: int) -> dict[Chunk
     }
 
 
+#: source-0 broadcast programs and chunk sizes, keyed by
+#: ``(cube token, algorithm, M, B, port model, order)``
+_BROADCASTS = LRUCache("runtime.cluster_programs", maxsize=32)
+
+
 def build_cluster_program(
     cube: Hypercube,
     op: str,
@@ -144,6 +166,12 @@ def build_cluster_program(
     subtree_order: str = "depth_first",
 ) -> ClusterProgram:
     """Local programs for every node of ``cube`` for one collective.
+
+    Broadcast programs are derived once at source 0 and translated to
+    ``source`` (see "Translated broadcasts" in the module docstring);
+    scatter programs are derived per call.  Every call returns a new
+    :class:`ClusterProgram` with its own ``programs`` and
+    ``chunk_sizes`` dicts, so callers may replace entries freely.
 
     Args:
         op: ``"broadcast"`` or ``"scatter"``.
@@ -162,21 +190,24 @@ def build_cluster_program(
     """
     cube.check_node(source)
     validate_message_args(message_elems, packet_elems)
+    if not isinstance(port_model, PortModel):
+        raise ValueError(f"port_model must be a PortModel, got {port_model!r}")
+    if order not in SBT_ORDERS:
+        raise ValueError(f"unknown SBT order {order!r}; pick one of {SBT_ORDERS}")
+    if subtree_order not in SUBTREE_ORDERS:
+        raise ValueError(
+            f"unknown subtree order {subtree_order!r}; pick one of {SUBTREE_ORDERS}"
+        )
     if op == "broadcast":
-        sizes = _bcast_sizes(message_elems, packet_elems)
-        if algorithm == "sbt":
-            programs = _sbt_broadcast(
-                cube, source, message_elems, packet_elems, port_model, order
-            )
-        elif algorithm == "msbt":
-            programs = _msbt_broadcast(
-                cube, source, message_elems, packet_elems, port_model
-            )
-        else:
+        if algorithm not in RUNTIME_BROADCAST_ALGORITHMS:
             raise ValueError(
                 f"runtime broadcast supports {RUNTIME_BROADCAST_ALGORITHMS}, "
                 f"got {algorithm!r}"
             )
+        programs, sizes = _broadcast(
+            cube, algorithm, source, message_elems, packet_elems,
+            port_model, order,
+        )
     elif op == "scatter":
         sizes = {}
         for d in cube.nodes():
@@ -217,6 +248,57 @@ def build_cluster_program(
     )
 
 
+def _broadcast(
+    cube: Hypercube,
+    algorithm: str,
+    source: int,
+    message_elems: int,
+    packet_elems: int,
+    port_model: PortModel,
+    order: str,
+) -> tuple[dict[int, NodeProgram], dict[Chunk, int]]:
+    """A broadcast's programs from ``source`` and its chunk sizes, both
+    new dicts: the cached source-0 programs translated by ``source``
+    (derived directly while caching is disabled)."""
+    if algorithm == "msbt":
+        order = "port"  # one transmission order; share one entry
+
+    def derive(root: int) -> dict[int, NodeProgram]:
+        if algorithm == "sbt":
+            return _sbt_broadcast(
+                cube, root, message_elems, packet_elems, port_model, order
+            )
+        return _msbt_broadcast(
+            cube, root, message_elems, packet_elems, port_model
+        )
+
+    if not caching_enabled():
+        return derive(source), _bcast_sizes(message_elems, packet_elems)
+    key = (
+        cube.cache_token(), algorithm, message_elems, packet_elems,
+        port_model, order,
+    )
+    entry = _BROADCASTS.get(key)
+    if entry is MISSING:
+        entry = (derive(0), _bcast_sizes(message_elems, packet_elems))
+        _BROADCASTS.put(key, entry)
+    base, sizes = entry
+    if not source:
+        return dict(base), dict(sizes)
+    programs: dict[int, NodeProgram] = {}
+    for v in cube.nodes():
+        p = base[v ^ source]
+        programs[v] = NodeProgram(
+            node=v,
+            sends=tuple(
+                PlannedSend(s.key, s.dst ^ source, s.chunks) for s in p.sends
+            ),
+            initial=p.initial,
+            expected=p.expected,
+        )
+    return programs, dict(sizes)
+
+
 # ---------------------------------------------------------------------------
 # broadcast
 
@@ -242,10 +324,10 @@ def _sbt_broadcast(
     ``(l + p, c, port)`` — senders in relative-address order, children
     in ascending-dimension (port) order, the natural SBT child order.
     """
-    if order not in ("port", "packet"):
-        raise ValueError(f"unknown SBT order {order!r}; pick 'port' or 'packet'")
     sizes = _bcast_sizes(message_elems, packet_elems)
-    n_packets = len(sizes)
+    # one payload set per packet, shared by every send of that packet
+    payloads = [frozenset({chunk}) for chunk in sizes]
+    n_packets = len(payloads)
     n = cube.dimension
     allport = port_model is PortModel.ALL_PORT
     all_chunks = frozenset(sizes)
@@ -259,9 +341,7 @@ def _sbt_broadcast(
             for port, child in enumerate(sbt_children(i, source, n)):
                 for p in range(n_packets):
                     sends.append(
-                        PlannedSend(
-                            (level + p, c, port), child, frozenset({(BCAST, p)})
-                        )
+                        PlannedSend((level + p, c, port), child, payloads[p])
                     )
         else:
             for t in range(n):
@@ -270,7 +350,7 @@ def _sbt_broadcast(
                 dst = i ^ (1 << t)
                 for p in range(n_packets):
                     key = (t, p, c) if order == "port" else (p, t, c)
-                    sends.append(PlannedSend(key, dst, frozenset({(BCAST, p)})))
+                    sends.append(PlannedSend(key, dst, payloads[p]))
         sends.sort(key=lambda s: s.key)
         programs[i] = NodeProgram(
             node=i,
@@ -304,7 +384,9 @@ def _msbt_broadcast(
     ``level_j(child) - 1 + q``.
     """
     sizes = _bcast_sizes(message_elems, packet_elems)
-    n_packets = len(sizes)
+    # one payload set per packet, shared by every send of that packet
+    payloads = [frozenset({chunk}) for chunk in sizes]
+    n_packets = len(payloads)
     n = cube.dimension
     allport = port_model is PortModel.ALL_PORT
     all_chunks = frozenset(sizes)
@@ -333,9 +415,7 @@ def _msbt_broadcast(
                     q = p // n
                     r = base_round + (q if allport else q * n)
                     sends.append(
-                        PlannedSend(
-                            (r, p, child ^ source), child, frozenset({(BCAST, p)})
-                        )
+                        PlannedSend((r, p, child ^ source), child, payloads[p])
                     )
         sends.sort(key=lambda s: s.key)
         programs[i] = NodeProgram(
@@ -515,11 +595,6 @@ def _bst_scatter_cyclic(
     child map is built once from the necklace-base formulas as shared
     common knowledge.
     """
-    if subtree_order not in ("depth_first", "reversed_breadth_first"):
-        raise ValueError(
-            f"unknown subtree order {subtree_order!r}; pick "
-            "'depth_first' or 'reversed_breadth_first'"
-        )
     n = cube.dimension
 
     # Tree structure from the pure parent/children formulas, with

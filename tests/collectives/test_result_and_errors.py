@@ -51,6 +51,13 @@ class TestErrorPaths:
                         topo, op, algorithm, message_elems=size, port_model=pm
                     )
 
+    def test_port_model_must_be_a_port_model(self, cube4):
+        for backend in ("sim", "runtime"):
+            with pytest.raises(ValueError, match="PortModel"):
+                broadcast(cube4, 0, "sbt", 4, 4, "all-ports", backend=backend)
+            with pytest.raises(ValueError, match="PortModel"):
+                scatter(cube4, 0, "bst", 4, 4, None, backend=backend)
+
     def test_bad_subtree_order_rejected(self, cube4):
         with pytest.raises(ValueError, match="subtree order"):
             scatter(cube4, 0, "bst", 4, 4, subtree_order="sideways")

@@ -12,8 +12,11 @@ at execution level in ``test_validate.py``.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
+from repro import cache
 from repro.routing import (
     bst_scatter_schedule,
     msbt_broadcast_schedule,
@@ -161,6 +164,30 @@ class TestProgramStructure:
                 PortModel.ONE_PORT_FULL, subtree_order="random",
             )
 
+    @pytest.mark.parametrize(
+        "op,algorithm",
+        [("broadcast", "sbt"), ("broadcast", "msbt"),
+         ("scatter", "sbt"), ("scatter", "bst")],
+    )
+    @pytest.mark.parametrize("pm", PMS)
+    def test_orders_checked_for_every_op(self, op, algorithm, pm):
+        cube = Hypercube(3)
+        with pytest.raises(ValueError, match="SBT order"):
+            build_cluster_program(
+                cube, op, algorithm, 0, 4, 2, pm, order="bogus"
+            )
+        with pytest.raises(ValueError, match="subtree order"):
+            build_cluster_program(
+                cube, op, algorithm, 0, 4, 2, pm, subtree_order="random"
+            )
+
+    @pytest.mark.parametrize("op", ["broadcast", "scatter"])
+    def test_port_model_must_be_a_port_model(self, op):
+        cube = Hypercube(3)
+        for pm in ("all-ports", PortModel.ALL_PORT.value, None):
+            with pytest.raises(ValueError, match="PortModel"):
+                build_cluster_program(cube, op, "sbt", 0, 4, 4, pm)
+
 
 class TestBroadcastTranslation:
     """A broadcast's local programs from source ``s`` are the source-0
@@ -195,3 +222,71 @@ class TestBroadcastTranslation:
                     ] == [(x.key, x.dst, x.chunks) for x in p0.sends], (
                         M, B, s, i,
                     )
+
+
+class TestBroadcastMemo:
+    """Broadcast programs are derived once at source 0 and translated;
+    the result must equal a direct derivation and stay the caller's."""
+
+    @pytest.mark.parametrize("pm", PMS)
+    @pytest.mark.parametrize(
+        "algorithm,order",
+        [("sbt", "port"), ("sbt", "packet"), ("msbt", "port")],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_memoized_equals_uncached(self, n, algorithm, order, pm):
+        cube = Hypercube(n)
+        for M, B in [(5, 2), (17, 3), (8, 8)]:
+            for s in cube.nodes():
+                args = (cube, "broadcast", algorithm, s, M, B, pm)
+                prog = build_cluster_program(*args, order=order)
+                with cache.disabled():
+                    want = build_cluster_program(*args, order=order)
+                assert prog == want, (M, B, s)
+                assert list(prog.programs) == list(want.programs)
+                assert list(prog.chunk_sizes) == list(want.chunk_sizes)
+
+    @pytest.mark.parametrize("source", [0, 5])
+    def test_returned_containers_are_the_callers(self, source):
+        cube = Hypercube(3)
+        args = (cube, "broadcast", "msbt", source, 8, 2, PortModel.ONE_PORT_FULL)
+        with cache.disabled():
+            want = build_cluster_program(*args)
+        prog = build_cluster_program(*args)
+        prog.programs[source] = replace(prog.programs[source], sends=())
+        del prog.programs[source ^ 1]
+        prog.chunk_sizes.clear()
+        with pytest.raises(FrozenInstanceError):
+            prog.programs[source ^ 2].sends = ()
+        assert build_cluster_program(*args) == want
+
+    def test_msbt_order_shares_one_entry(self):
+        cache.clear_caches()
+        cube = Hypercube(3)
+        for order in ("port", "packet"):
+            build_cluster_program(
+                cube, "broadcast", "msbt", 1, 7, 3, PortModel.ALL_PORT,
+                order=order,
+            )
+        memo = cache.cache_stats()["runtime.cluster_programs"]
+        assert (memo["size"], memo["misses"], memo["hits"]) == (1, 1, 1)
+
+    def test_disabled_bypasses_the_memo(self):
+        cache.clear_caches()
+        cube = Hypercube(3)
+        with cache.disabled():
+            for s in (0, 5):
+                build_cluster_program(
+                    cube, "broadcast", "sbt", s, 7, 3, PortModel.ONE_PORT_FULL
+                )
+        memo = cache.cache_stats()["runtime.cluster_programs"]
+        assert (memo["size"], memo["misses"], memo["hits"]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("pm", PMS)
+    @pytest.mark.parametrize("algorithm", ["sbt", "bst"])
+    def test_scatter_bypasses_the_memo(self, algorithm, pm):
+        before = cache.cache_stats()["runtime.cluster_programs"]
+        cube = Hypercube(4)
+        for s in (0, 3):
+            build_cluster_program(cube, "scatter", algorithm, s, 5, 2, pm)
+        assert cache.cache_stats()["runtime.cluster_programs"] == before
