@@ -1,6 +1,7 @@
 """Benchmark-regression suite: canonical workloads pinned in BENCH_ENGINE.json.
 
-The workloads cover the event and lock-step engines, the
+The workloads cover the event engine (large cubes, and deep per-link
+packet queues) and the lock-step engine, the
 schedule-generation path (cold and cached) and the translation of
 cached trees and broadcast schedules to a new root.  ``scripts/bench_compare.py`` runs this file with
 ``--benchmark-json``, extracts each benchmark's median, and compares it
@@ -19,7 +20,7 @@ import pytest
 
 from repro import cache
 from repro.cache import cached_msbt_graph
-from repro.routing import msbt_broadcast_schedule
+from repro.routing import msbt_broadcast_schedule, sbt_broadcast_schedule
 from repro.sim import (
     IPSC_D7,
     PortModel,
@@ -77,6 +78,30 @@ def test_regress_vectorized_engine_n12(benchmark):
         iterations=1,
     )
     assert res.time > 0
+
+
+def _run_sbt_event(benchmark, n, m, b, pm):
+    cube = Hypercube(n)
+    sched = sbt_broadcast_schedule(cube, 0, m, b, pm)
+    init = {0: set(sched.chunk_sizes)}
+    res = benchmark.pedantic(
+        run_async_vectorized,
+        args=(cube, sched, pm, init, IPSC_D7),
+        rounds=3,
+        iterations=1,
+    )
+    assert res.time > 0
+
+
+def test_regress_event_engine_deep_queue_n3(benchmark):
+    # 7,000 one-element packets, up to 1,000 queued on one directed
+    # link: the engine's cost must stay linear in the packets per link
+    _run_sbt_event(benchmark, 3, 1000, 1, PortModel.ONE_PORT_HALF)
+
+
+def test_regress_event_engine_fig5_b256_n6(benchmark):
+    # Fig. 5's slowest point: n=6, M=60 KB, B=256, 15,120 packets
+    _run_sbt_event(benchmark, 6, 61440, 256, PortModel.ONE_PORT_FULL)
 
 
 def test_regress_lockstep_engine_n7(benchmark, workload_n7):

@@ -6,8 +6,8 @@ Two interchangeable async engines execute the same
 * ``"vectorized"`` — the array-core engine
   (:func:`repro.sim.vectorized.run_async_vectorized`, exported as
   :func:`repro.sim.run_async`); the default and the only production
-  engine.  It lowers the schedule to flat NumPy tables once and drives
-  admission through a batched prefilter kernel.
+  engine.  It lowers the schedule to flat NumPy tables once and admits
+  transfers from one program-order ready queue per directed link.
 * ``"reference"`` — the deliberately naive oracle
   (:func:`repro.sim._engine_reference.run_async_reference`), kept for
   differential debugging.  Note its ``start_times`` are in completion

@@ -36,12 +36,35 @@ must push the same wake values, no more and no fewer.  They are:
 * blocked transfers' constraint values — maxima over channel windows
   whose other-port terms use the *end-start* release form
   ``start + (1-ov)*(end-start)``, one ulp away from the duration form
-  in general.  The reference re-pushes these for every blocked
-  transfer at every instant; this engine materializes them with a
-  dirty-channel sweep before each time advance — every transfer
-  blocked on a channel occupied during the closed instant gets its
-  constraint re-evaluated against final instant state and pushed as a
-  pure wake.
+  in general.
+
+Every payload-ready transfer on one directed link shares its ``src``,
+``dst``, port and ``link_free``, so at any state they all have the same
+constraint value: the reference's pushes for all but the first repeat
+it, and the wake set deduplicates the repeats.  This engine therefore
+keeps one program-order queue (a heap of transfer ids) of
+payload-ready pending transfers per directed link, and one stored
+constraint per link.  Only the head of each queue is an admission
+candidate, sits in the blocked-channel sets and is re-evaluated by the
+sweep:
+
+* a transfer is examined once when its payload becomes ready, at its
+  program-order position — head or not, exactly where the reference
+  first scans it, so a constraint value that holds only mid-pass is
+  pushed as the reference pushes it;
+* after that only the head is examined: when the link's stored
+  constraint comes due, when its resources changed during the pass
+  (the next pass re-examines it), and right after the head before it
+  started or was cancelled — at its program-order position in the same
+  pass, which picks up the next transfer within the instant when the
+  finished head took no time (a zero-cost machine) or was cancelled by
+  a fault and never occupied the link;
+* before each time advance a per-link sweep re-evaluates every link
+  whose blocked head waits on a channel occupied during the closed
+  instant, against final instant state, and pushes that value as a
+  pure wake.  This is where the reference's per-instant rescan pushes
+  come from; it costs one evaluation per dirty link, not one per
+  queued transfer.
 
 With the wake values aligned, the full rescan is unnecessary: within
 an instant the scalar admission loop below replays the reference's
@@ -52,18 +75,13 @@ The wake heap holds raw floats deduplicated by their exact bit pattern
 (a set of float keys — the "microtick" identity of an instant), so the
 heap stays bounded by the number of genuinely distinct event times.
 
-Per instant, admission candidates are prefiltered in bulk by the
-:mod:`repro.sim._kernels` kernel (NumPy masks over the payload-ready
-column and a per-transfer constraint column ``vc``); only the
-survivors reach the exact scalar check.  The
-``vc`` gate is exact, not conservative: a blocked transfer's stored
-constraint is re-materialized by the dirty-channel sweep whenever its
-resources change, so at prefilter time ``vc > limit`` is precisely the
-reference's own admission refusal (under the all-port model ``vc`` can
-lag *below* the true link constraint, which costs a re-exam, never a
-wrong skip).  Channel state itself stays in per-node Python lists
-pruned exactly like the reference's ``_Channel.occupy`` — the float
-arithmetic is identical expression for expression.
+A link's stored constraint ``vc`` comes with stamps of the resources
+it was computed from (send-channel epoch, receive-channel epoch,
+``link_free``).  Under unchanged stamps ``max(now, vc)`` is the walk's
+value bit for bit, so an exam skips the walk.  Channel state itself
+stays in per-node Python lists pruned exactly like the reference's
+``_Channel.occupy`` — the float arithmetic is identical expression for
+expression.
 
 Resumable runs
 --------------
@@ -97,14 +115,13 @@ for bit that of one from-scratch run of the final merged program
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Hashable
 
 import numpy as np
 
 from repro.obs.instruments import engine_run_finished
-from repro.sim._kernels import prefilter
 from repro.sim.faults import (
     DegradedResult,
     FaultError,
@@ -261,22 +278,26 @@ class VectorizedRun:
 
         # -- mutable state (see advance) ---------------------------------
         self._avail: list[float] = []
-        # Per-transfer state (_fresh_rows): missing inputs, done flags,
-        # the ready column and, per blocked transfer, stamps of (send
-        # epoch, recv epoch, link_free) at exam time plus the stored
-        # constraint ``vc``.  A transfer that blocked in one pass is
-        # re-examined in the next only if one of its three resources
-        # changed after the exam — an unchanged re-exam recomputes the
-        # same constraint, whose wake the first exam already pushed, so
-        # skipping it is exactly a no-op.  ``vc`` is only ever read under
-        # unchanged stamps, where max(now, vc) reproduces the walk bit for
-        # bit; the zero init encodes the virgin state exactly — empty
-        # windows and a free link constrain to ``now``.  Its NumPy mirror
-        # is the prefilter's admission gate (executed and faulted
-        # transfers are batch-set to +inf, dropping them from all future
-        # candidate sets).
+        # Per-transfer state (_fresh_rows): missing inputs, done flags
+        # and whether the transfer sits in its link's ready queue.
         self._fresh_rows(np.zeros(0, dtype=np.int64))
+        # Per-link state (_grow_links): the ready queue (a heap of
+        # transfer ids in program order), link_free, and the stored
+        # constraint ``vc`` with the stamps (send epoch, recv epoch,
+        # link_free) it was computed under.  An exam under unchanged
+        # stamps reuses ``vc``: recomputing would give the same value,
+        # whose wake is already in the heap.  The zero init encodes the
+        # virgin state exactly — empty windows and a free link constrain
+        # to ``now``.
+        self._lq: list[list[int]] = []
         self._link_free: list[float] = []
+        self._lse: list[int] = []
+        self._lre: list[int] = []
+        self._llf: list[float] = []
+        self._lvc: list[float] = []
+        self._lsrc: list[int] = []
+        self._ldst: list[int] = []
+        self._lport: list[int] = []
         # per-channel occupation epochs
         self._es = [0] * num_nodes
         self._er = self._es if half else [0] * num_nodes
@@ -286,9 +307,9 @@ class VectorizedRun:
                 [] for _ in range(num_nodes)
             ]
             self._rwin = self._swin if half else [[] for _ in range(num_nodes)]
-            # Transfers currently blocked on each node channel; with the
-            # channels occupied since the last time advance (the dirty
-            # set) they drive the constraint re-materialization sweep.
+            # Links whose blocked head waits on each node channel; with
+            # the channels occupied since the last time advance (the
+            # dirty sets) they drive the per-link sweep.
             self._sblk: list[set[int]] = [set() for _ in range(num_nodes)]
             self._rblk = (
                 self._sblk if half else [set() for _ in range(num_nodes)]
@@ -296,19 +317,19 @@ class VectorizedRun:
         else:
             self._swin = self._rwin = [[]]
             self._sblk = self._rblk = [set()]
+        self._dirty_s: set[int] = set()
+        self._dirty_r: set[int] = set()
         # Outstanding blocked-set entries; while zero, the execute path
-        # can skip blocked-set and dirty-channel bookkeeping entirely.
+        # can skip dirty-channel bookkeeping entirely.
         self._blk_total = 0
-        # Event calendar: transfer ids bucketed under the exact float
-        # time at which they next surface as admission candidates (their
-        # ready or stored-constraint value — always also a wake-heap
-        # value, so the advance's own pops harvest the due buckets).
-        # Every vc/ready change files a new entry, so the latest state
-        # always has one; stale (superseded or post-execution) entries
-        # are tolerated — the kernel filters them in bulk against the
-        # current ``vc`` column.  This keeps per-instant work
-        # proportional to the transfers actually due, not to the number
-        # of enabled transfers.
+        # Event calendar, keyed by the exact float time at which its
+        # entries surface — always also a wake-heap value, so the time
+        # advance's own pops harvest the due buckets.  An entry ``i >= 0``
+        # is transfer ``i`` whose payload becomes ready then; an entry
+        # ``~li < 0`` is link ``li``, whose stored constraint comes due.
+        # Stale entries (a transfer already queued or done, a link whose
+        # ``vc`` moved on) are dropped at harvest, so per-instant work is
+        # proportional to the entries actually due.
         self._calendar: dict[float, list[int]] = {}
         # Entries falling inside the instant being processed (sweep
         # values clamped to ``now``) carry straight into the next
@@ -462,12 +483,7 @@ class VectorizedRun:
         else:
             keys = new_keys  # one lowering's keys: already sorted, unique
         if keys.size != self._link_key.size:
-            moved = np.searchsorted(keys, self._link_key)
-            link_free = np.zeros(keys.size)
-            link_free[moved] = self._link_free
-            self._link_free = link_free.tolist()
-            self._icol[:, _LINK] = moved[self._icol[:, _LINK]]
-            self._link_key = keys
+            self._grow_links(keys)
         local_link = cat("link") + np.repeat(np.cumsum(n_keys) - n_keys, n_e)
 
         lens = np.asarray(
@@ -547,7 +563,6 @@ class VectorizedRun:
 
         # seed the new rows whose payload is initially held
         avail = self._avail
-        ready = self._ready
         ptr_py = self._ptr_py
         in_py = self._in_py
         calendar = self._calendar
@@ -560,7 +575,6 @@ class VectorizedRun:
                 a = avail[s]
                 if a > r:
                     r = a
-            ready[i] = r
             if r > _EPS:
                 # Release-delayed seed (multi-job programs): file it for
                 # the instant its payload is released, exactly like a
@@ -576,6 +590,44 @@ class VectorizedRun:
             else:
                 pending.append(i)
 
+    def _grow_links(self, keys: np.ndarray) -> None:
+        """Renumber the links to the sorted key table ``keys`` (a
+        superset of the current one), carrying every per-link state."""
+        num_nodes = self.cube.num_nodes
+        moved = np.searchsorted(keys, self._link_key)
+        n_links = keys.size
+
+        def carry(values: list, fill: float) -> list:
+            out = np.full(n_links, fill)
+            out[moved] = values
+            return out.tolist()
+
+        self._link_free = carry(self._link_free, 0.0)
+        self._llf = carry(self._llf, 0.0)
+        self._lvc = carry(self._lvc, 0.0)
+        self._lse = carry(self._lse, 0)
+        self._lre = carry(self._lre, 0)
+        lq: list[list[int]] = [[] for _ in range(n_links)]
+        mv = moved.tolist()
+        for li, q in enumerate(self._lq):
+            lq[mv[li]] = q
+        self._lq = lq
+        self._lsrc = (keys // num_nodes).tolist()
+        self._ldst = (keys % num_nodes).tolist()
+        if self._link_key.size:
+            self._icol[:, _LINK] = moved[self._icol[:, _LINK]]
+            blks = (self._sblk,) if self._half else (self._sblk, self._rblk)
+            for blk in blks if self._use_lb else ():
+                for k, s in enumerate(blk):
+                    if s:
+                        blk[k] = {mv[li] for li in s}
+            self._pending = [x if x >= 0 else ~mv[~x] for x in self._pending]
+            self._calendar = {
+                t: [x if x >= 0 else ~mv[~x] for x in b]
+                for t, b in self._calendar.items()
+            }
+        self._link_key = keys
+
     def _mirror(self) -> None:
         """Python mirrors of the per-transfer columns: the scalar
         admission loop reads these (C-int list access beats NumPy scalar
@@ -590,18 +642,16 @@ class VectorizedRun:
         self._wait_ptr_py = self._wait_ptr.tolist()
         self._wait_py = self._wait_idx.tolist()
         self._inq = [False] * len(self._src_py)
+        lport = np.zeros(self._link_key.size, dtype=np.int64)
+        lport[icol[:, _LINK]] = icol[:, _PORT]
+        self._lport = lport.tolist()
 
     def _fresh_rows(self, missing: np.ndarray) -> None:
         """Per-transfer state of rows no instant has touched yet."""
         T = missing.size
         self._missing = missing.tolist()
         self._done = [False] * T
-        self._st_se = [0] * T
-        self._st_re = [0] * T
-        self._st_lf = [0.0] * T
-        self._vc = [0.0] * T
-        self._ready = np.full(T, np.inf)
-        self._vc_np = np.zeros(T)
+        self._queued = [False] * T
 
     def _carry_state(
         self, new_of: np.ndarray, order: np.ndarray, missing_new: np.ndarray
@@ -610,28 +660,21 @@ class VectorizedRun:
         (``new_of``: old id -> new id; ``order``: new id -> old id)."""
         n_old = self.n_transfers
         T = order.size
-        ints = np.zeros((4, T), dtype=np.int64)
-        ints[:, :n_old] = (self._done, self._st_se, self._st_re, self._missing)
-        ints[3, n_old:] = missing_new
-        done, self._st_se, self._st_re, self._missing = ints[:, order].tolist()
+        ints = np.zeros((3, T), dtype=np.int64)
+        ints[:, :n_old] = (self._done, self._queued, self._missing)
+        ints[2, n_old:] = missing_new
+        done, queued, self._missing = ints[:, order].tolist()
         self._done = [d == 1 for d in done]
-        floats = np.zeros((4, T))
-        floats[:, :n_old] = (self._st_lf, self._vc, self._ready, self._vc_np)
-        floats[2, n_old:] = np.inf
-        floats = floats[:, order]
-        self._st_lf, self._vc = floats[:2].tolist()
-        self._ready = floats[2].copy()
-        self._vc_np = floats[3].copy()
+        self._queued = [q == 1 for q in queued]
         m = new_of[:n_old].tolist()
-        self._pending = [m[j] for j in self._pending]
+        self._pending = [m[x] if x >= 0 else x for x in self._pending]
         self._calendar = {
-            t: [m[j] for j in b] for t, b in self._calendar.items()
+            t: [m[x] if x >= 0 else x for x in b]
+            for t, b in self._calendar.items()
         }
-        blks = (self._sblk,) if self._half else (self._sblk, self._rblk)
-        for blk in blks if self._use_lb else ():
-            for k, s in enumerate(blk):
-                if s:
-                    blk[k] = {m[j] for j in s}
+        # Renumbering keeps the relative program order of the admitted
+        # transfers, so a mapped heap is still a heap.
+        self._lq = [[m[j] for j in q] if q else q for q in self._lq]
         self._executed = [m[j] for j in self._executed]
         self._lost_ids = [m[j] for j in self._lost_ids]
         self._dead = {m[j] for j in self._dead}
@@ -674,19 +717,114 @@ class VectorizedRun:
         Stops earlier, right after an instant in which a job resolved
         with a completion below ``until`` (see :meth:`take_resolved`),
         and then returns True.
+
+        Each instant runs in phases: the time advance with its calendar
+        harvest (:meth:`_next_instant`), the admission pass
+        (:meth:`_admission_pass`), the per-link sweep (:meth:`_sweep`)
+        and, while jobs are tracked, job resolution
+        (:meth:`_resolve_jobs`).
         """
         t_start = perf_counter()
         self._flush_staged()
+        executed_ids = self._executed
+        lost_ids = self._lost_ids
+        stop = False
+        while True:
+            due = self._next_instant(until)
+            if due is None:
+                break
+            mk = len(executed_ids)
+            ml = len(lost_ids)
+            self._admission_pass(due)
+            if self._dirty_s or self._dirty_r:
+                self._sweep()
+            if self._track and (len(executed_ids) > mk or len(lost_ids) > ml):
+                if self._resolve_jobs(mk, ml, until):
+                    stop = True
+                    break
+        self._seconds += perf_counter() - t_start
+        return stop
+
+    def _next_instant(self, until: float) -> list[int] | None:
+        """Time advance with calendar harvest: move ``now`` to the next
+        instant with ``now + _EPS < until`` and return the calendar
+        entries due there, or None if there is no such instant."""
+        eps = _EPS
+        if self._fresh:
+            if eps >= until:
+                return None
+            self._fresh = False
+        else:
+            if not self._remaining:
+                return None
+            wake = self._wake
+            limit = self._limit
+            while wake and wake[0] <= limit:
+                heappop(wake)
+            if not wake:
+                self._out_of_wakes()
+                return None
+            nxt = wake[0]
+            if nxt + eps >= until:
+                return None
+            heappop(wake)
+            self._now = nxt
+            # Harvest the due calendar buckets: the new instant coalesces
+            # every wake value in (limit, now + eps], so entries filed
+            # under those values are exactly the next instant's due list.
+            calendar = self._calendar
+            pending = self._pending
+            b = calendar.pop(nxt, None)
+            if b is not None:
+                pending.extend(b)
+            lim2 = nxt + eps
+            while wake and wake[0] <= lim2:
+                b = calendar.pop(heappop(wake), None)
+                if b is not None:
+                    pending.extend(b)
+            # The dedup set otherwise accumulates every float ever
+            # pushed; rebuilding it from the live heap keeps it
+            # cache-sized on million-transfer runs.  (Dedup is a size
+            # optimization, not a correctness requirement: a missed
+            # duplicate is popped and coalesced at the same instant.)
+            if len(self._wake_set) > 4 * len(wake) + 4096:
+                self._wake_set = set(wake)
+                self._wake_set.add(nxt)
+        self._limit = self._now + eps
+        due = self._pending
+        self._pending = []
+        return due
+
+    def _out_of_wakes(self) -> None:
+        """No wake is left while transfers remain.  After a cancellation
+        under ``report`` this is the end of the starvation cascade:
+        nothing left can run.  Otherwise the schedule deadlocked."""
+        if self._report and self._fault_events:
+            if self._track:
+                jleft = self._jleft
+                self._resolve([h for h, n in enumerate(jleft) if n > 0])
+                for h in range(len(jleft)):
+                    jleft[h] = 0
+            return
+        done = self._done
+        stuck = [
+            self._transfer(j) for j in range(self.n_transfers) if not done[j]
+        ][:4]
+        self._flush(deadlocked=True)
+        raise RuntimeError(
+            f"schedule deadlocked with {self._remaining} transfers "
+            f"pending, e.g. {stuck}"
+        )
+
+    def _admission_pass(self, due: list[int]) -> None:
+        """Replay the reference's program-order fixpoint at instant
+        ``now``: walk the candidates in program order, pass after pass,
+        until a pass makes no progress."""
         eps = _EPS
         faults = self.faults
-        on_fault = self.on_fault
-        report = self._report
-        half = self._half
         use_lb = self._use_lb
         ov1 = self._ov1
-        n_ports = self.cube.num_ports
         nT = self.n_transfers
-        transfer_of = self._transfer
         src_py = self._src_py
         dst_py = self._dst_py
         port_py = self._port_py
@@ -700,523 +838,474 @@ class VectorizedRun:
         avail_py = self._avail
         missing_py = self._missing
         done_py = self._done
-        ready_np = self._ready
+        queued = self._queued
         inq = self._inq
+        lq = self._lq
         link_free_py = self._link_free
+        lsrc = self._lsrc
+        ldst = self._ldst
+        lse = self._lse
+        lre = self._lre
+        llf = self._llf
+        lvc = self._lvc
         swin = self._swin
         rwin = self._rwin
         sblk = self._sblk
         rblk = self._rblk
-        dirty_s: set[int] = set()
-        dirty_r: set[int] = set()
+        dirty_s = self._dirty_s
+        dirty_r = self._dirty_r
         blk_total = self._blk_total
         es = self._es
         er = self._er
-        st_se = self._st_se
-        st_re = self._st_re
-        st_lf = self._st_lf
-        vc_py = self._vc
-        vc_np = self._vc_np
-        # ids whose vc mirror entry is stale, flushed in one fancy
-        # assignment per instant
-        vc_touch: list[int] = []
         calendar = self._calendar
-        pending = self._pending
         wake = self._wake
         wake_set = self._wake_set
         now = self._now
         limit = self._limit
-        fresh = self._fresh
-        remaining = self._remaining
         finish = self._finish
         start_times = self._start_times
         executed_ids = self._executed
         fault_events = self._fault_events
-        lost = self._lost
-        lost_ids = self._lost_ids
         doneskip_n = self._doneskip_n
         blocks_n = self._blocks_n
-        track = self._track
-        if track:
-            job_py = self._job_py
-            jleft = self._jleft
-            jfin = self._jfin
-            jcost = self._jcost
-        stop = False
+
+        # Candidates: every transfer whose payload became ready (it joins
+        # its link's queue and is examined once, head or not) and the
+        # head of every link whose stored constraint came due.
+        cur: list[int] = []
+        for x in due:
+            if x >= 0:
+                if queued[x] or done_py[x]:
+                    continue  # stale: already queued, or cancelled
+                queued[x] = True
+                heappush(lq[link_py[x]], x)
+            else:
+                q = lq[~x]
+                if not q or lvc[~x] > limit:
+                    continue  # stale: the link's constraint moved on
+                x = q[0]
+            if not inq[x]:
+                inq[x] = True
+                cur.append(x)
+        cur.sort()
+        nextpass: list[int] = []
+        blocked_acc: list[int] = []  # links whose exam found them blocked
 
         while True:
-            if fresh:
-                if eps >= until:
-                    break
-                fresh = False
-            else:
-                if not remaining:
-                    break
-                while wake and wake[0] <= limit:
-                    heappop(wake)
-                if not wake:
-                    if report and fault_events:
-                        # starvation cascade from cancelled transfers:
-                        # nothing left can run
-                        if track:
-                            self._limit = limit
-                            self._fresh = False
-                            self._resolve(
-                                [h for h, n in enumerate(jleft) if n > 0]
-                            )
-                            for h, n in enumerate(jleft):
-                                jleft[h] = 0
-                        break
-                    stuck = [
-                        transfer_of(j) for j in range(nT) if not done_py[j]
-                    ][:4]
-                    self._blocks_n = blocks_n
-                    self._doneskip_n = doneskip_n
-                    self._flush(deadlocked=True)
-                    raise RuntimeError(
-                        f"schedule deadlocked with {remaining} transfers "
-                        f"pending, e.g. {stuck}"
-                    )
-                nxt = wake[0]
-                if nxt + eps >= until:
-                    break
-                heappop(wake)
-                now = nxt
-                # Harvest the due calendar buckets: the new instant
-                # coalesces every wake value in (limit, now + eps], so
-                # ids filed under those values are exactly the next
-                # admission candidates.
-                b = calendar.pop(nxt, None)
-                if b is not None:
-                    pending.extend(b)
-                lim2 = nxt + eps
-                while wake and wake[0] <= lim2:
-                    v = heappop(wake)
-                    b = calendar.pop(v, None)
-                    if b is not None:
-                        pending.extend(b)
-                # The dedup set otherwise accumulates every float ever
-                # pushed; rebuilding it from the live heap keeps it
-                # cache-sized on million-transfer runs.  (Dedup is a
-                # size optimization, not a correctness requirement: a
-                # missed duplicate is popped and coalesced at the same
-                # instant.)
-                if len(wake_set) > 4 * len(wake) + 4096:
-                    wake_set = set(wake)
-                    wake_set.add(nxt)
-
-            limit = now + eps
-            mk = len(executed_ids)
-            ml = len(lost_ids)
-            if pending:
-                cand_arr = prefilter(
-                    np.asarray(pending, dtype=np.int64), ready_np, vc_np, limit
-                )
-                pending = []
-                # unique: an id with several due entries is examined once
-                cur: list[int] = np.unique(cand_arr).tolist()
-            else:
-                cur = []
-            for i in cur:
-                inq[i] = True
-            nextpass: list[int] = []
-            blocked_acc: list[int] = []
-            idone: list[int] = []
-
+            mark = len(start_times) + len(fault_events)
+            # Walk `cur` (ascending ids = program order) with a cursor;
+            # `extra` holds same-instant exams ahead of the cursor.
+            extra: list[int] = []
+            ci = 0
+            cn = len(cur)
             while True:
-                mark = len(start_times) + len(fault_events)
-                # Walk `cur` (ascending ids = program order) with a cursor;
-                # `extra` holds same-instant enables ahead of the cursor.
-                extra: list[int] = []
-                ci = 0
-                cn = len(cur)
-                while True:
-                    if ci < cn:
-                        i = cur[ci]
-                        if extra and extra[0] < i:
-                            i = heappop(extra)
-                        else:
-                            ci += 1
-                    elif extra:
+                if ci < cn:
+                    i = cur[ci]
+                    if extra and extra[0] < i:
                         i = heappop(extra)
                     else:
-                        break
-                    inq[i] = False
-                    if done_py[i]:
-                        doneskip_n += 1
+                        ci += 1
+                elif extra:
+                    i = heappop(extra)
+                else:
+                    break
+                inq[i] = False
+                if done_py[i]:
+                    doneskip_n += 1
+                    continue
+                p_ = port_py[i]
+                s_ = src_py[i]
+                d_ = dst_py[i]
+                li = link_py[i]
+                lf = link_free_py[li]
+                if lse[li] == es[s_] and lre[li] == er[d_] and llf[li] == lf:
+                    # Unchanged resources since the link's stamped
+                    # evaluation (or the virgin state, which the zero
+                    # stamps encode exactly): the stored constraint still
+                    # holds, and a blocked link's wake is already in the
+                    # heap and the link in the blocked-channel sets.
+                    start = lvc[li]
+                    if start > limit:
+                        blocks_n += 1
+                        blocked_acc.append(li)
                         continue
-                    p_ = port_py[i]
-                    s_ = src_py[i]
-                    d_ = dst_py[i]
-                    li = link_py[i]
-                    lf = link_free_py[li]
-                    if st_se[i] == es[s_] and st_re[i] == er[d_] and st_lf[i] == lf:
-                        # Unchanged resources since the stamped exam (or the
-                        # virgin state, which the zero stamps encode
-                        # exactly): the stored constraint still holds, its
-                        # wake value is already in the heap, and a blocked
-                        # transfer is already in the blocked-channel sets.
-                        start = vc_py[i]
-                        if start > limit:
-                            blocks_n += 1
-                            blocked_acc.append(i)
-                            continue
-                        if start < now:
-                            start = now
-                    else:
+                    if start < now:
                         start = now
-                        if use_lb:
-                            for ap, as_, ae in swin[s_]:
-                                v = ae if ap == p_ else as_ + ov1 * (ae - as_)
-                                if v > start:
-                                    start = v
-                            for ap, as_, ae in rwin[d_]:
-                                v = ae if ap == p_ else as_ + ov1 * (ae - as_)
-                                if v > start:
-                                    start = v
-                        if lf > start:
-                            start = lf
-                        if start > limit:
-                            blocks_n += 1
-                            if use_lb:
-                                bs = sblk[s_]
-                                if i not in bs:
-                                    bs.add(i)
-                                    blk_total += 1
-                                bs = rblk[d_]
-                                if i not in bs:
-                                    bs.add(i)
-                                    blk_total += 1
-                            if start not in wake_set:
-                                wake_set.add(start)
-                                heappush(wake, start)
-                            st_se[i] = es[s_]
-                            st_re[i] = er[d_]
-                            st_lf[i] = lf
-                            vc_py[i] = start
-                            vc_touch.append(i)
-                            b = calendar.get(start)
-                            if b is None:
-                                calendar[start] = [i]
-                            else:
-                                b.append(i)
-                            blocked_acc.append(i)
-                            continue
-
-                    if faults is not None:
-                        hit = faults.blocks(s_, d_, start)
-                        if hit is not None:
-                            kind, subject = hit
-                            t = transfer_of(i)
-                            if on_fault == "raise":
-                                self._blocks_n = blocks_n
-                                self._doneskip_n = doneskip_n
-                                self._flush()
-                                raise FaultError(
-                                    f"transfer {t.src}->{t.dst} blocked by dead "
-                                    f"{kind} {subject} at t={start:.6g}; pending "
-                                    f"chunks {sorted(map(repr, t.chunks))[:4]}",
-                                    edge=(t.src, t.dst),
-                                    node=subject if kind == "node" else None,
-                                    time=start,
-                                    chunks=t.chunks,
-                                )
-                            fault_events.append(FaultEvent(t, start, kind, subject))
-                            lost.append(t)
-                            lost_ids.append(i)
-                            done_py[i] = True
-                            idone.append(i)
-                            continue
-
-                    dur = costs_py[i]
-                    end = start + dur
+                else:
+                    start = now
                     if use_lb:
-                        es[s_] += 1
-                        er[d_] += 1
-                        cut = start + eps
-                        w = swin[s_]
-                        if w:
-                            if len(w) == 1:
-                                if w[0][2] <= cut:
-                                    w.clear()
-                            else:
-                                swin[s_] = w = [a for a in w if a[2] > cut]
-                        w.append((p_, start, end))
-                        w = rwin[d_]
-                        if w:
-                            if len(w) == 1:
-                                if w[0][2] <= cut:
-                                    w.clear()
-                            else:
-                                rwin[d_] = w = [a for a in w if a[2] > cut]
-                        w.append((p_, start, end))
-                        if blk_total:
+                        for ap, as_, ae in swin[s_]:
+                            v = ae if ap == p_ else as_ + ov1 * (ae - as_)
+                            if v > start:
+                                start = v
+                        for ap, as_, ae in rwin[d_]:
+                            v = ae if ap == p_ else as_ + ov1 * (ae - as_)
+                            if v > start:
+                                start = v
+                    if lf > start:
+                        start = lf
+                    if start > limit:
+                        blocks_n += 1
+                        if use_lb:
                             bs = sblk[s_]
-                            if i in bs:
-                                bs.discard(i)
-                                blk_total -= 1
+                            if li not in bs:
+                                bs.add(li)
+                                blk_total += 1
                             bs = rblk[d_]
-                            if i in bs:
-                                bs.discard(i)
-                                blk_total -= 1
-                            # Only occupations that land while some transfer
-                            # is blocked can invalidate a pushed constraint;
-                            # with nothing blocked the sweep has no work.
-                            dirty_s.add(s_)
-                            dirty_r.add(d_)
-                        # Duration-form overlap release, pushed like the
-                        # reference at occupation; the end-start form the
-                        # channel constraints compute is materialized by
-                        # the dirty-channel sweep before the next advance.
-                        r1 = start + ov1 * dur
-                        if r1 not in wake_set:
-                            wake_set.add(r1)
-                            heappush(wake, r1)
-                    link_free_py[li] = end
-                    if end not in wake_set:
-                        wake_set.add(end)
-                        heappush(wake, end)
+                            if li not in bs:
+                                bs.add(li)
+                                blk_total += 1
+                        if start not in wake_set:
+                            wake_set.add(start)
+                            heappush(wake, start)
+                        lse[li] = es[s_]
+                        lre[li] = er[d_]
+                        llf[li] = lf
+                        lvc[li] = start
+                        b = calendar.get(start)
+                        if b is None:
+                            calendar[start] = [~li]
+                        else:
+                            b.append(~li)
+                        blocked_acc.append(li)
+                        continue
 
-                    op = out_ptr[i]
-                    oe = out_ptr[i + 1]
-                    outs = (
-                        (out_idx[op],) if oe - op == 1 else out_idx[op:oe]
-                    )
-                    for s in outs:
-                        a = avail_py[s]
-                        if end < a:
-                            avail_py[s] = end
-                            first = a == _INF
-                            wp0 = wait_ptr[s]
-                            wp1 = wait_ptr[s + 1]
-                            waiters = (
-                                (wait_idx[wp0],)
-                                if wp1 - wp0 == 1
-                                else wait_idx[wp0:wp1]
-                            )
-                            for w2 in waiters:
-                                if done_py[w2]:
+                # `i` leaves its queue, started or cancelled.  The next
+                # head is examined at its own position: in this pass when
+                # it lies ahead of the cursor, in the next one otherwise.
+                q = lq[li]
+                if q[0] == i:
+                    heappop(q)
+                else:  # a non-head `i` started ahead of its head
+                    q.remove(i)
+                    heapify(q)
+                if q:
+                    h = q[0]
+                    if not inq[h]:
+                        inq[h] = True
+                        if h > i:
+                            heappush(extra, h)
+                        else:
+                            nextpass.append(h)
+                elif blk_total:
+                    bs = sblk[s_]
+                    if li in bs:
+                        bs.discard(li)
+                        blk_total -= 1
+                    bs = rblk[d_]
+                    if li in bs:
+                        bs.discard(li)
+                        blk_total -= 1
+
+                if faults is not None:
+                    hit = faults.blocks(s_, d_, start)
+                    if hit is not None:
+                        self._blocks_n = blocks_n
+                        self._doneskip_n = doneskip_n
+                        self._cancel(i, start, hit)
+                        done_py[i] = True
+                        continue
+
+                dur = costs_py[i]
+                end = start + dur
+                if use_lb:
+                    es[s_] += 1
+                    er[d_] += 1
+                    cut = start + eps
+                    w = swin[s_]
+                    if w:
+                        if len(w) == 1:
+                            if w[0][2] <= cut:
+                                w.clear()
+                        else:
+                            swin[s_] = w = [a for a in w if a[2] > cut]
+                    w.append((p_, start, end))
+                    w = rwin[d_]
+                    if w:
+                        if len(w) == 1:
+                            if w[0][2] <= cut:
+                                w.clear()
+                        else:
+                            rwin[d_] = w = [a for a in w if a[2] > cut]
+                    w.append((p_, start, end))
+                    if blk_total:
+                        # Only occupations that land while some link is
+                        # blocked can invalidate a pushed constraint;
+                        # with nothing blocked the sweep has no work.
+                        dirty_s.add(s_)
+                        dirty_r.add(d_)
+                    # Duration-form overlap release, pushed like the
+                    # reference at occupation; the end-start form the
+                    # channel constraints compute is materialized by the
+                    # per-link sweep before the next advance.
+                    r1 = start + ov1 * dur
+                    if r1 not in wake_set:
+                        wake_set.add(r1)
+                        heappush(wake, r1)
+                link_free_py[li] = end
+                if end not in wake_set:
+                    wake_set.add(end)
+                    heappush(wake, end)
+
+                op = out_ptr[i]
+                oe = out_ptr[i + 1]
+                outs = (out_idx[op],) if oe - op == 1 else out_idx[op:oe]
+                for s in outs:
+                    a = avail_py[s]
+                    if end < a:
+                        avail_py[s] = end
+                        first = a == _INF
+                        wp0 = wait_ptr[s]
+                        wp1 = wait_ptr[s + 1]
+                        waiters = (
+                            (wait_idx[wp0],)
+                            if wp1 - wp0 == 1
+                            else wait_idx[wp0:wp1]
+                        )
+                        for w2 in waiters:
+                            if done_py[w2]:
+                                continue
+                            if first:
+                                m = missing_py[w2] - 1
+                                missing_py[w2] = m
+                                if m:
                                     continue
-                                if first:
-                                    m = missing_py[w2] - 1
-                                    missing_py[w2] = m
-                                    if m:
-                                        continue
-                                    newly = True
-                                else:
-                                    if missing_py[w2]:
-                                        continue
-                                    newly = False
-                                i0 = in_ptr[w2]
-                                i1 = in_ptr[w2 + 1]
-                                if i1 - i0 == 1:
-                                    r = avail_py[in_idx[i0]]
-                                else:
-                                    r = 0.0
-                                    for s2 in in_idx[i0:i1]:
-                                        a2 = avail_py[s2]
-                                        if a2 > r:
-                                            r = a2
-                                ready_np[w2] = r
-                                if r > limit:
-                                    b = calendar.get(r)
-                                    if b is None:
-                                        calendar[r] = [w2]
-                                    else:
-                                        b.append(w2)
-                                elif not inq[w2]:
-                                    # Enabled at this same instant: the
-                                    # reference's scan picks it up in this
-                                    # pass when it lies ahead of the
-                                    # cursor, next pass otherwise.
-                                    inq[w2] = True
-                                    if w2 > i:
-                                        heappush(extra, w2)
-                                    else:
-                                        nextpass.append(w2)
-
-                    start_times.append(start)
-                    executed_ids.append(i)
-                    if end > finish:
-                        finish = end
-                    done_py[i] = True
-                    idone.append(i)
-
-                dtot = len(start_times) + len(fault_events)
-                remaining = nT - dtot
-                if dtot == mark or not remaining:
-                    break
-                if blocked_acc:
-                    for j in blocked_acc:
-                        if (
-                            not done_py[j]
-                            and not inq[j]
-                            and (
-                                es[src_py[j]] != st_se[j]
-                                or er[dst_py[j]] != st_re[j]
-                                or link_free_py[link_py[j]] != st_lf[j]
-                            )
-                        ):
-                            inq[j] = True
-                            nextpass.append(j)
-                if not nextpass:
-                    break
-                cur = nextpass
-                nextpass = []
-                cur.sort()
-
-            for j in nextpass:  # delivery-enabled when the instant closed
-                inq[j] = False
-
-            # Dirty-channel sweep (see module docstring): re-evaluate every
-            # transfer blocked on a channel occupied during this instant and
-            # push its constraint — computed from final instant state, with
-            # the end-start release form — as a pure wake.  This is where
-            # the reference's per-instant rescan pushes come from.
-            if use_lb and (dirty_s or dirty_r):
-                # Channel windows are frozen for the whole sweep, so the
-                # per-(node, port) walk maxima are memoized — the blocked
-                # transfers of one pile share their send-side walk.
-                swc: dict[int, float] = {}
-                rwc = swc if half else {}
-                for blk_list, nodes in ((sblk, dirty_s), (rblk, dirty_r)):
-                    for node in nodes:
-                        blocked = blk_list[node]
-                        for w3 in list(blocked):
-                            if done_py[w3]:
-                                blocked.discard(w3)
-                                blk_total -= 1
+                            elif missing_py[w2]:
                                 continue
-                            # Unchanged resources since the blocked exam (or
-                            # a previous sweep visit) mean an unchanged
-                            # constraint, already in the wake set.
-                            sw3 = src_py[w3]
-                            dw3 = dst_py[w3]
-                            lfw = link_free_py[link_py[w3]]
-                            if (
-                                es[sw3] == st_se[w3]
-                                and er[dw3] == st_re[w3]
-                                and lfw == st_lf[w3]
-                            ):
-                                continue
-                            st_se[w3] = es[sw3]
-                            st_re[w3] = er[dw3]
-                            st_lf[w3] = lfw
-                            pw = port_py[w3]
-                            k_ = sw3 * n_ports + pw
-                            sv = swc.get(k_)
-                            if sv is None:
-                                sv = 0.0
-                                for ap, as_, ae in swin[sw3]:
-                                    c = ae if ap == pw else as_ + ov1 * (ae - as_)
-                                    if c > sv:
-                                        sv = c
-                                swc[k_] = sv
-                            k_ = dw3 * n_ports + pw
-                            rv = rwc.get(k_)
-                            if rv is None:
-                                rv = 0.0
-                                for ap, as_, ae in rwin[dw3]:
-                                    c = ae if ap == pw else as_ + ov1 * (ae - as_)
-                                    if c > rv:
-                                        rv = c
-                                rwc[k_] = rv
-                            v = now
-                            if sv > v:
-                                v = sv
-                            if rv > v:
-                                v = rv
-                            if lfw > v:
-                                v = lfw
-                            # max(now', vc) == max(now', true constraint)
-                            # for every later instant now' >= now, so the
-                            # now-clamped value is safe to store.
-                            vc_py[w3] = v
-                            vc_touch.append(w3)
-                            if v > limit:
-                                b = calendar.get(v)
-                                if b is None:
-                                    calendar[v] = [w3]
-                                else:
-                                    b.append(w3)
+                            i0 = in_ptr[w2]
+                            i1 = in_ptr[w2 + 1]
+                            if i1 - i0 == 1:
+                                r = avail_py[in_idx[i0]]
                             else:
-                                pending.append(w3)
-                            if v not in wake_set:
-                                wake_set.add(v)
-                                heappush(wake, v)
-                dirty_s.clear()
-                dirty_r.clear()
+                                r = 0.0
+                                for s2 in in_idx[i0:i1]:
+                                    a2 = avail_py[s2]
+                                    if a2 > r:
+                                        r = a2
+                            if r > limit:
+                                b = calendar.get(r)
+                                if b is None:
+                                    calendar[r] = [w2]
+                                else:
+                                    b.append(w2)
+                            elif not queued[w2]:
+                                # Ready at this same instant: the
+                                # reference's scan picks it up in this
+                                # pass when it lies ahead of the cursor,
+                                # next pass otherwise.
+                                queued[w2] = True
+                                heappush(lq[link_py[w2]], w2)
+                                inq[w2] = True
+                                if w2 > i:
+                                    heappush(extra, w2)
+                                else:
+                                    nextpass.append(w2)
 
-            # Flush the NumPy mirrors the prefilter reads, in one batch per
-            # instant: stale vc entries first (duplicate ids all carry the
-            # same final value), then the executed/faulted overrides.
-            if vc_touch:
-                vc_np[vc_touch] = [vc_py[j] for j in vc_touch]
-                vc_touch.clear()
-            if idone:
-                vc_np[idone] = np.inf
+                start_times.append(start)
+                executed_ids.append(i)
+                if end > finish:
+                    finish = end
+                done_py[i] = True
 
-            if track and (len(executed_ids) > mk or len(lost_ids) > ml):
-                # Per-job resolution: executed, cancelled, or starved
-                # for good by a cancellation (no writer of one of its
-                # input slots is left).
-                res: list[int] = []
-                for k in range(mk, len(executed_ids)):
-                    i = executed_ids[k]
-                    h = job_py[i]
-                    c = costs_py[i]
-                    jcost[h].append(c)
-                    e = start_times[k] + c
-                    if e > jfin[h]:
-                        jfin[h] = e
-                    jleft[h] -= 1
-                    if not jleft[h]:
-                        res.append(h)
-                stack = lost_ids[ml:]
-                for i in stack:
-                    h = job_py[i]
-                    jleft[h] -= 1
-                    if not jleft[h]:
-                        res.append(h)
-                if report:
-                    wr_left = self._wr_left
-                    dead = self._dead
-                    while stack:
-                        i = stack.pop()
-                        for s in out_idx[out_ptr[i]:out_ptr[i + 1]]:
-                            wr_left[s] -= 1
-                            if wr_left[s] or avail_py[s] != _INF:
-                                continue
-                            for w in wait_idx[wait_ptr[s]:wait_ptr[s + 1]]:
-                                if done_py[w] or w in dead:
-                                    continue
-                                dead.add(w)
-                                stack.append(w)
-                                h = job_py[w]
-                                jleft[h] -= 1
-                                if not jleft[h]:
-                                    res.append(h)
-                if res:
-                    self._limit = limit
-                    self._fresh = False
-                    first = len(self._resolved)
-                    self._resolve(res)
-                    stop = any(c < until for c, _ in self._resolved[first:])
-            if stop:
+            dtot = len(start_times) + len(fault_events)
+            remaining = nT - dtot
+            if dtot == mark or not remaining:
                 break
+            for li in blocked_acc:
+                q = lq[li]
+                if q and (
+                    es[lsrc[li]] != lse[li]
+                    or er[ldst[li]] != lre[li]
+                    or link_free_py[li] != llf[li]
+                ):
+                    h = q[0]
+                    if not inq[h]:
+                        inq[h] = True
+                        nextpass.append(h)
+            if not nextpass:
+                break
+            cur = nextpass
+            nextpass = []
+            cur.sort()
 
-        self._pending = pending
-        self._wake_set = wake_set
-        self._now = now
-        self._limit = limit
-        self._fresh = fresh
+        for j in nextpass:  # made ready when the instant closed
+            inq[j] = False
         self._remaining = remaining
         self._finish = finish
         self._blk_total = blk_total
         self._doneskip_n = doneskip_n
         self._blocks_n = blocks_n
-        self._seconds += perf_counter() - t_start
-        return stop
+
+    def _cancel(self, i: int, start: float, hit: tuple) -> None:
+        """Transfer ``i`` would start on a dead link or endpoint: raise
+        under ``raise``, otherwise record it as cancelled."""
+        kind, subject = hit
+        t = self._transfer(i)
+        if self.on_fault == "raise":
+            self._flush()
+            raise FaultError(
+                f"transfer {t.src}->{t.dst} blocked by dead "
+                f"{kind} {subject} at t={start:.6g}; pending "
+                f"chunks {sorted(map(repr, t.chunks))[:4]}",
+                edge=(t.src, t.dst),
+                node=subject if kind == "node" else None,
+                time=start,
+                chunks=t.chunks,
+            )
+        self._fault_events.append(FaultEvent(t, start, kind, subject))
+        self._lost.append(t)
+        self._lost_ids.append(i)
+
+    def _sweep(self) -> None:
+        """Per-link sweep (see module docstring): re-evaluate every link
+        whose blocked head waits on a channel occupied during the closed
+        instant, and push its constraint — from final instant state, with
+        the end-start release form — as a pure wake."""
+        ov1 = self._ov1
+        n_ports = self.cube.num_ports
+        now = self._now
+        limit = self._limit
+        link_free_py = self._link_free
+        lsrc = self._lsrc
+        ldst = self._ldst
+        lport = self._lport
+        lse = self._lse
+        lre = self._lre
+        llf = self._llf
+        lvc = self._lvc
+        es = self._es
+        er = self._er
+        swin = self._swin
+        rwin = self._rwin
+        calendar = self._calendar
+        pending = self._pending
+        wake = self._wake
+        wake_set = self._wake_set
+        # Channel windows are frozen for the whole sweep, so the
+        # per-(node, port) walk maxima are memoized.
+        swc: dict[int, float] = {}
+        rwc = swc if self._half else {}
+        for blk_list, nodes in (
+            (self._sblk, self._dirty_s), (self._rblk, self._dirty_r)
+        ):
+            for node in nodes:
+                for li in blk_list[node]:
+                    # Unchanged resources since the link's last
+                    # evaluation mean an unchanged constraint, already in
+                    # the wake set.
+                    sw = lsrc[li]
+                    dw = ldst[li]
+                    lfw = link_free_py[li]
+                    if es[sw] == lse[li] and er[dw] == lre[li] and lfw == llf[li]:
+                        continue
+                    lse[li] = es[sw]
+                    lre[li] = er[dw]
+                    llf[li] = lfw
+                    pw = lport[li]
+                    k_ = sw * n_ports + pw
+                    sv = swc.get(k_)
+                    if sv is None:
+                        sv = 0.0
+                        for ap, as_, ae in swin[sw]:
+                            c = ae if ap == pw else as_ + ov1 * (ae - as_)
+                            if c > sv:
+                                sv = c
+                        swc[k_] = sv
+                    k_ = dw * n_ports + pw
+                    rv = rwc.get(k_)
+                    if rv is None:
+                        rv = 0.0
+                        for ap, as_, ae in rwin[dw]:
+                            c = ae if ap == pw else as_ + ov1 * (ae - as_)
+                            if c > rv:
+                                rv = c
+                        rwc[k_] = rv
+                    v = now
+                    if sv > v:
+                        v = sv
+                    if rv > v:
+                        v = rv
+                    if lfw > v:
+                        v = lfw
+                    # max(now', vc) == max(now', true constraint) for
+                    # every later instant now' >= now, so the now-clamped
+                    # value is safe to store.
+                    lvc[li] = v
+                    if v > limit:
+                        b = calendar.get(v)
+                        if b is None:
+                            calendar[v] = [~li]
+                        else:
+                            b.append(~li)
+                    else:
+                        pending.append(~li)
+                    if v not in wake_set:
+                        wake_set.add(v)
+                        heappush(wake, v)
+        self._dirty_s.clear()
+        self._dirty_r.clear()
+
+    def _resolve_jobs(self, mk: int, ml: int, until: float) -> bool:
+        """Job resolution after an instant that executed or cancelled
+        transfers (executions from ``mk`` on, cancellations from ``ml``
+        on): a job resolves once each of its transfers executed, was
+        cancelled, or is starved for good by a cancellation (no writer
+        of one of its input slots is left).  True if a job resolved with
+        a completion below ``until``."""
+        executed_ids = self._executed
+        start_times = self._start_times
+        costs_py = self._cost_py
+        job_py = self._job_py
+        jleft = self._jleft
+        jfin = self._jfin
+        jcost = self._jcost
+        res: list[int] = []
+        for k in range(mk, len(executed_ids)):
+            i = executed_ids[k]
+            h = job_py[i]
+            c = costs_py[i]
+            jcost[h].append(c)
+            e = start_times[k] + c
+            if e > jfin[h]:
+                jfin[h] = e
+            jleft[h] -= 1
+            if not jleft[h]:
+                res.append(h)
+        stack = self._lost_ids[ml:]
+        for i in stack:
+            h = job_py[i]
+            jleft[h] -= 1
+            if not jleft[h]:
+                res.append(h)
+        if self._report:
+            out_ptr = self._ptr_py
+            out_idx = self._out_py
+            wait_ptr = self._wait_ptr_py
+            wait_idx = self._wait_py
+            avail_py = self._avail
+            done_py = self._done
+            wr_left = self._wr_left
+            dead = self._dead
+            while stack:
+                i = stack.pop()
+                for s in out_idx[out_ptr[i]:out_ptr[i + 1]]:
+                    wr_left[s] -= 1
+                    if wr_left[s] or avail_py[s] != _INF:
+                        continue
+                    for w in wait_idx[wait_ptr[s]:wait_ptr[s + 1]]:
+                        if done_py[w] or w in dead:
+                            continue
+                        dead.add(w)
+                        stack.append(w)
+                        h = job_py[w]
+                        jleft[h] -= 1
+                        if not jleft[h]:
+                            res.append(h)
+        if not res:
+            return False
+        first = len(self._resolved)
+        self._resolve(res)
+        return any(c < until for c, _ in self._resolved[first:])
 
     # -- results -----------------------------------------------------------
 

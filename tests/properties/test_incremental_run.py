@@ -38,6 +38,9 @@ MACHINES = (None, MachineParams(tau=1.0, t_c=0.5, overlap=0.25))
 OPS = (
     ("broadcast", None, 8, 4),
     ("broadcast", "sbt", 6, 2),
+    # 24 packets on one link: per-link ready queues carried through the
+    # renumbering at every admission
+    ("broadcast", "sbt", 24, 1),
     ("scatter", None, 2, 2),
     ("allgather", None, 2, None),
     ("reduce", None, 4, 2),

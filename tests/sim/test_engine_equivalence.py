@@ -33,7 +33,7 @@ from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Schedule, Transfer
 from repro.sim.synchronous import run_synchronous
-from repro.topology.hypercube import Hypercube
+from repro.topology.hypercube import DirectedEdge, Hypercube
 from repro.trees.hamiltonian import HamiltonianPathTree
 from repro.trees.tcbt import TwoRootedCompleteBinaryTree
 
@@ -116,10 +116,12 @@ FAULT_PLANS = [
 ]
 
 
-def _run_or_fault(engine, sched, port_model, init, machine, plan, mode):
+def _run_or_fault(
+    engine, sched, port_model, init, machine, plan, mode, cube=CUBE
+):
     try:
         return engine(
-            CUBE, sched, port_model, {k: set(v) for k, v in init.items()},
+            cube, sched, port_model, {k: set(v) for k, v in init.items()},
             machine, faults=plan, on_fault=mode,
         )
     except FaultError as err:
@@ -157,6 +159,82 @@ def test_fault_matrix_async_engines_agree(port_model, mode):
                 assert new.undelivered == ref.undelivered, label
                 assert new.transfers_lost == ref.transfers_lost, label
                 assert set(new.fault_events) == set(ref.fault_events), label
+
+
+#: deep per-link queues: at n=3, B=1, M=48 up to 48 packets wait on one
+#: directed link, against at most 5 in the grid above
+DEEP_CUBE = Hypercube(3)
+ZERO_COST = MachineParams(tau=0.0, t_c=0.0, name="zero-cost")
+
+
+def _deep_schedules(port_model: PortModel):
+    return [
+        (name, build(DEEP_CUBE, 0, 48, 1, port_model))
+        for name, build in (
+            ("sbt-broadcast", sbt_broadcast_schedule),
+            ("msbt-broadcast", msbt_broadcast_schedule),
+            ("sbt-scatter", sbt_scatter_schedule),
+            ("bst-scatter", bst_scatter_schedule),
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "machine", [*MACHINES, ZERO_COST], ids=lambda m: m.name
+)
+@pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
+def test_deep_queues_match_reference(port_model, machine):
+    """Many packets queued on one link: the per-link queues admit the
+    same transfers at the same instants as the rescan oracle, also when
+    every transfer takes no time."""
+    for name, sched in _deep_schedules(port_model):
+        new = run_async(
+            DEEP_CUBE, sched, port_model, {0: set(sched.chunk_sizes)}, machine
+        )
+        ref = run_async_reference(
+            DEEP_CUBE, sched, port_model, {0: set(sched.chunk_sizes)}, machine
+        )
+        assert new.time == ref.time, name
+        assert new.holdings == ref.holdings, name
+        assert new.link_stats == ref.link_stats, name
+        assert new.transfers_executed == ref.transfers_executed, name
+        assert new.start_times == sorted(ref.start_times), name
+
+
+@pytest.mark.parametrize("mode", ["raise", "report"])
+@pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
+def test_dead_link_mid_queue_matches_reference(port_model, mode):
+    """A link dies while packets still queue on it: the cancelled head
+    never occupies the link, so the next packet is examined in the same
+    pass — and cancelled too, like the oracle does."""
+    sched = sbt_broadcast_schedule(DEEP_CUBE, 0, 48, 1, port_model)
+    plan = FaultPlan(dead_links=[(0, 1, 30.0)])
+    new = _run_or_fault(
+        run_async, sched, port_model, {0: set(sched.chunk_sizes)},
+        UNIT_COST, plan, mode, cube=DEEP_CUBE,
+    )
+    ref = _run_or_fault(
+        run_async_reference, sched, port_model, {0: set(sched.chunk_sizes)},
+        UNIT_COST, plan, mode, cube=DEEP_CUBE,
+    )
+    assert type(new) is type(ref)
+    if isinstance(new, FaultError):
+        assert new.edge == ref.edge == (0, 1)
+        assert new.node == ref.node
+        assert new.time == ref.time
+        assert new.chunks == ref.chunks
+        return
+    assert isinstance(new, DegradedResult)
+    # the fault hit the queue mid-way: some packets crossed, some did not
+    crossed = new.link_stats.packets[DirectedEdge(0, 1)]
+    assert 0 < crossed < 48
+    assert new.time == ref.time
+    assert new.holdings == ref.holdings
+    assert new.link_stats == ref.link_stats
+    assert new.start_times == sorted(ref.start_times)
+    assert new.undelivered == ref.undelivered
+    assert new.transfers_lost == ref.transfers_lost
+    assert set(new.fault_events) == set(ref.fault_events)
 
 
 @pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)

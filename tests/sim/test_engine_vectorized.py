@@ -1,8 +1,8 @@
 """The vectorized array-core engine's own entry points and plumbing.
 
 ``repro.sim.vectorized.run_async_vectorized`` lowers the schedule to
-flat NumPy tables (:mod:`repro.sim.lowering`) and batches admission
-through the :mod:`repro.sim._kernels` prefilter, but its results must
+flat NumPy tables (:mod:`repro.sim.lowering`) and admits transfers from
+one ready queue per directed link, but its results must
 match the reference oracle to the last ulp: completion time, holdings,
 link statistics, start times, fault errors and degraded results alike.
 ``tests/sim/test_engine_equivalence.py`` checks the plain call; the
@@ -11,13 +11,12 @@ service layer's call) and run the fault matrix on the iPSC machine.
 
 Also covers the engine dispatch layer (:mod:`repro.sim.dispatch`), the
 ``engine=`` plumbing through the collectives API, the sweep executor
-and the CLI, the NumPy prefilter kernel, and the
-``repro_engine_table_bytes_peak`` gauge.
+and the CLI, the ``repro_engine_table_bytes_peak`` gauge, and the
+admission-block count, which grows linearly in the packets per link.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +24,10 @@ from hypothesis import strategies as st
 from repro.collectives.api import broadcast
 from repro.experiments.parallel import run_sweep
 from repro.obs import REGISTRY
-from repro.obs.instruments import ENGINE_TABLE_BYTES_PEAK
+from repro.obs.instruments import (
+    ENGINE_ADMISSION_BLOCKS,
+    ENGINE_TABLE_BYTES_PEAK,
+)
 from repro.routing import (
     allgather_schedule,
     bst_scatter_schedule,
@@ -38,7 +40,6 @@ from repro.routing import (
 from repro.cli import build_parser
 from repro.sim import ENGINES, get_engine, resolve_engine, run_async
 from repro.sim._engine_reference import run_async_reference
-from repro.sim._kernels import prefilter
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
@@ -265,32 +266,6 @@ def test_property_vectorized_bit_identical(params, algo):
     assert vec.link_stats == ref.link_stats
 
 
-# -- admission-prefilter kernel ---------------------------------------
-
-
-def test_prefilter_numpy_semantics():
-    ready = np.array([0.0, 5.0, 1.0, np.inf, 2.0])
-    vc = np.array([0.0, 0.0, 9.0, 0.0, 2.0])
-    idx = np.arange(5, dtype=np.int64)
-    out = prefilter(idx, ready, vc, 2.0)
-    # kept iff ready <= limit AND vc <= limit
-    assert out.tolist() == [0, 4]
-    empty = prefilter(np.array([1, 3], dtype=np.int64), ready, vc, 2.0)
-    assert empty.tolist() == []
-
-
-def test_prefilter_active_matches_fallback():
-    """The masks keep exactly the candidates a scalar scan would."""
-    rng = np.random.default_rng(7)
-    ready = rng.uniform(0, 10, size=64)
-    vc = rng.uniform(0, 10, size=64)
-    vc[::7] = np.inf
-    idx = np.asarray(rng.permutation(64)[:40], dtype=np.int64)
-    got = prefilter(idx, ready, vc, 5.0)
-    want = [i for i in idx.tolist() if ready[i] <= 5.0 and vc[i] <= 5.0]
-    assert got.tolist() == want
-
-
 # -- dispatch and plumbing --------------------------------------------
 
 
@@ -402,3 +377,34 @@ def test_table_bytes_gauge_tracks_peak():
         assert ENGINE_TABLE_BYTES_PEAK.value == low.table_bytes
     finally:
         REGISTRY.configure(enabled=prev)
+
+
+def _admission_blocks(sched, pm) -> int:
+    series = ENGINE_ADMISSION_BLOCKS.labels(
+        engine="vectorized", port_model=pm.value
+    )
+    before = series.value
+    run_async_vectorized(
+        Hypercube(3), sched, pm, {0: set(sched.chunk_sizes)}, IPSC_D7
+    )
+    return series.value - before
+
+
+def test_admission_blocks_grow_linearly_in_queue_depth():
+    """Only the head of a link's ready queue is re-examined, so doubling
+    the packets per link at most about doubles the exams that find a
+    transfer blocked (a quadratic engine quadruples them)."""
+    pm = PortModel.ONE_PORT_HALF
+    prev = REGISTRY.enabled
+    REGISTRY.configure(enabled=True)
+    try:
+        small, large = (
+            _admission_blocks(
+                sbt_broadcast_schedule(Hypercube(3), 0, m, 1, pm), pm
+            )
+            for m in (250, 500)
+        )
+    finally:
+        REGISTRY.configure(enabled=prev)
+    assert small > 0
+    assert large <= 2.5 * small
