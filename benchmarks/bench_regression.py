@@ -2,8 +2,9 @@
 
 The workloads cover the event engine (large cubes, and deep per-link
 packet queues) and the lock-step engine, the
-schedule-generation path (cold and cached) and the translation of
-cached trees and broadcast schedules to a new root.  ``scripts/bench_compare.py`` runs this file with
+schedule-generation path (cold and cached), the translation of
+cached trees and broadcast schedules to a new root, and a public
+broadcast served from the translated source-0 schedule and lowering.  ``scripts/bench_compare.py`` runs this file with
 ``--benchmark-json``, extracts each benchmark's median, and compares it
 against the medians recorded in ``BENCH_ENGINE.json`` at the repo root;
 ``--update`` refreshes the baseline.  Run the suite directly with::
@@ -20,6 +21,7 @@ import pytest
 
 from repro import cache
 from repro.cache import cached_msbt_graph
+from repro.collectives import broadcast
 from repro.routing import msbt_broadcast_schedule, sbt_broadcast_schedule
 from repro.sim import (
     IPSC_D7,
@@ -157,3 +159,16 @@ def test_regress_generate_msbt_new_source_n10(benchmark):
         )
     )
     assert sched.num_transfers == cube.num_nodes - 1
+
+
+def test_regress_broadcast_translated_n10(benchmark):
+    # the public call from a source not asked for before, on a warm
+    # cache: schedule and lowering are the source-0 ones translated, the
+    # lock-step run only prices the lowering, and the event engine runs it
+    cube = Hypercube(10)
+    cache.clear_caches()
+    args = ("msbt", 1024, 1024, PortModel.ONE_PORT_FULL, IPSC_D7)
+    broadcast(cube, 0, *args, run_event_sim=True)  # warm
+    sources = itertools.cycle(range(1, cube.num_nodes))
+    res = benchmark(lambda: broadcast(cube, next(sources), *args, run_event_sim=True))
+    assert res.time > 0

@@ -67,7 +67,7 @@ from repro.sim.faults import (
     FaultError,
     FaultPlan,
 )
-from repro.sim.lowering import lower_schedule
+from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule
@@ -249,7 +249,10 @@ def _runtime_collective(
         sync = run_synchronous(
             cube, sched, port_model, initial, machine,
             faults=faults, on_fault="report" if faults else "raise",
-            lowered=None if faults else lower_schedule(cube, sched, initial),
+            lowered=None if faults else _lowering(
+                cube, op, algorithm, source, message_elems, packet_elems,
+                port_model, sched, initial,
+            ),
         )
     undelivered = (
         frozenset(rt.undelivered_nodes)
@@ -335,7 +338,10 @@ def _collective(
                 port_model, subtree_order,
             )
     # One lowering serves the lock-step check and the event engine.
-    lowered = None if faults else lower_schedule(cube, sched, initial)
+    lowered = None if faults else _lowering(
+        cube, op, algorithm, source, message_elems, packet_elems,
+        port_model, sched, initial,
+    )
     with collector.phase("sync"):
         sync = run_synchronous(
             cube, sched, port_model, initial, machine,
@@ -360,6 +366,44 @@ def _collective(
     )
     collector.finalize(result)
     return result
+
+
+#: broadcast generators whose fault-free schedules from any source are
+#: the source-0 schedule translated (their memo's ``lowering``)
+_TRANSLATED_BROADCASTS = {
+    "sbt": sbt_broadcast_schedule,
+    "msbt": msbt_broadcast_schedule,
+}
+
+
+def _lowering(
+    cube: Topology,
+    op: str,
+    algorithm: str,
+    source: int,
+    message_elems: int,
+    packet_elems: int,
+    port_model: PortModel,
+    sched: Schedule,
+    initial: dict[int, set[Chunk]],
+) -> LoweredSchedule:
+    """The lowering of the fault-free ``sched`` built by
+    :func:`collective_schedule` for these arguments.
+
+    An SBT or MSBT broadcast on the hypercube is served by its
+    generator's memo as the cached source-0 lowering translated to
+    ``source``, with no ``Transfer`` built; it keeps the source-0
+    lock-step verdict, so the lock-step run only prices it.  Anything
+    else, or a call with caching off, is lowered from ``sched``.
+    """
+    gen = _TRANSLATED_BROADCASTS.get(algorithm)
+    if op == "broadcast" and gen is not None and isinstance(cube, Hypercube):
+        low = gen.lowering(
+            cube, source, message_elems, packet_elems, port_model
+        )
+        if low is not None:
+            return low
+    return lower_schedule(cube, sched, initial)
 
 
 def _fault_schedule(

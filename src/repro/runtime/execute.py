@@ -277,9 +277,12 @@ class _Run:
         self.start_times.extend(res.start_times)
         self.stats.append(res.link_stats)
         self.fault_events.extend(events)
-        # the engine reports a faulted transfer by the object it was given
-        row = {id(t): i for i, t in enumerate(transfers)}
-        faulted = [row[id(e.transfer)] for e in events]
+        # The engine reports a faulted transfer by value.  Equal
+        # transfers share a link, where they fault in program order.
+        rows: dict[Transfer, list[int]] = {}
+        for i, t in enumerate(transfers):
+            rows.setdefault(t, []).append(i)
+        faulted = [rows[e.transfer].pop(0) for e in events]
         resolved = {*log.ids, *faulted}
         self.pending.extend(
             s for i, s in enumerate(sends) if i not in resolved

@@ -19,12 +19,22 @@ into an array-of-structs :class:`LoweredSchedule`:
   reads at its sender), ``out_ptr``/``out_idx`` (the slots it writes at
   its receiver) and the inverted ``wait_ptr``/``wait_idx`` (the
   transfers waiting on each slot), plus ``init_missing`` — how many of
-  each transfer's input slots start out absent.
+  each transfer's input slots start out absent;
+* ``round_lens``, the transfers per round, so the lock-step pass
+  (:mod:`repro.sim.synchronous`) never reads the schedule's rounds.
+
+The transfers themselves are not kept: :meth:`LoweredSchedule.transfer`
+rebuilds one from the columns for the fault and error reports.
 
 Lowering is machine- and port-model-independent: the same
 :class:`LoweredSchedule` can be replayed under any
 :class:`~repro.sim.machine.MachineParams`.  It *does* bake in the
 initial holdings (they define the slot table and ``init_avail``).
+
+A lowering relabelled by a topology automorphism is the lowering of
+the relabelled schedule (:meth:`LoweredSchedule.translated`): the
+hypercube broadcasts are lowered once at source 0 and moved to every
+other source by XOR, with no ``Transfer`` built on the way.
 
 Adjacency validation is vectorized through the topology's
 ``edge_ports``: every transfer must cross exactly one port of the host
@@ -39,10 +49,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.topology.base import Topology
 
 __all__ = ["LoweredSchedule", "lower_schedule"]
+
+#: every NumPy column of a :class:`LoweredSchedule`
+ARRAYS = (
+    "src", "dst", "port", "link", "elems",
+    "in_ptr", "in_idx", "out_ptr", "out_idx",
+    "wait_ptr", "wait_idx",
+    "slot_node", "slot_chunk", "init_avail", "init_missing",
+    "link_src", "link_dst", "round_lens",
+)
+
+
+def _csr_take(
+    ptr: np.ndarray, idx: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows ``order`` of ``(ptr, idx)``, as a new CSR."""
+    counts = np.diff(ptr)[order]
+    nptr = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=nptr[1:])
+    pos = np.repeat(ptr[:-1][order] - nptr[:-1], counts)
+    pos += np.arange(int(nptr[-1]), dtype=np.int64)
+    return nptr, idx[pos]
+
+
+def _ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, rank)`` of distinct ``keys``: ``keys[order]`` ascends
+    and ``rank[i]`` is the position of ``keys[i]`` in it."""
+    order = np.argsort(keys)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return order, rank
 
 
 @dataclass
@@ -53,8 +94,6 @@ class LoweredSchedule:
         n_transfers: number of transfers ``T``.
         n_slots: number of distinct ``(node, chunk)`` payload slots.
         n_links: number of distinct directed links used.
-        transfers: transfer id -> original :class:`Transfer` (for error
-            reporting, fault events and degraded results).
         chunk_objects: chunk id -> original chunk identifier.
         src, dst, port: per-transfer endpoints and cube dimension.
         link: per-transfer dense directed-link id.
@@ -66,12 +105,18 @@ class LoweredSchedule:
         init_avail: slot -> availability time at t=0 (``inf`` = absent).
         init_missing: transfer -> count of input slots absent at t=0.
         link_src, link_dst: link id -> directed endpoints.
+        round_lens: round -> number of transfers (empty rounds included).
+        checked_under: the port model whose lock-step constraints this
+            lowering is known to satisfy, or ``None``.  Only the cached
+            source-0 broadcast lowerings carry one (see
+            :func:`repro.cache.memoize_schedule`), and
+            :meth:`translated` keeps it: translation preserves every
+            constraint.
     """
 
     n_transfers: int
     n_slots: int
     n_links: int
-    transfers: list[Transfer]
     chunk_objects: list[Chunk]
     src: np.ndarray
     dst: np.ndarray
@@ -90,19 +135,79 @@ class LoweredSchedule:
     init_missing: np.ndarray
     link_src: np.ndarray
     link_dst: np.ndarray
+    round_lens: np.ndarray
+    checked_under: PortModel | None = None
 
     @property
     def table_bytes(self) -> int:
         """Total bytes held by the lowered arrays (peak table footprint)."""
-        return sum(
-            getattr(self, name).nbytes
-            for name in (
-                "src", "dst", "port", "link", "elems",
-                "in_ptr", "in_idx", "out_ptr", "out_idx",
-                "wait_ptr", "wait_idx",
-                "slot_node", "slot_chunk", "init_avail", "init_missing",
-                "link_src", "link_dst",
-            )
+        return sum(getattr(self, name).nbytes for name in ARRAYS)
+
+    def transfer(self, i: int) -> Transfer:
+        """Transfer ``i`` rebuilt from the columns (for error reporting,
+        fault events and degraded results)."""
+        chunks = self.chunk_objects
+        slots = self.in_idx[self.in_ptr[i]:self.in_ptr[i + 1]]
+        return Transfer(
+            int(self.src[i]), int(self.dst[i]),
+            frozenset(chunks[c] for c in self.slot_chunk[slots].tolist()),
+        )
+
+    def read_only(self) -> "LoweredSchedule":
+        """Mark every column read-only (for lowerings shared through a
+        cache, where one caller's write would corrupt every later one);
+        returns ``self``."""
+        for name in ARRAYS:
+            getattr(self, name).flags.writeable = False
+        return self
+
+    def translated(self, cube: Topology, by: int) -> "LoweredSchedule":
+        """The lowering relabelled by the automorphism ``cube.translation(by)``.
+
+        Equal, column for column and dtype included, to lowering the
+        relabelled schedule (:meth:`~repro.sim.schedule.Schedule.translated`)
+        with the relabelled initial holdings.  Endpoints move through
+        the translation (XOR with ``by`` on the hypercube); links are
+        re-ranked by their moved keys ``src * N + dst`` and slots by
+        ``node * C + chunk``, one ``argsort`` each, and every column
+        indexing them is remapped.  Transfer order, chunk ids, sizes and
+        ports stay: a translation preserves ports.  So does every
+        lock-step constraint, hence ``checked_under`` carries over.
+        Unchanged columns are shared with ``self``.
+        """
+        perm = np.asarray(cube.translation(by), dtype=np.int64)
+        link_src = perm[self.link_src]
+        link_dst = perm[self.link_dst]
+        link_order, link_rank = _ranks(link_src * cube.num_nodes + link_dst)
+        slot_node = perm[self.slot_node]
+        slot_order, slot_rank = _ranks(
+            slot_node * max(1, len(self.chunk_objects)) + self.slot_chunk
+        )
+        wait_ptr, wait_idx = _csr_take(self.wait_ptr, self.wait_idx, slot_order)
+        return LoweredSchedule(
+            n_transfers=self.n_transfers,
+            n_slots=self.n_slots,
+            n_links=self.n_links,
+            chunk_objects=self.chunk_objects,
+            src=perm[self.src],
+            dst=perm[self.dst],
+            port=self.port,
+            link=link_rank[self.link],
+            elems=self.elems,
+            in_ptr=self.in_ptr,
+            in_idx=slot_rank[self.in_idx],
+            out_ptr=self.out_ptr,
+            out_idx=slot_rank[self.out_idx],
+            wait_ptr=wait_ptr,
+            wait_idx=wait_idx,
+            slot_node=slot_node[slot_order],
+            slot_chunk=self.slot_chunk[slot_order],
+            init_avail=self.init_avail[slot_order],
+            init_missing=self.init_missing,
+            link_src=link_src[link_order].astype(np.int32),
+            link_dst=link_dst[link_order].astype(np.int32),
+            round_lens=self.round_lens,
+            checked_under=self.checked_under,
         )
 
 
@@ -242,7 +347,6 @@ def lower_schedule(
         n_transfers=n_transfers,
         n_slots=n_slots,
         n_links=int(uniq_edges.size),
-        transfers=transfers,
         chunk_objects=chunk_objects,
         src=src,
         dst=dst,
@@ -261,4 +365,7 @@ def lower_schedule(
         init_missing=init_missing,
         link_src=link_src,
         link_dst=link_dst,
+        round_lens=np.fromiter(
+            map(len, schedule.rounds), dtype=np.int64, count=schedule.num_rounds
+        ),
     )

@@ -86,6 +86,24 @@ class Schedule:
     algorithm: str = ""
     meta: dict = field(default_factory=dict)
 
+    # A translated schedule (see translated) starts without ``rounds``
+    # in its instance dict and a ``_pending_rounds`` thunk instead;
+    # the first read of ``rounds`` lands here and builds them.
+    def __getattr__(self, name: str):
+        if name == "rounds":
+            build = self.__dict__.pop("_pending_rounds", None)
+            if build is not None:
+                rounds = self.rounds = build()
+                return rounds
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __getstate__(self) -> dict:
+        # pickle and copy see built rounds, never the thunk
+        self.rounds
+        return self.__dict__
+
     @property
     def num_rounds(self) -> int:
         """Number of routing steps (the paper's cycle count)."""
@@ -150,20 +168,26 @@ class Schedule:
         name no node (broadcast packets) translate to the schedule of
         the moved source.  ``meta["source"]``, when present, is
         translated too.
+
+        The rounds are built on first read: callers that only need the
+        chunk sizes, or that run the translated lowering
+        (:meth:`~repro.sim.lowering.LoweredSchedule.translated`), never
+        pay for the ``Transfer`` objects.
         """
         perm = cube.translation(by)
         meta = dict(self.meta)
         if "source" in meta:
             meta["source"] = perm[meta["source"]]
-        return Schedule(
-            rounds=[
-                tuple(Transfer(perm[t.src], perm[t.dst], t.chunks) for t in r)
-                for r in self.rounds
-            ],
-            chunk_sizes=dict(self.chunk_sizes),
-            algorithm=self.algorithm,
-            meta=meta,
-        )
+        rounds = list(self.rounds)
+        out = Schedule.__new__(Schedule)
+        out.chunk_sizes = dict(self.chunk_sizes)
+        out.algorithm = self.algorithm
+        out.meta = meta
+        out._pending_rounds = lambda: [
+            tuple(Transfer(perm[t.src], perm[t.dst], t.chunks) for t in r)
+            for r in rounds
+        ]
+        return out
 
     def __repr__(self) -> str:
         return (

@@ -42,7 +42,12 @@ from repro.sim.trace import LinkStats
 from repro.topology.base import Topology
 from repro.topology.hypercube import DirectedEdge
 
-__all__ = ["SyncResult", "run_synchronous", "check_round_constraints"]
+__all__ = [
+    "SyncResult",
+    "run_synchronous",
+    "check_round_constraints",
+    "lowered_constraints_hold",
+]
 
 
 class ScheduleViolation(ValueError):
@@ -162,15 +167,10 @@ def check_round_constraints(
                 )
 
 
-def _run_lowered(
-    cube: Topology,
-    schedule: Schedule,
-    port_model: PortModel,
-    low: LoweredSchedule,
-    machine: MachineParams,
-    validate: bool,
-) -> SyncResult | None:
-    """A fault-free lock-step run as one pass over the lowered columns.
+def lowered_constraints_hold(
+    cube: Topology, low: LoweredSchedule, port_model: PortModel
+) -> bool:
+    """Whether a lowered run keeps every lock-step constraint.
 
     Every check of the per-round loop becomes one array test over the
     whole run, with a round id per transfer: each directed link used
@@ -179,39 +179,60 @@ def _run_lowered(
     causality — every payload slot a transfer reads arrived in an
     earlier round (first arrival per slot by ``np.minimum.at``; initial
     holdings count as round ``-1``).  Adjacency needs no test: the
-    lowering already refused non-edges.  Returns ``None`` when any
-    check fails, so the caller can rerun the scalar loop for the exact
-    :class:`ScheduleViolation`.
+    lowering already refused non-edges.
     """
-    n_rounds = len(schedule.rounds)
-    lens = np.fromiter(map(len, schedule.rounds), dtype=np.int64, count=n_rounds)
-    rnd = np.repeat(np.arange(n_rounds, dtype=np.int64), lens)
     n_transfers = low.n_transfers
-    if validate and n_transfers:
-        num = cube.num_nodes
-        if port_model is PortModel.ALL_PORT:
-            if np.unique(rnd * low.n_links + low.link).size != n_transfers:
-                return None
-        else:  # one send per (round, node) also rules out a reused link
-            send_key = np.unique(rnd * num + low.src)
-            recv_key = np.unique(rnd * num + low.dst)
-            if send_key.size != n_transfers or recv_key.size != n_transfers:
-                return None
-            if port_model.half_duplex and np.intersect1d(
-                send_key, recv_key, assume_unique=True
-            ).size:
-                return None
-        slot_round = np.repeat(rnd, np.diff(low.in_ptr))
-        arrival = np.where(
-            np.isfinite(low.init_avail), -1, np.iinfo(np.int64).max
-        )
-        np.minimum.at(arrival, low.out_idx, slot_round)
-        if (arrival[low.in_idx] >= slot_round).any():
-            return None
+    if not n_transfers:
+        return True
+    lens = low.round_lens
+    rnd = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    num = cube.num_nodes
+    if port_model is PortModel.ALL_PORT:
+        if np.unique(rnd * low.n_links + low.link).size != n_transfers:
+            return False
+    else:  # one send per (round, node) also rules out a reused link
+        send_key = np.unique(rnd * num + low.src)
+        recv_key = np.unique(rnd * num + low.dst)
+        if send_key.size != n_transfers or recv_key.size != n_transfers:
+            return False
+        if port_model.half_duplex and np.intersect1d(
+            send_key, recv_key, assume_unique=True
+        ).size:
+            return False
+    slot_round = np.repeat(rnd, np.diff(low.in_ptr))
+    arrival = np.where(
+        np.isfinite(low.init_avail), -1, np.iinfo(np.int64).max
+    )
+    np.minimum.at(arrival, low.out_idx, slot_round)
+    return not (arrival[low.in_idx] >= slot_round).any()
 
+
+def _run_lowered(
+    cube: Topology,
+    port_model: PortModel,
+    low: LoweredSchedule,
+    machine: MachineParams,
+    validate: bool,
+) -> SyncResult | None:
+    """A fault-free lock-step run as one pass over the lowered columns.
+
+    Validation is :func:`lowered_constraints_hold`, skipped when the
+    lowering carries the verdict for ``port_model`` already
+    (``low.checked_under``).  Returns ``None`` when a check fails, so
+    the caller can rerun the scalar loop for the exact
+    :class:`ScheduleViolation`.  The run is priced per round under
+    ``machine``; holdings and link stats come from the columns.
+    """
+    if (
+        validate
+        and low.checked_under is not port_model
+        and not lowered_constraints_hold(cube, low, port_model)
+    ):
+        return None
+    lens = low.round_lens
     step_costs: list[float] = []
     stats = LinkStats()
-    if n_transfers:
+    if low.n_transfers:
         starts = np.cumsum(lens) - lens
         biggest = np.maximum.reduceat(low.elems, starts[lens > 0])
         send_cost = machine.send_cost
@@ -284,10 +305,13 @@ def run_synchronous(
         lowered: a :class:`~repro.sim.lowering.LoweredSchedule` of this
             exact ``schedule`` and ``initial_holdings`` (the one the
             event engine replays).  A run without ``faults`` is then
-            checked and priced by one array pass over its columns; if
-            that pass finds a violation, the per-round loop reruns to
-            raise the same :class:`ScheduleViolation` it always did.
-            Faulted runs ignore it.
+            checked and priced by one array pass over its columns,
+            which never reads ``schedule.rounds``; if that pass finds a
+            violation, the per-round loop reruns to raise the same
+            :class:`ScheduleViolation` it always did.  A lowering whose
+            ``checked_under`` is ``port_model`` (a translated cached
+            broadcast) skips the checks, not the pricing.  Faulted runs
+            ignore it.
 
     Returns:
         A :class:`SyncResult` (``cycles`` counts non-empty rounds), or
@@ -298,7 +322,7 @@ def run_synchronous(
     _check_mode(on_fault)
     if lowered is not None and faults is None:
         t0 = perf_counter()
-        result = _run_lowered(cube, schedule, port_model, lowered, machine, validate)
+        result = _run_lowered(cube, port_model, lowered, machine, validate)
         if result is not None:
             engine_run_finished(
                 "sync", port_model,

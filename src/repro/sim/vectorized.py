@@ -131,7 +131,7 @@ from repro.sim.faults import (
     _check_mode,
     undelivered_map,
 )
-from repro.sim.lowering import LoweredSchedule, lower_schedule
+from repro.sim.lowering import LoweredSchedule, _csr_take, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry
 from repro.sim.ports import PortModel
@@ -203,18 +203,6 @@ def run_async_vectorized(
     return run.result()
 
 
-def _csr_take(
-    ptr: np.ndarray, idx: np.ndarray, order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR rows ``order`` of ``(ptr, idx)``, as a new CSR."""
-    counts = np.diff(ptr)[order]
-    nptr = np.zeros(order.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=nptr[1:])
-    pos = np.repeat(ptr[:-1][order] - nptr[:-1], counts)
-    pos += np.arange(int(nptr[-1]), dtype=np.int64)
-    return nptr, idx[pos]
-
-
 class VectorizedRun:
     """One resumable engine run (see "Resumable runs" above).
 
@@ -263,7 +251,7 @@ class VectorizedRun:
         self.n_transfers = 0
         self.n_slots = 0
         self._table_bytes = 0
-        self._staged: list[tuple[int, LoweredSchedule, list[int]]] = []
+        self._staged: list[tuple[int, LoweredSchedule]] = []
         self._icol = np.zeros((0, _NCOL), dtype=np.int64)
         self._cost_np = np.zeros(0)
         # transfer -> (input slot, output slot) CSR; the two slot lists
@@ -377,10 +365,7 @@ class VectorizedRun:
                 f"the run's horizon {self.horizon!r}"
             )
         self._track = True
-        h = self._stage(
-            low, entry.tag, entry.release, rank,
-            [len(r) for r in entry.schedule.rounds],
-        )
+        h = self._stage(low, entry.tag, entry.release, rank)
         self._jleft.append(low.n_transfers)
         self._jfin.append(-_INF)
         self._jcost.append([])
@@ -427,13 +412,12 @@ class VectorizedRun:
         tag: Hashable = None,
         release: float = 0.0,
         rank=None,
-        round_lens: list[int] | None = None,
     ) -> int:
         """Register one job's lowering; its rows join at the next flush."""
         h = len(self._entries)
         self._entries.append((low, tag, self.n_slots))
         self._ranks.append(rank)
-        self._staged.append((h, low, round_lens or [low.n_transfers]))
+        self._staged.append((h, low))
         self._table_bytes += low.table_bytes
         self.n_slots += low.n_slots
         init = low.init_avail
@@ -453,7 +437,7 @@ class VectorizedRun:
         self._staged = []
         n_old = self.n_transfers
         num_nodes = self.cube.num_nodes
-        lows = [low for _, low, _ in staged]
+        lows = [low for _, low in staged]
         n_e = np.asarray([low.n_transfers for low in lows], dtype=np.int64)
         n_new = int(n_e.sum())
         T = n_old + n_new
@@ -486,11 +470,8 @@ class VectorizedRun:
             self._grow_links(keys)
         local_link = cat("link") + np.repeat(np.cumsum(n_keys) - n_keys, n_e)
 
-        lens = np.asarray(
-            [n for _, _, round_lens in staged for n in round_lens],
-            dtype=np.int64,
-        )
-        n_rounds = np.asarray([len(r) for _, _, r in staged], dtype=np.int64)
+        lens = cat("round_lens")
+        n_rounds = np.asarray([low.round_lens.size for low in lows], dtype=np.int64)
         ic = np.empty((n_new, _NCOL), dtype=np.int64)
         ic[:, _SRC] = cat("src")
         ic[:, _DST] = cat("dst")
@@ -502,7 +483,7 @@ class VectorizedRun:
             lens,
         )
         ic[:, _WITHIN] = np.arange(n_new) - np.repeat(np.cumsum(lens) - lens, lens)
-        ic[:, _JOB] = np.repeat([h for h, _, _ in staged], n_e)
+        ic[:, _JOB] = np.repeat([h for h, _ in staged], n_e)
         ic[:, _LOCAL] = np.arange(n_new) - np.repeat(row0, n_e)
         # send_cost is pure in the size: once per distinct size
         uniq, inv = np.unique(ic[:, _ELEMS], return_inverse=True)
@@ -510,7 +491,7 @@ class VectorizedRun:
             [self._cost(int(s)) for s in uniq.tolist()], dtype=np.float64
         )[inv.reshape(-1)]
         nnz_e = np.asarray([low.in_idx.size for low in lows], dtype=np.int64)
-        slot_off = np.repeat([self._entries[h][2] for h, _, _ in staged], nnz_e)
+        slot_off = np.repeat([self._entries[h][2] for h, _ in staged], nnz_e)
         io_new = np.empty((int(nnz_e.sum()), 2), dtype=np.int64)
         io_new[:, 0] = cat("in_idx") + slot_off
         io_new[:, 1] = cat("out_idx") + slot_off
@@ -682,7 +663,7 @@ class VectorizedRun:
     def _transfer(self, i: int) -> Transfer:
         """The (job-tagged) :class:`Transfer` behind id ``i``."""
         low, tag, _ = self._entries[int(self._icol[i, _JOB])]
-        t = low.transfers[int(self._icol[i, _LOCAL])]
+        t = low.transfer(int(self._icol[i, _LOCAL]))
         if tag is None:
             return t
         return Transfer(t.src, t.dst, frozenset((tag, c) for c in t.chunks))

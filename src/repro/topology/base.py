@@ -105,9 +105,10 @@ class Topology(ABC):
         return 0 <= node < self.num_nodes
 
     def check_node(self, node: int) -> int:
-        """Validate and return ``node``; raise ``ValueError`` otherwise."""
+        """Validate ``node`` and return it as a plain ``int``; raise
+        ``ValueError`` otherwise."""
         if type(node) is not int:
-            require_integer(node, "node address")
+            node = require_integer(node, "node address")
         if not self.contains(node):
             raise ValueError(f"node {node} outside {self!r} (N={self.num_nodes})")
         return node

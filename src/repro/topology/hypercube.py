@@ -124,9 +124,10 @@ class Hypercube(Topology):
         return 0 <= node < self.num_nodes
 
     def check_node(self, node: int) -> int:
-        """Validate and return ``node``; raise ``ValueError`` otherwise."""
+        """Validate ``node`` and return it as a plain ``int``; raise
+        ``ValueError`` otherwise."""
         if type(node) is not int:
-            require_integer(node, "node address")
+            node = require_integer(node, "node address")
         if not self.contains(node):
             raise ValueError(f"node {node} outside a {self._n}-cube (N={self.num_nodes})")
         return node
@@ -294,7 +295,7 @@ class Hypercube(Topology):
 
     def translation(self, by: int) -> list[int]:
         """``translate(i, by)`` for every node ``i``: one XOR per node."""
-        self.check_node(by)
+        by = self.check_node(by)
         return [i ^ by for i in range(self.num_nodes)]
 
     def edge_ports(self, src, dst):  # type: ignore[no-untyped-def]

@@ -4,16 +4,23 @@ Randomized ``(n, source, M, B, port_model)`` samples for every memoized
 generator: the schedule produced through the cache (miss *and* hit)
 must equal the one generated with caching disabled, and running both
 through the engines must give identical results.  Also covers the
-copy-on-hit isolation guarantee.
+copy-on-hit isolation guarantee, and the translated broadcasts: their
+schedules (rounds built on first read) and their lowerings (the cached
+source-0 lowering translated in NumPy) must equal what the uncached
+path builds, as must every result of the public calls served by them.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.cache import clear_caches, disabled
+from repro.collectives import broadcast
 from repro.routing import (
     allgather_schedule,
     alltoall_personalized_schedule,
@@ -25,8 +32,10 @@ from repro.routing import (
     sbt_scatter_schedule,
 )
 from repro.sim import run_async
-from repro.sim.machine import IPSC_D7
+from repro.sim.lowering import ARRAYS, lower_schedule
+from repro.sim.machine import IPSC_D7, MachineParams
 from repro.sim.ports import PortModel
+from repro.sim.synchronous import run_synchronous
 from repro.topology.hypercube import Hypercube
 
 
@@ -42,6 +51,16 @@ def assert_same_schedule(a, b):
     assert a.chunk_sizes == b.chunk_sizes
     assert a.algorithm == b.algorithm
     assert a.meta == b.meta
+
+
+def assert_same_lowering(a, b):
+    """Column for column, dtype included."""
+    assert (a.n_transfers, a.n_slots, a.n_links) == (b.n_transfers, b.n_slots, b.n_links)
+    assert a.chunk_objects == b.chunk_objects
+    for name in ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
 
 
 GENERATORS = [
@@ -90,20 +109,28 @@ def test_cached_schedule_runs_identically_on_the_engine():
 
 
 def test_cache_hit_returns_isolated_copies():
+    """Source 0 hits are copies of the entry, other sources translations
+    of it (rounds built on read); neither shares mutable state with the
+    entry or with another hit."""
     cube = Hypercube(3)
     pm = PortModel.ONE_PORT_FULL
-    first = sbt_broadcast_schedule(cube, 2, 16, 4, pm)
-    first.meta["poison"] = True
-    first.rounds.append(())
-    again = sbt_broadcast_schedule(cube, 2, 16, 4, pm)
-    assert "poison" not in again.meta
-    assert again.rounds[-1] != ()
-    # two hits are themselves independent
-    a = sbt_broadcast_schedule(cube, 2, 16, 4, pm)
-    b = sbt_broadcast_schedule(cube, 2, 16, 4, pm)
-    assert a is not b
-    assert a.meta is not b.meta
-    assert a.rounds is not b.rounds
+    for source in (0, 2):
+        first = sbt_broadcast_schedule(cube, source, 16, 4, pm)
+        first.meta["poison"] = True
+        first.chunk_sizes["poison"] = 1
+        first.rounds.append(())
+        for s in (source, 0, 5):
+            again = sbt_broadcast_schedule(cube, s, 16, 4, pm)
+            assert "poison" not in again.meta
+            assert "poison" not in again.chunk_sizes
+            assert again.rounds[-1] != ()
+        # two hits are themselves independent
+        a = sbt_broadcast_schedule(cube, source, 16, 4, pm)
+        b = sbt_broadcast_schedule(cube, source, 16, 4, pm)
+        assert a is not b
+        assert a.meta is not b.meta
+        assert a.chunk_sizes is not b.chunk_sizes
+        assert a.rounds is not b.rounds
 
 
 def test_positional_and_keyword_calls_share_an_entry():
@@ -141,14 +168,16 @@ BROADCASTS = [
 @pytest.mark.parametrize("name,gen", BROADCASTS, ids=[g[0] for g in BROADCASTS])
 def test_broadcast_from_any_source_is_the_translated_source_0_schedule(name, gen):
     """Generated directly, the SBT and MSBT broadcast from every source
-    equals the source-0 schedule translated, round order included —
-    what lets the cache serve every source from one entry."""
+    equals the source-0 schedule translated, round order included, and
+    its lowering equals the source-0 lowering translated — what lets the
+    cache serve every source from one entry of each."""
     with disabled():
-        for n in range(2, 7):
+        for n in range(1, 7):
             cube = Hypercube(n)
             for pm in PortModel:
                 for M, B in ((1, 1), (17, 4), (64, 16), (9, 1)):
                     base = gen(cube, 0, M, B, pm)
+                    low0 = lower_schedule(cube, base, {0: set(base.chunk_sizes)})
                     for s in cube.nodes():
                         sched = gen(cube, s, M, B, pm)
                         moved = base.translated(cube, s)
@@ -156,6 +185,10 @@ def test_broadcast_from_any_source_is_the_translated_source_0_schedule(name, gen
                         assert sched.meta == moved.meta
                         assert sched.chunk_sizes == moved.chunk_sizes
                         assert sched.algorithm == moved.algorithm
+                        assert_same_lowering(
+                            low0.translated(cube, s),
+                            lower_schedule(cube, sched, {s: set(sched.chunk_sizes)}),
+                        )
 
 
 @pytest.mark.parametrize("gen", [sbt_broadcast_schedule, msbt_broadcast_schedule])
@@ -178,3 +211,164 @@ def test_degraded_msbt_keeps_the_source_in_the_key():
     b = msbt_broadcast_schedule(cube, 6, 12, 4, pm, dead_links=dead)
     assert msbt_broadcast_schedule.cache.stats()["misses"] == 2
     assert a.meta["source"] == 2 and b.meta["source"] == 6
+
+
+# -- translated lowerings ----------------------------------------------
+
+
+def assert_same_lockstep(a, b):
+    assert a.cycles == b.cycles
+    assert a.time == b.time
+    assert a.step_costs == b.step_costs
+    assert a.holdings == b.holdings
+    assert a.link_stats == b.link_stats
+    # links in the order the round loop first used them
+    assert list(a.link_stats.elems) == list(b.link_stats.elems)
+    assert list(a.link_stats.packets) == list(b.link_stats.packets)
+
+
+#: the memo's ``lowering`` of each ``BROADCASTS`` generator
+LOWERINGS = {
+    "sbt-port": lambda cube, s, M, B, pm: sbt_broadcast_schedule.lowering(cube, s, M, B, pm, "port"),
+    "sbt-packet": lambda cube, s, M, B, pm: sbt_broadcast_schedule.lowering(cube, s, M, B, pm, "packet"),
+    "msbt": lambda cube, s, M, B, pm: msbt_broadcast_schedule.lowering(cube, s, M, B, pm),
+}
+
+
+@pytest.mark.parametrize("name,gen", BROADCASTS, ids=[g[0] for g in BROADCASTS])
+def test_translated_lowering_at_n10(name, gen):
+    cube = Hypercube(10)
+    rng = random.Random(10)
+    for pm in PortModel:
+        with disabled():
+            base = gen(cube, 0, 2048, 1024, pm)
+            low0 = lower_schedule(cube, base, {0: set(base.chunk_sizes)})
+            for s in rng.sample(range(1, cube.num_nodes), 2):
+                sched = gen(cube, s, 2048, 1024, pm)
+                assert_same_lowering(
+                    low0.translated(cube, s),
+                    lower_schedule(cube, sched, {s: set(sched.chunk_sizes)}),
+                )
+
+
+@pytest.mark.parametrize("name,gen", BROADCASTS, ids=[g[0] for g in BROADCASTS])
+def test_cached_lowering_runs_lockstep_like_the_uncached_schedule(name, gen):
+    """The memo's lowering carries the source-0 verdict, so the lock-step
+    run only prices it; that pricing, its holdings and its link stats
+    must match the round loop over the uncached schedule."""
+    lowering = LOWERINGS[name]
+    for n in range(1, 5):
+        cube = Hypercube(n)
+        for pm in PortModel:
+            for M, B in ((1, 1), (17, 4), (9, 1)):
+                for s in cube.nodes():
+                    low = lowering(cube, s, M, B, pm)
+                    assert low.checked_under is pm
+                    with disabled():
+                        sched = gen(cube, s, M, B, pm)
+                    initial = {s: set(sched.chunk_sizes)}
+                    for machine in (MachineParams(), IPSC_D7):
+                        assert_same_lockstep(
+                            run_synchronous(cube, sched, pm, initial, machine, lowered=low),
+                            run_synchronous(cube, sched, pm, initial, machine),
+                        )
+
+
+def _public_run(result):
+    sync, timed = result.sync, result.async_
+    return (
+        result.time, result.cycles, sync.step_costs, sync.holdings,
+        timed.start_times, timed.holdings,
+        sync.link_stats, list(sync.link_stats.elems), list(sync.link_stats.packets),
+        timed.link_stats, list(timed.link_stats.elems), list(timed.link_stats.packets),
+    )
+
+
+@pytest.mark.parametrize("backend", ["sim", "runtime"])
+@pytest.mark.parametrize("algorithm", ["sbt", "msbt"])
+@pytest.mark.parametrize("pm", list(PortModel), ids=lambda pm: pm.value)
+def test_public_broadcast_is_unchanged_by_the_translated_path(backend, algorithm, pm):
+    cube = Hypercube(4)
+    extra = {"backend": "runtime"} if backend == "runtime" else {"run_event_sim": True}
+    for s in (5, 12, 15):
+        warm = broadcast(cube, s, algorithm, 12, 4, pm, IPSC_D7, **extra)
+        with disabled():
+            cold = broadcast(cube, s, algorithm, 12, 4, pm, IPSC_D7, **extra)
+        assert _public_run(warm) == _public_run(cold)
+
+
+# -- rounds built on first read ------------------------------------------
+
+
+@pytest.mark.parametrize("algorithm", ["sbt", "msbt"])
+def test_translated_path_builds_no_rounds_until_read(algorithm):
+    cube = Hypercube(5)
+    pm = PortModel.ONE_PORT_FULL
+    res = broadcast(cube, 19, algorithm, 40, 8, pm, IPSC_D7, run_event_sim=True)
+    assert "rounds" not in vars(res.schedule)
+    with disabled():
+        res_cold = broadcast(cube, 19, algorithm, 40, 8, pm, IPSC_D7, run_event_sim=True)
+    assert "rounds" in vars(res_cold.schedule)
+    assert res.schedule == res_cold.schedule  # the read builds them
+    assert "rounds" in vars(res.schedule)
+    assert repr(res.schedule) == repr(res_cold.schedule)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda s: pickle.loads(pickle.dumps(s)),
+    copy.deepcopy,
+    copy.copy,
+], ids=["pickle", "deepcopy", "copy"])
+def test_translated_schedule_round_trips(clone):
+    cube = Hypercube(4)
+    pm = PortModel.ONE_PORT_HALF
+    with disabled():
+        want = msbt_broadcast_schedule(cube, 11, 17, 4, pm)
+    msbt_broadcast_schedule(cube, 0, 17, 4, pm)
+    moved = msbt_broadcast_schedule(cube, 11, 17, 4, pm)
+    assert "rounds" not in vars(moved)
+    twin = clone(moved)
+    assert "_pending_rounds" not in vars(twin)
+    assert twin == want
+    assert moved == want
+
+
+# -- cached lowerings ----------------------------------------------------
+
+
+def test_cached_lowering_arrays_are_read_only():
+    """A write into a shared lowering must raise rather than corrupt every
+    later source served from it."""
+    cube = Hypercube(4)
+    pm = PortModel.ONE_PORT_FULL
+    low0 = msbt_broadcast_schedule.lowering(cube, 0, 12, 4, pm)
+    for name in ARRAYS:
+        assert not getattr(low0, name).flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        low0.src[0] = 1
+    moved = msbt_broadcast_schedule.lowering(cube, 9, 12, 4, pm)
+    with pytest.raises(ValueError, match="read-only"):
+        moved.port[0] = 3  # shared with the source-0 entry
+    with disabled():
+        sched = msbt_broadcast_schedule(cube, 9, 12, 4, pm)
+    assert_same_lowering(
+        msbt_broadcast_schedule.lowering(cube, 9, 12, 4, pm),
+        lower_schedule(cube, sched, {9: set(sched.chunk_sizes)}),
+    )
+
+
+def test_lowering_is_served_only_for_cached_fault_free_calls():
+    cube = Hypercube(4)
+    pm = PortModel.ONE_PORT_FULL
+    with disabled():
+        assert msbt_broadcast_schedule.lowering(cube, 3, 12, 4, pm) is None
+        broadcast(cube, 3, "msbt", 12, 4, pm, run_event_sim=True)
+    assert msbt_broadcast_schedule.lowering.cache.stats()["misses"] == 0
+    assert msbt_broadcast_schedule.lowering(
+        cube, 3, 12, 4, pm, dead_links=((0, 1),)
+    ) is None
+    msbt_broadcast_schedule.lowering(cube, 3, 12, 4, pm)
+    msbt_broadcast_schedule.lowering(cube, 7, 12, 4, pm)
+    stats = msbt_broadcast_schedule.lowering.cache.stats()
+    assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
+    assert not hasattr(bst_scatter_schedule, "lowering")

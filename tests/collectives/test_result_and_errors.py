@@ -1,5 +1,8 @@
 """Collective API error paths and CollectiveResult behaviour."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.collectives import (
@@ -104,3 +107,10 @@ class TestResultProperties:
         res = scatter(cube4, 3, "bst", 2, 8, PortModel.ALL_PORT)
         assert res.schedule.meta["source"] == 3
         assert res.schedule.meta["port_model"] == PortModel.ALL_PORT.value
+
+    @pytest.mark.parametrize("algorithm", ["sbt", "msbt", "bst"])
+    def test_numpy_source_leaves_a_plain_int_in_meta(self, cube4, algorithm):
+        call = scatter if algorithm == "bst" else broadcast
+        res = call(cube4, np.int64(3), algorithm, 8, 4)
+        assert type(res.schedule.meta["source"]) is int
+        assert json.loads(json.dumps(res.schedule.meta))["source"] == 3

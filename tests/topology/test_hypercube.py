@@ -31,6 +31,7 @@ class TestShape:
             with pytest.raises(ValueError):
                 cube4.check_node(node)
         assert cube4.check_node(np.int64(15)) == 15
+        assert type(cube4.check_node(np.int64(15))) is int
 
     def test_equality_and_hash(self):
         assert Hypercube(3) == Hypercube(3)
