@@ -3,8 +3,10 @@
 The workloads cover the event engine (large cubes, and deep per-link
 packet queues) and the lock-step engine, the
 schedule-generation path (cold and cached), the translation of
-cached trees and broadcast schedules to a new root, and a public
-broadcast served from the translated source-0 schedule and lowering.  ``scripts/bench_compare.py`` runs this file with
+cached trees and broadcast schedules to a new root, a public
+broadcast served from the translated source-0 schedule and lowering,
+and the engine result build (holdings and link counters) that such a
+call's reader pays for.  ``scripts/bench_compare.py`` runs this file with
 ``--benchmark-json``, extracts each benchmark's median, and compares it
 against the medians recorded in ``BENCH_ENGINE.json`` at the repo root;
 ``--update`` refreshes the baseline.  Run the suite directly with::
@@ -172,3 +174,22 @@ def test_regress_broadcast_translated_n10(benchmark):
     sources = itertools.cycle(range(1, cube.num_nodes))
     res = benchmark(lambda: broadcast(cube, next(sources), *args, run_event_sim=True))
     assert res.time > 0
+
+
+def test_regress_engine_result_n10(benchmark):
+    # the public call, reading what the e2e check and digest read: the
+    # event run's holdings and its per-link packet counter, both built
+    # from the run's arrays on that first read
+    cube = Hypercube(10)
+    cache.clear_caches()
+    args = ("sbt", 2048, 1024, PortModel.ONE_PORT_FULL, IPSC_D7)
+    broadcast(cube, 0, *args, run_event_sim=True)  # warm
+    sources = itertools.cycle(range(1, cube.num_nodes))
+
+    def run():
+        res = broadcast(cube, next(sources), *args, run_event_sim=True)
+        return len(res.async_.holdings), sum(res.async_.link_stats.packets.values())
+
+    nodes, packets = benchmark(run)
+    assert nodes == cube.num_nodes
+    assert packets == 2 * (cube.num_nodes - 1)

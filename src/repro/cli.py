@@ -574,7 +574,7 @@ def _run_reduction_command(args: argparse.Namespace) -> int:
         print(f"  broadcast phase   : {result.broadcast.cycles} steps, "
               f"time {result.broadcast.time:.6g}")
     stats = result.link_stats
-    print(f"  packets sent      : {sum(stats.packets.values())}")
+    print(f"  packets sent      : {stats.total_packets()}")
     print(f"  elements sent     : {stats.total_elems()}")
     print(f"  busiest edge      : {stats.max_edge_elems()} elements")
     metrics = result.metrics

@@ -294,7 +294,9 @@ def _collective(
     non-empty ``faults`` plan, with :func:`_fault_schedule`), runs it
     on the lock-step engine and, with ``run_event_sim``, on the event
     engine, then raises ``AssertionError`` unless :func:`check_delivery`
-    passes at every node the schedule serves.  ``backend="runtime"``
+    passes at every node the schedule serves, on the event run's
+    holdings when a fault-free one ran and on the lock-step run's
+    otherwise.  ``backend="runtime"``
     hands the call to :func:`_runtime_collective`.
     """
     if backend not in BACKENDS:
@@ -356,7 +358,12 @@ def _collective(
                 cube, sched, port_model, initial, machine,
                 faults=faults, on_fault=on_fault, **shared,
             )
-    _require_delivery(cube, op, source, sched, sync.holdings, undelivered)
+    # A fault-free event run holds what the lock-step run holds (the
+    # initial holdings plus every output slot: both engines run every
+    # transfer), so the check reads the map a caller of the timed run
+    # reads too, and the lock-step holdings stay unbuilt.
+    delivered = sync if async_ is None or faults else async_
+    _require_delivery(cube, op, source, sched, delivered.holdings, undelivered)
     result = CollectiveResult(
         schedule=sched,
         sync=sync,

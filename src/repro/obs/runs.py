@@ -119,9 +119,9 @@ class RunCollector:
             "topology": self.topology,
             "wall_s": time.perf_counter() - self._t0,
             "phases": dict(self._phases),
-            "packets_sent": sum(link_stats.packets.values()),
+            "packets_sent": link_stats.total_packets(),
             "elems_sent": link_stats.total_elems(),
-            "links_used": len(link_stats.packets),
+            "links_used": link_stats.links_used(),
             "cycles": result.cycles,
             "time": result.time,
             "degraded": result.degraded,

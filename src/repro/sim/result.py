@@ -9,7 +9,10 @@ other into one instant.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.sim.faults import TransferLog
 from repro.sim.schedule import Chunk
@@ -21,13 +24,69 @@ __all__ = ["AsyncResult"]
 _EPS = 1e-12
 
 
+class HoldingsOnRead:
+    """Lets a result dataclass build its ``holdings`` on first read.
+
+    An instance made by :meth:`deferred` starts without ``holdings`` in
+    its instance dict and a ``_build_holdings`` thunk instead; the first
+    read of ``holdings`` lands in ``__getattr__`` and builds it.  Pickle
+    and copy see built holdings, never the thunk.
+    """
+
+    @classmethod
+    def deferred(
+        cls, build: Callable[[], dict[int, set[Chunk]]], **fields
+    ):
+        """An instance with ``fields`` whose ``holdings`` is ``build()``."""
+        out = cls(holdings={}, **fields)
+        d = out.__dict__
+        del d["holdings"]
+        d["_build_holdings"] = build
+        return out
+
+    def __getattr__(self, name: str):
+        if name == "holdings":
+            build = self.__dict__.pop("_build_holdings", None)
+            if build is not None:
+                holdings = self.__dict__["holdings"] = build()
+                return holdings
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __getstate__(self) -> dict:
+        self.holdings
+        return self.__dict__
+
+
+def holdings_from_slots(
+    nodes: Iterable[int],
+    parts: Iterable[tuple[np.ndarray, np.ndarray, Sequence[Chunk], Hashable]],
+) -> dict[int, set[Chunk]]:
+    """Fresh holdings of every node in ``nodes`` from lowered slots.
+
+    Each part is ``(slot_node, slot_chunk, chunk_objects, tag)`` over
+    the held slots of one lowering, in slot order; with a ``tag``,
+    chunk ``c`` is held as ``(tag, c)`` (one tagged object per chunk,
+    shared by its holders).
+    """
+    holdings: dict[int, set[Chunk]] = {node: set() for node in nodes}
+    for slot_node, slot_chunk, chunks, tag in parts:
+        if tag is not None:
+            chunks = [(tag, c) for c in chunks]
+        for node, c in zip(slot_node.tolist(), slot_chunk.tolist()):
+            holdings[node].add(chunks[c])
+    return holdings
+
+
 @dataclass
-class AsyncResult:
+class AsyncResult(HoldingsOnRead):
     """Outcome of an asynchronous run.
 
     Attributes:
         time: completion time of the last transfer.
-        holdings: chunk ids held by every node at the end.
+        holdings: chunk ids held by every node at the end (built on
+            first read for a fault-free vectorized run).
         link_stats: per-edge traffic counters.
         start_times: start time of each executed transfer, sorted
             ascending by start time (ties keep execution order), so

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -37,10 +38,10 @@ from repro.sim.faults import (
 from repro.sim.lowering import LoweredSchedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
+from repro.sim.result import HoldingsOnRead, holdings_from_slots
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.sim.trace import LinkStats
 from repro.topology.base import Topology
-from repro.topology.hypercube import DirectedEdge
 
 __all__ = [
     "SyncResult",
@@ -55,14 +56,15 @@ class ScheduleViolation(ValueError):
 
 
 @dataclass
-class SyncResult:
+class SyncResult(HoldingsOnRead):
     """Outcome of a synchronous run.
 
     Attributes:
         cycles: number of (non-empty) routing steps executed.
         time: lock-step time — each step costs the machine's
             ``send_cost`` of its largest packet.
-        holdings: chunk ids held by each node at the end.
+        holdings: chunk ids held by each node at the end (built on
+            first read for a run priced from its lowering).
         link_stats: per-edge traffic counters.
         step_costs: the individual step costs summing to ``time``.
     """
@@ -221,7 +223,8 @@ def _run_lowered(
     (``low.checked_under``).  Returns ``None`` when a check fails, so
     the caller can rerun the scalar loop for the exact
     :class:`ScheduleViolation`.  The run is priced per round under
-    ``machine``; holdings and link stats come from the columns.
+    ``machine``; holdings and link stats come from the columns, each
+    built on first read.
     """
     if (
         validate
@@ -245,26 +248,17 @@ def _run_lowered(
             low.link, weights=low.elems.astype(np.float64),
             minlength=low.n_links,
         )[order].astype(np.int64)
-        edges = list(map(
-            DirectedEdge, low.link_src[order].tolist(), low.link_dst[order].tolist()
-        ))
-        stats = LinkStats(
-            elems=Counter(dict(zip(edges, elems.tolist()))),
-            packets=Counter(dict(zip(edges, packets.tolist()))),
+        stats = LinkStats.from_links(
+            low.link_src[order], low.link_dst[order], packets, elems
         )
 
     held = np.isfinite(low.init_avail)
     held[low.out_idx] = True
-    chunks = low.chunk_objects
-    holdings: dict[int, set[Chunk]] = {node: set() for node in cube.nodes()}
-    for node, c in zip(
-        low.slot_node[held].tolist(), low.slot_chunk[held].tolist()
-    ):
-        holdings[node].add(chunks[c])
-    return SyncResult(
+    parts = [(low.slot_node[held], low.slot_chunk[held], low.chunk_objects, None)]
+    return SyncResult.deferred(
+        partial(holdings_from_slots, cube.nodes(), parts),
         cycles=len(step_costs),
         time=sum(step_costs),
-        holdings=holdings,
         link_stats=stats,
         step_costs=step_costs,
     )

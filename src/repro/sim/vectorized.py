@@ -115,6 +115,7 @@ for bit that of one from-scratch run of the final merged program
 from __future__ import annotations
 
 import math
+from functools import partial
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Hashable
@@ -135,11 +136,10 @@ from repro.sim.lowering import LoweredSchedule, _csr_take, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry
 from repro.sim.ports import PortModel
-from repro.sim.result import _EPS, AsyncResult
+from repro.sim.result import _EPS, AsyncResult, holdings_from_slots
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.sim.trace import LinkStats
 from repro.topology.base import Topology
-from repro.topology.hypercube import DirectedEdge
 
 __all__ = ["VectorizedRun", "run_async_vectorized"]
 
@@ -1297,20 +1297,12 @@ class VectorizedRun:
         self.advance()
         nT = self.n_transfers
         done_py = self._done
-        avail = np.asarray(self._avail)
-        holdings: dict[int, set[Chunk]] = {
-            node: set() for node in self.cube.nodes()
-        }
+        held = np.asarray(self._avail) != np.inf
+        parts = []
         for low, tag, off in self._entries:
-            chunks = low.chunk_objects
-            if tag is not None:
-                # one tagged chunk object per chunk, shared by its holders
-                chunks = [(tag, c) for c in chunks]
-            slot_node = low.slot_node.tolist()
-            slot_chunk = low.slot_chunk.tolist()
-            held = np.flatnonzero(avail[off:off + low.n_slots] != np.inf)
-            for s in held.tolist():
-                holdings[slot_node[s]].add(chunks[slot_chunk[s]])
+            h = held[off:off + low.n_slots]
+            parts.append((low.slot_node[h], low.slot_chunk[h], low.chunk_objects, tag))
+        build = partial(holdings_from_slots, self.cube.nodes(), parts)
 
         executed_ids = self._executed
         start_times = self._start_times
@@ -1324,14 +1316,11 @@ class VectorizedRun:
                 le, weights=self._icol[ids, _ELEMS].astype(np.float64),
                 minlength=link_src.size,
             )
-            lsrc = link_src.tolist()
-            ldst = link_dst.tolist()
-            pk = packets.tolist()
-            el = elems_per.tolist()
-            for li in np.flatnonzero(packets).tolist():
-                edge = DirectedEdge(lsrc[li], ldst[li])
-                stats.packets[edge] = pk[li]
-                stats.elems[edge] = int(el[li])
+            used = np.flatnonzero(packets)
+            stats = LinkStats.from_links(
+                link_src[used], link_dst[used], packets[used],
+                elems_per[used].astype(np.int64),
+            )
 
         log = (
             TransferLog(ids=list(executed_ids), starts=list(start_times))
@@ -1344,6 +1333,7 @@ class VectorizedRun:
         remaining = self._remaining
         self._flush()
         if fault_events or remaining:
+            holdings = build()
             lost = list(self._lost)
             lost.extend(self._transfer(j) for j in range(nT) if not done_py[j])
             return DegradedResult(
@@ -1357,9 +1347,9 @@ class VectorizedRun:
                 start_times=start_sorted,
                 transfer_log=log,
             )
-        return AsyncResult(
+        return AsyncResult.deferred(
+            build,
             time=self._finish,
-            holdings=holdings,
             link_stats=stats,
             start_times=start_sorted,
             transfers_executed=nT,

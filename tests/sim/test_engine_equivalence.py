@@ -29,6 +29,7 @@ from repro.routing import (
 from repro.sim import run_async
 from repro.sim._engine_reference import run_async_reference
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
+from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Schedule, Transfer
@@ -103,6 +104,21 @@ def test_indexed_engine_matches_reference(source, port_model, machine):
         # engine's contract is sorted ascending, so compare the sort
         assert new.start_times == sorted(ref.start_times), name
 
+
+
+@pytest.mark.parametrize("port_model", list(PortModel), ids=lambda p: p.value)
+@pytest.mark.parametrize("source", [0, 5])
+def test_fault_free_lockstep_and_event_holdings_agree(source, port_model):
+    """Both hold the initial holdings plus every output slot, which lets
+    a public call check delivery on the event run's holdings alone."""
+    for name, sched, init in _schedules(source, port_model):
+        low = lower_schedule(CUBE, sched, init)
+        event = run_async(CUBE, sched, port_model, init, IPSC_D7, lowered=low)
+        priced = run_synchronous(
+            CUBE, sched, port_model, init, IPSC_D7, lowered=low
+        )
+        looped = run_synchronous(CUBE, sched, port_model, init, IPSC_D7)
+        assert event.holdings == priced.holdings == looped.holdings, name
 
 #: fault plans for the differential matrix — immediate links/nodes,
 #: combinations, and time-activated variants (cube-4 addresses)
