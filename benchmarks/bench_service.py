@@ -4,8 +4,9 @@ BENCH_SERVICE.json.
 Pins the cost of the service scheduler end to end — schedule
 pregeneration, merged-program lowering, the shared-cube engine run and
 the per-job provenance split — for the named workload scenarios under
-each policy family, plus the admission-constrained path (which
-re-simulates per admission batch).  Compare or refresh with::
+each policy family — the static-key policies admit every job up front,
+the others grow the run admission by admission — plus the
+admission-constrained path.  Compare or refresh with::
 
     python scripts/bench_compare.py --suite service [--update]
 
@@ -45,8 +46,8 @@ def test_service_smoke_mix_fair_share(benchmark, smoke_mix):
 
 
 def test_service_smoke_mix_admission_limited(benchmark, smoke_mix):
-    """The constrained path: one job on the cube at a time forces a
-    re-simulation per admission batch."""
+    """The constrained path: one job on the cube at a time, so the run
+    stops at every completion to admit the next job."""
     cube, specs = smoke_mix
     result = benchmark(
         run_service, cube, specs,
@@ -58,4 +59,12 @@ def test_service_smoke_mix_admission_limited(benchmark, smoke_mix):
 def test_service_hog_vs_mice_fair_share_n8(benchmark, hog_vs_mice):
     cube, specs = hog_vs_mice
     result = benchmark(run_service, cube, specs, policy="fair-share")
+    assert len(result.accepted) == len(specs)
+
+
+def test_service_hog_vs_mice_fifo_n8(benchmark, hog_vs_mice):
+    """The static-key path: every job is admitted up front into one
+    resumable run, which then plays out with no admission events."""
+    cube, specs = hog_vs_mice
+    result = benchmark(run_service, cube, specs, policy="fifo")
     assert len(result.accepted) == len(specs)

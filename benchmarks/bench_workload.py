@@ -2,8 +2,8 @@
 BENCH_WORKLOAD.json.
 
 Pins the cost of running a workload step end to end — DAG lowering,
-schedule pregeneration, the event-ordered admission loop with its
-per-batch merged-program re-simulation, and the per-step report
+schedule pregeneration, the event-ordered admission loop over one
+resumable engine run, the per-job split, and the per-step report
 (link utilization, stragglers, critical path).  Compare or refresh
 with::
 

@@ -978,7 +978,8 @@ def check_delivery(
     collective raises ``AssertionError`` when it reports a short node
     the run was meant to serve; the service and the workload layer
     report it per job over a bare holdings map (e.g. one job's
-    :func:`repro.sim.multi.untag_holdings` view of a merged run).
+    :meth:`repro.service.exec.ExecutionView.job_holdings` of a merged
+    run).
     Empty result = complete; short nodes come in ascending order.
 
     Obligations per op:

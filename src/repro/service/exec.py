@@ -3,24 +3,29 @@
 A service run or a workload step executes one merged program
 (:class:`~repro.sim.multi.MergedProgram`) on the vectorized event
 engine, with release times baked into the lowering and the transfer
-log enabled.  Two ways to get there:
-
-* :func:`execute_program` runs a finished program once, from scratch;
-* :class:`AdmissionRun` grows the program while it runs — the
-  admission-loop primitive the service and the workload layer share.
-  Jobs join one resumable engine run
-  (:class:`~repro.sim.vectorized.VectorizedRun`) at their admission
-  instants; the run advances only as far as the next event and never
-  simulates an instant within ``_EPS`` of a pending admission, so each
-  instant is simulated once and the final view equals
-  :func:`execute_program` on the final program bit for bit.
+log enabled.  The service and the workload layer grow that program
+while it runs, through :class:`AdmissionRun`: jobs join one resumable
+engine run (:class:`~repro.sim.vectorized.VectorizedRun`) at their
+admission instants — all of them up front, when nothing the engine
+computes can change an admission — and the run advances only as far as
+the next event, never simulating an instant within ``_EPS`` of a
+pending admission.  Each instant is simulated once, and the final view
+equals :func:`execute_program` — the one-shot run of the finished
+program, kept as the public API and as the oracle — bit for bit.
 
 Either way the run is split back into per-job views using the
 provenance chain
 
     ``transfer_log.ids`` (executed, execution order)
-    -> ``MergedProgram.owners`` (transfer -> job position)
+    -> owners (transfer -> job position)
     -> per-job starts / ends / link traffic.
+
+:func:`execute_program` reads the owners off the merged program;
+:class:`AdmissionRun` takes them from the engine's own job column and
+never merges: its view's program builds its chunk-tagged fields on
+first read (:meth:`~repro.sim.multi.MergedProgram.deferred`), and
+:meth:`ExecutionView.job_holdings` builds one job's untagged holdings
+from that job's held slots.
 
 Transfer end times are reconstructed as ``start +
 machine.send_cost(elems)`` — the exact float expression the engine
@@ -30,8 +35,9 @@ standalone run of the same schedule would report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from typing import Sequence
 
 import numpy as np
 
@@ -40,13 +46,17 @@ from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry, MergedProgram, untag_holdings
 from repro.sim.ports import PortModel
-from repro.sim.result import AsyncResult
+from repro.sim.result import AsyncResult, holdings_from_slots
 from repro.sim.schedule import Chunk
 from repro.sim.trace import LinkStats
 from repro.sim.vectorized import VectorizedRun, run_async_vectorized
 from repro.topology.hypercube import DirectedEdge, Hypercube
 
 __all__ = ["AdmissionRun", "JobSlice", "ExecutionView", "execute_program"]
+
+
+def _edges(src: np.ndarray, dst: np.ndarray) -> list[DirectedEdge]:
+    return list(map(DirectedEdge, src.tolist(), dst.tolist()))
 
 
 @dataclass
@@ -64,8 +74,11 @@ class JobSlice:
         finish: latest transfer end (``nan`` if none ran).
         start_times: executed start times, sorted ascending — the
             same rendering a standalone run's ``start_times`` uses.
-        link_stats: per-edge packet/element counters for this job.
-        link_busy: per-edge busy time for this job (duration sums).
+        link_stats: per-edge packet/element counters for this job
+            (built on first read, see
+            :meth:`~repro.sim.trace.LinkStats.from_links`).
+        link_busy: per-edge busy time for this job (duration sums),
+            built on first read.
     """
 
     position: int
@@ -78,6 +91,25 @@ class JobSlice:
     start_times: list[float]
     link_stats: LinkStats
     link_busy: dict[DirectedEdge, float]
+
+    # A slice made by _split starts without ``link_busy`` in its
+    # instance dict and the ``(src, dst, busy)`` arrays of its used
+    # links instead; the first read lands here.
+    def __getattr__(self, name: str):
+        if name == "link_busy":
+            links = self.__dict__.pop("_busy_links", None)
+            if links is not None:
+                src, dst, busy = links
+                out = self.link_busy = dict(zip(_edges(src, dst), busy.tolist()))
+                return out
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __getstate__(self) -> dict:
+        # pickle and copy see built link_busy, never the arrays
+        self.link_busy
+        return self.__dict__
 
 
 @dataclass
@@ -99,6 +131,11 @@ class ExecutionView:
     slices: list[JobSlice]
     ends: np.ndarray
     receivers: np.ndarray
+    # (key_link, busy, link_src, link_dst): per (job, link) busy time,
+    # keys in (job position, link id) order
+    _busy: tuple = field(repr=False, compare=False)
+    # (nodes, held slots per position) of a resumable run
+    _held: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def makespan(self) -> float:
@@ -106,18 +143,32 @@ class ExecutionView:
         return self.raw.time
 
     def job_holdings(self, position: int) -> dict[int, set[Chunk]]:
-        """Final holdings of the job at ``position``, untagged."""
-        return untag_holdings(
-            self.raw.holdings, self.program.entries[position].tag
-        )
+        """Final holdings of the job at ``position``, untagged — equal to
+        :func:`~repro.sim.multi.untag_holdings` of ``raw.holdings``.
+
+        A view of an :class:`AdmissionRun` builds them from the job's
+        own held slots, without building ``raw.holdings``.
+        """
+        if self._held is None:
+            return untag_holdings(
+                self.raw.holdings, self.program.entries[position].tag
+            )
+        nodes, held = self._held
+        slot_node, slot_chunk, chunks, _ = held[position]
+        return holdings_from_slots(nodes, [(slot_node, slot_chunk, chunks, None)])
 
     def link_busy_total(self) -> dict[DirectedEdge, float]:
-        """Total busy time per directed link, over all jobs."""
-        total: dict[DirectedEdge, float] = {}
-        for s in self.slices:
-            for edge, busy in s.link_busy.items():
-                total[edge] = total.get(edge, 0.0) + busy
-        return total
+        """Total busy time per directed link, over all jobs: each sum is
+        accumulated job by job in position order, and the links are
+        listed in the order the jobs' ``link_busy`` first name them."""
+        key_link, busy, link_src, link_dst = self._busy
+        # bincount adds in input order: per link, position order
+        total = np.bincount(key_link, weights=busy, minlength=link_src.size)
+        links, first = np.unique(key_link, return_index=True)
+        links = links[np.argsort(first)]
+        return dict(zip(
+            _edges(link_src[links], link_dst[links]), total[links].tolist()
+        ))
 
 
 def execute_program(
@@ -151,7 +202,8 @@ def execute_program(
         [machine.send_cost(int(s)) for s in uniq_sizes.tolist()]
     )
     return _split(
-        program, raw, low.elems, low.link, low.link_src, low.link_dst,
+        program, np.asarray(program.owners, dtype=np.int64), raw,
+        low.elems, low.link, low.link_src, low.link_dst,
         uniq_costs[size_inv],
     )
 
@@ -186,6 +238,7 @@ class AdmissionRun:
         # alive with it, so the ids cannot be reused meanwhile
         self._lowered: dict[tuple[int, int], tuple[JobEntry, LoweredSchedule]] = {}
         self._completions: list[tuple[float, int]] = []
+        self._tags: list = []  # per handle; in rank order once closed
 
     def admit(self, entry: JobEntry, rank) -> int:
         """Add ``entry`` with priority ``rank``; returns its handle (the
@@ -197,7 +250,9 @@ class AdmissionRun:
             self._lowered[key] = (entry, low)
         else:
             low = hit[1]
-        return self._run.admit(entry, rank, low)
+        h = self._run.admit(entry, rank, low)
+        self._tags.append(entry.tag)
+        return h
 
     def next_completion(self, bound: float) -> tuple[float, int] | None:
         """The earliest unconsumed ``(completion, handle)`` at or before
@@ -229,20 +284,42 @@ class AdmissionRun:
     def close(self) -> None:
         """Run to the end, keep the result, and free the engine state."""
         run = self._run
-        self._final = (run.result(), *run.link_columns(), run.costs())
+        raw = run.result()
+        by_rank = run.rank_order()
+        self._final = (raw, *run.link_columns(), run.costs())
+        self._owners = run.owners()
+        self._tags = [self._tags[h] for h in by_rank]
+        self._held = (
+            self.cube.nodes(), [run.held_slots[h] for h in by_rank]
+        )
         self._run = None
         self._lowered.clear()
 
-    def view(self, program: MergedProgram) -> ExecutionView:
-        """The closed run split per job; ``program`` must be
-        ``merge_programs`` of the admitted entries in rank order."""
+    def view(self, entries: Sequence[JobEntry]) -> ExecutionView:
+        """The closed run split per job; ``entries`` are the admitted
+        entries in rank order (ties in admission order), the order
+        ``merge_programs`` would be given.
+
+        Nothing is merged: the view's program is
+        :meth:`MergedProgram.deferred <repro.sim.multi.MergedProgram.deferred>`
+        with the engine's owners, and
+        :meth:`ExecutionView.job_holdings` reads each job's held slots.
+        """
         if self._run is not None:
             self.close()
-        return _split(program, *self._final)
+        if [e.tag for e in entries] != self._tags:
+            raise ValueError("entries must be the admitted entries in rank order")
+        owners = self._owners
+        view = _split(
+            MergedProgram.deferred(entries, owners), owners, *self._final
+        )
+        view._held = self._held
+        return view
 
 
 def _split(
     program: MergedProgram,
+    owners: np.ndarray,
     raw: "AsyncResult | DegradedResult",
     elems_all: np.ndarray,
     link_all: np.ndarray,
@@ -250,83 +327,69 @@ def _split(
     link_dst: np.ndarray,
     costs_all: np.ndarray,
 ) -> ExecutionView:
-    """Per-job accounting of one merged run (see module docstring)."""
+    """Per-job accounting of one merged run (see module docstring);
+    ``owners`` is ``program.owners`` as an array."""
     log = raw.transfer_log
     assert log is not None
+    n_jobs = program.num_jobs
     n_links = link_src.size
-
-    owners_all = np.asarray(program.owners, dtype=np.int64)
-    scheduled_per = np.bincount(owners_all, minlength=program.num_jobs)
+    scheduled = np.bincount(owners, minlength=n_jobs).tolist()
 
     ids = np.asarray(log.ids, dtype=np.int64)
     starts = np.asarray(log.starts, dtype=np.float64)
+    costs = costs_all[ids]
+    ends = starts + costs
+    links = link_all[ids]
+    owner = owners[ids]
+    elems = elems_all[ids]
 
-    lsrc = link_src.tolist()
-    ldst = link_dst.tolist()
+    # executed transfers job by job, each job's in execution order
+    by_job = np.argsort(owner, kind="stable")
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(owner, minlength=n_jobs)))
+    ).tolist()
+    job_starts = starts[by_job]
+    job_ends = ends[by_job]
+    job_costs = costs[by_job]
+    job_elems = elems[by_job]
+    # per (job, link) counters; bincount adds in execution order
+    keys, inv = np.unique(owner * n_links + links, return_inverse=True)
+    inv = inv.reshape(-1)
+    packets = np.bincount(inv)
+    elems_per = np.bincount(
+        inv, weights=elems.astype(np.float64)
+    ).astype(np.int64)
+    busy = np.bincount(inv, weights=costs)
+    key_link = keys % n_links
+    key_src = link_src[key_link]
+    key_dst = link_dst[key_link]
+    key_bounds = np.searchsorted(keys // n_links, np.arange(n_jobs + 1)).tolist()
 
     slices: list[JobSlice] = []
-    ends = starts + costs_all[ids]
-    links_exec = link_all[ids]
-    if ids.size:
-        owners_exec = owners_all[ids]
-        elems_exec = elems_all[ids]
-        costs_exec = costs_all[ids]
-    for pos in range(program.num_jobs):
-        if ids.size:
-            mask = owners_exec == pos
-            n_exec = int(mask.sum())
-        else:
-            n_exec = 0
-        if n_exec == 0:
-            slices.append(JobSlice(
-                position=pos,
-                scheduled=int(scheduled_per[pos]),
-                executed=0,
-                elems=0,
-                link_time=0.0,
-                first_start=float("nan"),
-                finish=float("nan"),
-                start_times=[],
-                link_stats=LinkStats(),
-                link_busy={},
-            ))
-            continue
-        job_starts = starts[mask]
-        job_ends = ends[mask]
-        job_links = links_exec[mask]
-        job_elems = elems_exec[mask]
-        job_costs = costs_exec[mask]
-        packets = np.bincount(job_links, minlength=n_links)
-        elems_per = np.bincount(
-            job_links, weights=job_elems.astype(np.float64),
-            minlength=n_links,
-        )
-        busy_per = np.bincount(
-            job_links, weights=job_costs, minlength=n_links
-        )
-        stats = LinkStats()
-        busy: dict[DirectedEdge, float] = {}
-        pk = packets.tolist()
-        el = elems_per.tolist()
-        bz = busy_per.tolist()
-        for li in np.flatnonzero(packets).tolist():
-            edge = DirectedEdge(lsrc[li], ldst[li])
-            stats.packets[edge] = pk[li]
-            stats.elems[edge] = int(el[li])
-            busy[edge] = bz[li]
-        slices.append(JobSlice(
+    for pos in range(n_jobs):
+        a, b = bounds[pos], bounds[pos + 1]
+        ka, kb = key_bounds[pos], key_bounds[pos + 1]
+        s = JobSlice(
             position=pos,
-            scheduled=int(scheduled_per[pos]),
-            executed=n_exec,
-            elems=int(job_elems.sum()),
-            link_time=float(job_costs.sum()),
-            first_start=float(job_starts.min()),
-            finish=float(job_ends.max()),
-            start_times=sorted(job_starts.tolist()),
-            link_stats=stats,
-            link_busy=busy,
-        ))
+            scheduled=scheduled[pos],
+            executed=b - a,
+            elems=int(job_elems[a:b].sum()),
+            link_time=float(job_costs[a:b].sum()),
+            first_start=float(job_starts[a:b].min()) if b > a else float("nan"),
+            finish=float(job_ends[a:b].max()) if b > a else float("nan"),
+            start_times=sorted(job_starts[a:b].tolist()),
+            link_stats=LinkStats.from_links(
+                key_src[ka:kb], key_dst[ka:kb], packets[ka:kb],
+                elems_per[ka:kb],
+            ),
+            link_busy={},
+        )
+        d = s.__dict__
+        del d["link_busy"]
+        d["_busy_links"] = (key_src[ka:kb], key_dst[ka:kb], busy[ka:kb])
+        slices.append(s)
     return ExecutionView(
         program=program, raw=raw, slices=slices,
-        ends=ends, receivers=link_dst[links_exec].astype(np.int64),
+        ends=ends, receivers=link_dst[links].astype(np.int64),
+        _busy=(key_link, busy, link_src, link_dst),
     )

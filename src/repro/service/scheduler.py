@@ -40,8 +40,10 @@ is bit-identical to one from-scratch run of the final merged program.
 
 With no in-flight caps and a static-key policy (``fifo``,
 ``priority``) no completion can change an admission, so every job is
-admitted up front and the final program runs once, from scratch
-(:func:`~repro.service.exec.execute_program`).
+admitted up front — one staged renumbering — and the run plays out to
+the end with no admission event in between.  Either way the final view
+is split per job from the engine's own arrays; the chunk-tagged merged
+program and holdings are built only when a caller reads them.
 
 Determinism: the loop consumes only simulated-time quantities and
 frozen keys — no wall clock, no hashing order.  The ``jobs`` worker
@@ -62,12 +64,17 @@ from repro.collectives.api import ROOTED_OPS, check_delivery, collective_schedul
 from repro.experiments.parallel import resolve_jobs
 from repro.obs.instruments import service_run_finished
 from repro.routing.common import is_whole
-from repro.service.exec import AdmissionRun, ExecutionView, execute_program
+from repro.service.exec import AdmissionRun, ExecutionView
+# the one-shot oracle of the admission run and the merge it splits
+# without; call-site tracers (benchmarks/e2e/tracing.py) look them up
+# on this module
+from repro.service.exec import execute_program  # noqa: F401
 from repro.service.jobs import JobResult, JobSpec
 from repro.service.policies import SchedulingPolicy, resolve_policy
 from repro.sim.faults import DegradedResult, FaultPlan
 from repro.sim.machine import MachineParams
-from repro.sim.multi import JobEntry, MergedProgram, merge_programs
+from repro.sim.multi import JobEntry, MergedProgram
+from repro.sim.multi import merge_programs  # noqa: F401
 from repro.sim.ports import PortModel
 from repro.sim.result import AsyncResult
 from repro.sim.schedule import Chunk, Schedule
@@ -363,14 +370,7 @@ class CollectiveService:
         arrivals = sorted(range(len(specs)), key=lambda i: (specs[i].arrival, i))
         ai = 0
         queue: list[int] = []  # job ids waiting for admission
-        # Without in-flight caps every job is admitted the instant it
-        # arrives, and a static-key policy fixes its priority from the
-        # spec and arrival order alone: nothing the engine computes can
-        # change an admission, so the final program runs once, from
-        # scratch.  (On the hog-vs-mice job lists this is ~1.4x faster
-        # than growing the program job by job.)
-        one_shot = ctl.unconstrained and policy.static_keys
-        loop = None if one_shot else AdmissionRun(
+        loop = AdmissionRun(
             self.cube, self.port_model, self.machine,
             faults=self.faults, on_fault=self.on_fault,
         )
@@ -389,8 +389,7 @@ class CollectiveService:
                 spec, len(job_of), tenant_link_time.get(spec.tenant, 0.0)
             )
             entry = JobEntry(tag=job_id, schedule=sched, initial=initial, release=t)
-            if loop is not None:
-                loop.admit(entry, key)
+            loop.admit(entry, key)
             entries.append(entry)
             keys.append(key)
             job_of.append(job_id)
@@ -429,7 +428,12 @@ class CollectiveService:
                 queue.remove(best)
                 _admit(best, t)
 
-        if one_shot:
+        # Without in-flight caps every job is admitted the instant it
+        # arrives, and a static-key policy fixes its priority from the
+        # spec and arrival order alone: nothing the engine computes can
+        # change an admission, so every job joins up front and the run
+        # has no admission event left to stop at.
+        if ctl.unconstrained and policy.static_keys:
             for j in arrivals:
                 _admit(j, specs[j].arrival)
             ai = len(arrivals)
@@ -441,7 +445,6 @@ class CollectiveService:
             next_arrival = (
                 specs[arrivals[ai]].arrival if ai < len(arrivals) else math.inf
             )
-            assert loop is not None
             first = loop.next_completion(next_arrival)
             if first is not None:
                 t = first[0]
@@ -481,17 +484,8 @@ class CollectiveService:
         if job_of:
             # the merged program lists entries in key order
             order = sorted(range(len(keys)), key=keys.__getitem__)
-            if loop is not None:
-                loop.close()
-            program = merge_programs([entries[h] for h in order])
-            view = (
-                execute_program(
-                    self.cube, program, self.port_model, self.machine,
-                    faults=self.faults, on_fault=self.on_fault,
-                )
-                if loop is None
-                else loop.view(program)
-            )
+            view = loop.view([entries[h] for h in order])
+            program = view.program
             makespan = view.makespan
             positions = [0] * len(order)
             for pos, h in enumerate(order):

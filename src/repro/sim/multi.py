@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
+import numpy as np
+
 from repro.sim.schedule import Chunk, Schedule, Transfer
 
 __all__ = ["JobEntry", "MergedProgram", "merge_programs", "untag_holdings"]
@@ -80,6 +82,45 @@ class MergedProgram:
     release_times: dict[Chunk, float]
     owners: list[int]
     entries: list[JobEntry]
+
+    @classmethod
+    def deferred(
+        cls, entries: Sequence[JobEntry], owners: np.ndarray
+    ) -> "MergedProgram":
+        """``merge_programs(entries)``, given its ``owners`` as an array
+        (a resumable engine run knows them from its own job column).
+
+        ``owners`` becomes a list, and the chunk-tagged ``schedule``,
+        ``initial`` and ``release_times`` are built by
+        :func:`merge_programs`, on first read: callers that only split
+        the run per job never pay for the tagged objects.
+        """
+        out = cls.__new__(cls)
+        out.__dict__.update(entries=list(entries), _owner_array=owners)
+        return out
+
+    # A deferred program starts without the tagged fields and ``owners``
+    # in its instance dict; the first read of one lands here.
+    def __getattr__(self, name: str):
+        d = self.__dict__
+        if name == "owners" and "_owner_array" in d:
+            owners = d["owners"] = d.pop("_owner_array").tolist()
+            return owners
+        if name in ("schedule", "initial", "release_times") and "entries" in d:
+            merged = merge_programs(d["entries"])
+            d["schedule"] = merged.schedule
+            d["initial"] = merged.initial
+            d["release_times"] = merged.release_times
+            return d[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __getstate__(self) -> dict:
+        # pickle and copy see every field built
+        self.schedule
+        self.owners
+        return self.__dict__
 
     @property
     def num_jobs(self) -> int:

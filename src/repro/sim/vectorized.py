@@ -246,6 +246,7 @@ class VectorizedRun:
         self._jcost: list[list[float]] = []  # executed costs, exec order
         self._jrel: list[float] = []
         self._resolved: list[tuple[float, int]] = []
+        self.held_slots: list[tuple[np.ndarray, np.ndarray, list[Chunk], Hashable]] = []
 
         # -- static columns: NumPy masters + the hot loop's Python mirrors
         self.n_transfers = 0
@@ -513,12 +514,8 @@ class VectorizedRun:
         seeds = np.flatnonzero(missing_new == 0) + n_old
         order = None
         if n_old or len(staged) > 1:
-            ranks = self._ranks
-            by_rank = sorted(range(len(ranks)), key=ranks.__getitem__)
-            rank_pos = np.empty(len(ranks), dtype=np.int64)
-            rank_pos[by_rank] = np.arange(len(ranks))
             order = np.lexsort(
-                (icol[:, _WITHIN], rank_pos[icol[:, _JOB]], icol[:, _RND])
+                (icol[:, _WITHIN], self._rank_pos()[icol[:, _JOB]], icol[:, _RND])
             )
             new_of = np.empty(T, dtype=np.int64)
             new_of[order] = np.arange(T)
@@ -570,6 +567,18 @@ class VectorizedRun:
                     heappush(wake, r)
             else:
                 pending.append(i)
+
+    def rank_order(self) -> list[int]:
+        """Job handles in rank order, ties by handle (admission order)."""
+        ranks = self._ranks
+        return sorted(range(len(ranks)), key=ranks.__getitem__)
+
+    def _rank_pos(self) -> np.ndarray:
+        """Job handle -> position in :meth:`rank_order`."""
+        by_rank = self.rank_order()
+        rank_pos = np.empty(len(by_rank), dtype=np.int64)
+        rank_pos[by_rank] = np.arange(len(by_rank))
+        return rank_pos
 
     def _grow_links(self, keys: np.ndarray) -> None:
         """Renumber the links to the sorted key table ``keys`` (a
@@ -1292,7 +1301,12 @@ class VectorizedRun:
 
     def result(self) -> AsyncResult | DegradedResult:
         """Run to the end; the engine result of the whole program, with
-        transfer ids in final program order."""
+        transfer ids in final program order.
+
+        Also keeps :attr:`held_slots`: per job handle, the
+        ``(slot_node, slot_chunk, chunk_objects, tag)`` of the job's
+        held slots, the part :func:`~repro.sim.result.holdings_from_slots`
+        builds the job's holdings from."""
         self._track = False  # no more admissions: skip job bookkeeping
         self.advance()
         nT = self.n_transfers
@@ -1302,6 +1316,7 @@ class VectorizedRun:
         for low, tag, off in self._entries:
             h = held[off:off + low.n_slots]
             parts.append((low.slot_node[h], low.slot_chunk[h], low.chunk_objects, tag))
+        self.held_slots = parts
         build = partial(holdings_from_slots, self.cube.nodes(), parts)
 
         executed_ids = self._executed
@@ -1373,3 +1388,10 @@ class VectorizedRun:
     def costs(self) -> np.ndarray:
         """Per-transfer ``machine.send_cost(elems)``, in program order."""
         return self._cost_np
+
+    def owners(self) -> np.ndarray:
+        """Per-transfer rank position (in :meth:`rank_order`) of the
+        owning job, in program order: once every staged job is in, the
+        ``owners`` of :func:`~repro.sim.multi.merge_programs` over the
+        entries in rank order."""
+        return self._rank_pos()[self._icol[:, _JOB]]

@@ -60,12 +60,14 @@ from repro.collectives.api import (
 )
 from repro.obs.instruments import workload_run_finished
 from repro.service.exec import AdmissionRun, ExecutionView
-# the one-shot oracle of the incremental run; call-site tracers
-# (benchmarks/e2e/tracing.py) look it up on this module
+# the one-shot oracle of the incremental run and the merge it splits
+# without; call-site tracers (benchmarks/e2e/tracing.py) look them up
+# on this module
 from repro.service.exec import execute_program  # noqa: F401
 from repro.service.scheduler import pregenerate
 from repro.sim.machine import MachineParams
-from repro.sim.multi import JobEntry, merge_programs, untag_holdings
+from repro.sim.multi import JobEntry
+from repro.sim.multi import merge_programs  # noqa: F401
 from repro.sim.schedule import Chunk, Schedule
 from repro.topology.base import require_integer
 from repro.topology.hypercube import Hypercube
@@ -271,9 +273,8 @@ def _run_step(
     view: ExecutionView | None = None
     position: dict[str, int] = {}
     if names:
-        loop.close()
-        view = loop.view(merge_programs(entries))
         # admission order is the rank: position == admission index
+        view = loop.view(entries)
         position = {name: pos for pos, name in enumerate(names)}
         for name, pos in position.items():
             f = view.slices[pos].finish
@@ -297,11 +298,11 @@ def _run_step(
         )
         if p.op is not None:
             assert view is not None
-            s = view.slices[position[p.name]]
-            holdings = untag_holdings(view.raw.holdings, p.name)
+            pos = position[p.name]
+            s = view.slices[pos]
             undelivered = check_delivery(
-                cube, p.op, p.source,
-                view.program.entries[position[p.name]].schedule, holdings,
+                cube, p.op, p.source, entries[pos].schedule,
+                view.job_holdings(pos),
             )
             rep.transfers_scheduled = s.scheduled
             rep.transfers_executed = s.executed

@@ -7,7 +7,8 @@ admission order, the final view must be bit-for-bit the view of one
 from-scratch run of the final merged program
 (:func:`repro.service.exec.execute_program`): the same makespan,
 transfer log (ids *and* starts), sorted start times, holdings, per-job
-slices and degraded-result fields.
+slices, holdings and link busy totals, degraded-result fields, and the
+merged program itself.
 
 The checks wrap :class:`AdmissionRun` so that every incremental view
 the service or a workload builds is compared against the oracle.
@@ -82,6 +83,12 @@ def _view_key(view) -> tuple:
         sorted((node, sorted(map(repr, c))) for node, c in raw.holdings.items()),
         list(view.receivers), _floats(view.ends),
         slices, degraded,
+        [
+            sorted((node, sorted(map(repr, c)))
+                   for node, c in view.job_holdings(pos).items())
+            for pos in range(len(view.slices))
+        ],
+        [(repr(e), repr(b)) for e, b in view.link_busy_total().items()],
     )
 
 
@@ -96,14 +103,16 @@ class _CheckedRun(AdmissionRun):
         super().__init__(cube, port_model, machine, faults, on_fault)
         self._oracle_args = (port_model, machine, faults, on_fault)
 
-    def view(self, program):
-        got = super().view(program)
+    def view(self, entries):
+        got = super().view(entries)
         port_model, machine, faults, on_fault = self._oracle_args
+        program = merge_programs(entries)
         want = execute_program(
             self.cube, program, port_model, machine,
             faults=faults, on_fault=on_fault,
         )
         assert _view_key(got) == _view_key(want)
+        assert got.program == program
         type(self).views += 1
         return got
 
@@ -168,6 +177,21 @@ class TestService:
                 on_fault=case["on_fault"],
             )
             assert _view_key(result.view) == _view_key(oracle)
+
+    def test_static_key_runs_use_the_checked_view(self):
+        """Uncapped fifo/priority runs admit every job up front into the
+        same resumable run, so the oracle checks their view too."""
+        specs = [
+            JobSpec(tenant="a", message_elems=8, packet_elems=2),
+            JobSpec(tenant="b", op="scatter", message_elems=2, arrival=1.0,
+                    priority=3),
+            JobSpec(tenant="c", source=5, message_elems=4, arrival=1.0),
+        ]
+        before = _CheckedRun.views
+        with _checked():
+            for policy in ("fifo", "priority"):
+                run_service(Hypercube(3), specs, policy=policy)
+        assert _CheckedRun.views == before + 2
 
     def test_capped_fifo_and_priority_use_the_incremental_run(self):
         specs = [
@@ -249,13 +273,14 @@ class TestAdmissionRun:
             while run.next_completion(entry.release) is not None:
                 run.pop_completion()
             run.admit(entry, rank)
-        program = merge_programs(
-            [entry for entry, _ in sorted(jobs, key=lambda j: j[1])]
-        )
+        ranked = [entry for entry, _ in sorted(jobs, key=lambda j: j[1])]
         oracle = execute_program(
-            cube, program, pm, machine, faults=faults, on_fault=on_fault
+            cube, merge_programs(ranked), pm, machine,
+            faults=faults, on_fault=on_fault,
         )
-        assert _view_key(run.view(program)) == _view_key(oracle)
+        got = run.view(ranked)
+        assert _view_key(got) == _view_key(oracle)
+        assert got.program == oracle.program
 
 
 @st.composite
