@@ -67,7 +67,7 @@ def test_topology_torus_broadcast_end_to_end(benchmark):
         clear_caches()
         return broadcast(
             t, 0, message_elems=64, packet_elems=16,
-            run_event_sim=True, engine="vectorized",
+            run_event_sim=True,
         )
 
     res = benchmark(run)
@@ -82,7 +82,7 @@ def test_topology_torus_allreduce_end_to_end(benchmark):
         clear_caches()
         return allreduce(
             t, message_elems=32, packet_elems=8,
-            run_event_sim=True, engine="vectorized",
+            run_event_sim=True,
         )
 
     res = benchmark(run)
@@ -96,7 +96,7 @@ def test_topology_hypercube_all_broadcast_end_to_end(benchmark):
     def run():
         clear_caches()
         return all_broadcast(
-            h, message_elems=4, run_event_sim=True, engine="vectorized",
+            h, message_elems=4, run_event_sim=True,
         )
 
     res = benchmark(run)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections.abc import Sequence
 from contextlib import nullcontext
@@ -45,7 +44,6 @@ from repro.collectives.api import (
     scatter,
 )
 from repro.obs import configure_logging, profiled, write_metrics_json
-from repro.sim.dispatch import ENGINES
 from repro.sim.faults import FaultError, FaultPlan
 from repro.sim.machine import IPSC_D7, MachineParams
 from repro.sim.ports import PortModel
@@ -75,7 +73,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         "--jobs", "-j", type=int, default=None,
         help="worker processes for the point grid "
              "(default: REPRO_JOBS or 1; 0 = all cores)")
-    _add_engine_option(parser)
 
 
 def _add_topology_options(parser: argparse.ArgumentParser) -> None:
@@ -87,14 +84,6 @@ def _add_topology_options(parser: argparse.ArgumentParser) -> None:
         "--k", type=int, default=3, metavar="K",
         help="torus arity (nodes per ring; --topology torus only; "
              "default 3)")
-
-
-def _add_engine_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="event engine (default: REPRO_ENGINE or vectorized, the "
-             "production engine; reference is the slow bit-identical "
-             "oracle)")
 
 
 def _add_obs_options(parser: argparse.ArgumentParser) -> None:
@@ -258,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--profile", action="store_true",
                        help="capture a cProfile of the collective and "
                             "print the hottest functions")
-        _add_engine_option(c)
         _add_obs_options(c)
 
     rd = sub.add_parser(
@@ -280,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="port model: half (1 s or r), full (1 s and r), all")
     rd.add_argument("--ipsc", action="store_true",
                     help="use the iPSC/d7 machine model and the event engine")
-    _add_engine_option(rd)
     _add_obs_options(rd)
 
     ar = sub.add_parser(
@@ -306,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="port model: half (1 s or r), full (1 s and r), all")
     ar.add_argument("--ipsc", action="store_true",
                     help="use the iPSC/d7 machine model and the event engine")
-    _add_engine_option(ar)
     _add_obs_options(ar)
 
     ab = sub.add_parser(
@@ -322,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="port model: half (1 s or r), full (1 s and r), all")
     ab.add_argument("--ipsc", action="store_true",
                     help="use the iPSC/d7 machine model and the event engine")
-    _add_engine_option(ab)
     _add_obs_options(ab)
     return parser
 
@@ -541,7 +526,7 @@ def _run_reduction_command(args: argparse.Namespace) -> int:
                 cube, args.root,
                 message_elems=args.message, packet_elems=args.packet,
                 port_model=port_model, machine=machine,
-                run_event_sim=args.ipsc, engine=args.engine,
+                run_event_sim=args.ipsc,
                 algorithm=args.algorithm,
             )
         elif args.command == "allreduce":
@@ -549,7 +534,7 @@ def _run_reduction_command(args: argparse.Namespace) -> int:
                 cube,
                 message_elems=args.message, packet_elems=args.packet,
                 port_model=port_model, machine=machine,
-                run_event_sim=args.ipsc, engine=args.engine,
+                run_event_sim=args.ipsc,
                 root=args.root,
                 reduce_algorithm=args.reduce_algorithm,
                 broadcast_algorithm=args.broadcast_algorithm,
@@ -557,7 +542,7 @@ def _run_reduction_command(args: argparse.Namespace) -> int:
         else:  # all-broadcast
             result = all_broadcast(
                 cube, message_elems=args.message, port_model=port_model,
-                machine=machine, run_event_sim=args.ipsc, engine=args.engine,
+                machine=machine, run_event_sim=args.ipsc,
             )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -602,14 +587,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    # table/figure/sweep runners reach the engines through many layers;
-    # the environment default is the documented channel for them (sweep
-    # pool workers inherit it).
-    if getattr(args, "engine", None) and args.command in (
-        "table", "figure", "sweep"
-    ):
-        os.environ["REPRO_ENGINE"] = args.engine
-
     if args.command == "table":
         from repro import experiments
 
@@ -674,7 +651,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 on_fault=args.on_fault,
                 backend=args.backend,
                 trace=want_trace,
-                engine=args.engine,
             )
     except FaultError as exc:
         print(f"fault: {exc}", file=sys.stderr)

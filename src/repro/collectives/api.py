@@ -60,7 +60,7 @@ from repro.runtime.rules import (
     RUNTIME_BROADCAST_ALGORITHMS,
     RUNTIME_SCATTER_ALGORITHMS,
 )
-from repro.sim.dispatch import get_engine, resolve_engine
+from repro.sim.dispatch import get_engine
 from repro.sim.faults import (
     ON_FAULT_MODES,
     DegradedResult,
@@ -281,7 +281,6 @@ def _collective(
     port_model: PortModel,
     machine: MachineParams | None,
     run_event_sim: bool,
-    engine: str | None,
     subtree_order: str = "depth_first",
     faults: FaultPlan | None = None,
     on_fault: str = "raise",
@@ -309,14 +308,8 @@ def _collective(
             f"on_fault must be one of {modes} on the {backend!r} backend, "
             f"got {on_fault!r}"
         )
-    explicit, engine = engine, resolve_engine(engine)
-    # the runtime always runs on the vectorized engine; REPRO_ENGINE
-    # does not apply to it, but an explicit other engine is an error
-    if backend == "runtime" and explicit not in (None, "vectorized"):
-        raise ValueError(
-            "the runtime backend always runs on the vectorized engine, "
-            f"got engine={explicit!r}"
-        )
+    if faults is not None:
+        faults.check_topology(cube)
     _check_torus_supported(cube, op, backend, faults)
     if backend == "runtime":
         return _runtime_collective(
@@ -351,12 +344,12 @@ def _collective(
         )
     async_ = None
     if run_event_sim:
-        run_async = get_engine(engine)
-        shared = {"lowered": lowered} if engine == "vectorized" else {}
+        # looked up per call so a tracer that wraps it sees every run
+        run_async = get_engine()
         with collector.phase("async"):
             async_ = run_async(
                 cube, sched, port_model, initial, machine,
-                faults=faults, on_fault=on_fault, **shared,
+                faults=faults, on_fault=on_fault, lowered=lowered,
             )
     # A fault-free event run holds what the lock-step run holds (the
     # initial holdings plus every output slot: both engines run every
@@ -491,7 +484,6 @@ def broadcast(
     on_fault: str = "raise",
     backend: str = "sim",
     trace: bool = False,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """Broadcast ``message_elems`` from ``source`` to every other node.
 
@@ -528,17 +520,11 @@ def broadcast(
             ``result.async_``, so ``run_event_sim`` is implied.
         trace: record a per-packet :class:`repro.runtime.RuntimeTrace`
             on ``result.async_.trace`` (runtime backend only).
-        engine: event engine for ``run_event_sim`` (see
-            :data:`repro.sim.ENGINES`; default: ``REPRO_ENGINE`` or
-            ``"vectorized"``, the production engine; ``"reference"``
-            is the slow bit-identical oracle).  The runtime backend
-            always runs on the vectorized engine and rejects any
-            other explicit ``engine``.
     """
     return _collective(
         cube, "broadcast", _resolve_algorithm(cube, "broadcast", algorithm),
         source, message_elems, packet_elems, port_model, machine,
-        run_event_sim, engine, faults=faults, on_fault=on_fault,
+        run_event_sim, faults=faults, on_fault=on_fault,
         backend=backend, trace=trace,
     )
 
@@ -599,7 +585,6 @@ def scatter(
     on_fault: str = "raise",
     backend: str = "sim",
     trace: bool = False,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """Send a distinct ``message_elems`` message from ``source`` to each node.
 
@@ -630,15 +615,11 @@ def scatter(
             (``"sbt"``/``"bst"`` only).
         trace: record a per-packet :class:`repro.runtime.RuntimeTrace`
             on ``result.async_.trace`` (runtime backend only).
-        engine: event-engine implementation for ``run_event_sim``
-            (see :data:`repro.sim.ENGINES`); the runtime backend always
-            runs on the vectorized engine and rejects any other
-            explicit ``engine``.
     """
     return _collective(
         cube, "scatter", _resolve_algorithm(cube, "scatter", algorithm),
         source, message_elems, packet_elems, port_model, machine,
-        run_event_sim, engine, subtree_order=subtree_order,
+        run_event_sim, subtree_order=subtree_order,
         faults=faults, on_fault=on_fault, backend=backend, trace=trace,
     )
 
@@ -685,7 +666,6 @@ def gather(
     port_model: PortModel = PortModel.ONE_PORT_FULL,
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """Collect a distinct ``message_elems`` message from every node at ``root``.
 
@@ -697,7 +677,7 @@ def gather(
     algorithm = _resolve_algorithm(cube, "gather", algorithm)
     return _collective(
         cube, "gather", algorithm, root, message_elems, packet_elems,
-        port_model, machine, run_event_sim, engine,
+        port_model, machine, run_event_sim,
     )
 
 
@@ -709,7 +689,6 @@ def reduce(
     port_model: PortModel = PortModel.ONE_PORT_FULL,
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
-    engine: str | None = None,
     algorithm: str | None = None,
 ) -> CollectiveResult:
     """Combine an ``message_elems`` operand from every node at ``root``.
@@ -721,7 +700,7 @@ def reduce(
     algorithm = _resolve_algorithm(cube, "reduce", algorithm)
     return _collective(
         cube, "reduce", algorithm, root, message_elems, packet_elems,
-        port_model, machine, run_event_sim, engine,
+        port_model, machine, run_event_sim,
     )
 
 
@@ -760,7 +739,6 @@ def allreduce(
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
     broadcast_algorithm: str | None = None,
-    engine: str | None = None,
     root: int = 0,
     reduce_algorithm: str | None = None,
 ) -> AllreduceResult:
@@ -791,12 +769,12 @@ def allreduce(
     with collector.phase("reduce"):
         phase1 = reduce(
             cube, root, message_elems, packet_elems, port_model, machine,
-            run_event_sim, engine=engine, algorithm=reduce_algorithm,
+            run_event_sim, algorithm=reduce_algorithm,
         )
     with collector.phase("broadcast"):
         phase2 = broadcast(
             cube, root, broadcast_algorithm, message_elems, packet_elems,
-            port_model, machine, run_event_sim, engine=engine,
+            port_model, machine, run_event_sim,
         )
     result = AllreduceResult(reduce=phase1, broadcast=phase2)
     collector.finalize(result)
@@ -809,12 +787,11 @@ def allgather(
     port_model: PortModel = PortModel.ONE_PORT_FULL,
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """All-to-all broadcast: every node ends holding every contribution."""
     return _collective(
         cube, "allgather", "dimension-exchange", 0, message_elems, None,
-        port_model, machine, run_event_sim, engine,
+        port_model, machine, run_event_sim,
     )
 
 
@@ -824,7 +801,6 @@ def all_broadcast(
     port_model: PortModel = PortModel.ONE_PORT_FULL,
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
-    engine: str | None = None,
 ) -> CollectiveResult:
     """All-to-all broadcast on any topology: every node learns every
     contribution.
@@ -837,7 +813,7 @@ def all_broadcast(
     """
     return _collective(
         cube, "all_broadcast", default_algorithm(cube, "all_broadcast"), 0,
-        message_elems, None, port_model, machine, run_event_sim, engine,
+        message_elems, None, port_model, machine, run_event_sim,
     )
 
 
@@ -848,7 +824,6 @@ def alltoall_personalized(
     machine: MachineParams | None = None,
     run_event_sim: bool = False,
     algorithm: str = "dimension-exchange",
-    engine: str | None = None,
 ) -> CollectiveResult:
     """Total exchange: node ``i`` sends a distinct message to every ``j``.
 
@@ -859,7 +834,7 @@ def alltoall_personalized(
     """
     return _collective(
         cube, "alltoall", algorithm, 0, message_elems, None,
-        port_model, machine, run_event_sim, engine,
+        port_model, machine, run_event_sim,
     )
 
 

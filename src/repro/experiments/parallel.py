@@ -23,9 +23,6 @@ Design points:
   platform where worker processes cannot be started all run the exact
   same per-point code in-process — no separate serial code path that
   could drift.
-* **Environment.**  Workers inherit the parent's environment, so a
-  process-wide default such as ``REPRO_ENGINE`` (what the CLI's
-  ``--engine`` sets) reaches every point without a parameter.
 
 Point functions must be module-level callables and their kwargs
 picklable (workers may be spawned, not forked).  The ``REPRO_JOBS``

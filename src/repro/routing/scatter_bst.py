@@ -20,8 +20,8 @@ from __future__ import annotations
 from repro.cache import cached_tree, memoize_schedule
 from repro.routing.common import scatter_chunks
 from repro.routing.scatter_common import (
-    dest_pieces,
     distribute_packet,
+    pieces_by_dest,
     wave_scatter_schedule,
 )
 from repro.routing.scheduler import greedy_partition, list_schedule
@@ -109,6 +109,7 @@ def _cyclic_one_port(
     source = tree.root
     dests = [d for d in cube.nodes() if d != source]
     sizes = scatter_chunks(dests, message_elems, packet_elems)
+    by_dest = pieces_by_dest(sizes)
     n = cube.dimension
 
     # Per-subtree packet queues: bundles of at most B elements, filled
@@ -119,7 +120,7 @@ def _cyclic_one_port(
         order = _subtree_dest_order(tree, j, subtree_order)
         pieces: list[Chunk] = []
         for d in order:
-            pieces.extend(dest_pieces(sizes, d))
+            pieces.extend(by_dest[d])
         queues.append([frozenset(g) for g in greedy_partition(pieces, sizes, packet_elems)])
         heads.append(_subtree_head(tree, j))
 

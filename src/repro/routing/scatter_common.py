@@ -18,6 +18,8 @@ piece leaves the root and *how* pieces are bundled into packets:
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.cache import memoize_schedule
 from repro.routing.common import MSG, scatter_chunks
 from repro.routing.scheduler import split_oversized
@@ -26,20 +28,21 @@ from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.trees.base import SpanningTree
 
 __all__ = [
-    "dest_pieces",
+    "pieces_by_dest",
     "tree_path_from_root",
     "wave_scatter_schedule",
     "distribute_packet",
 ]
 
 
-def dest_pieces(
-    sizes: dict[Chunk, int],
-    dest: int,
-) -> list[Chunk]:
-    """All pieces ``("m", dest, p)`` for one destination, in piece order."""
-    out = [c for c in sizes if c[0] == MSG and c[1] == dest]
-    out.sort(key=lambda c: c[2])
+def pieces_by_dest(sizes: dict[Chunk, int]) -> dict[int, list[Chunk]]:
+    """The pieces ``("m", dest, p)`` of every destination, in piece order."""
+    out: dict[int, list[Chunk]] = {}
+    for c in sizes:
+        if c[0] == MSG:
+            out.setdefault(c[1], []).append(c)
+    for pieces in out.values():
+        pieces.sort(key=itemgetter(2))
     return out
 
 
@@ -83,6 +86,7 @@ def wave_scatter_schedule(
     else:
         dests = tuple(sorted(set(dests) - {tree.root}))
     sizes = scatter_chunks(dests, message_elems, packet_elems)
+    by_dest = pieces_by_dest(sizes)
     height = tree.height
 
     bundles: dict[tuple[int, int, int], set[Chunk]] = {}
@@ -91,7 +95,7 @@ def wave_scatter_schedule(
         path = tree_path_from_root(tree, d)
         l = len(path) - 1  # tree level of d
         depart = height - l
-        pieces = frozenset(dest_pieces(sizes, d))
+        pieces = frozenset(by_dest[d])
         for h in range(l):
             step = depart + h
             key = (step, path[h], path[h + 1])

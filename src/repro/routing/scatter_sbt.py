@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.cache import cached_tree, memoize_schedule
 from repro.routing.common import scatter_chunks
-from repro.routing.scatter_common import dest_pieces, wave_scatter_schedule
+from repro.routing.scatter_common import pieces_by_dest, wave_scatter_schedule
 from repro.routing.scheduler import greedy_partition
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Schedule, Transfer
@@ -64,6 +64,7 @@ def _recursive_halving(
     n = cube.dimension
     dests = [d for d in cube.nodes() if d != source]
     sizes = scatter_chunks(dests, message_elems, packet_elems)
+    by_dest = pieces_by_dest(sizes)
 
     # Recursive halving along the SBT: in step t, every node whose
     # relative address fits in the low t bits sends across dimension t
@@ -77,14 +78,11 @@ def _recursive_halving(
     for t in range(n):
         per_sender_packets: list[list[Transfer]] = []
         for c in range(1 << t):
-            dest_rels = [
-                rel
-                for rel in range(cube.num_nodes - 1, 0, -1)
-                if rel & ((1 << (t + 1)) - 1) == c | (1 << t)
-            ]
+            # relative addresses whose low t+1 bits are c | 2^t, descending
+            step = 1 << (t + 1)
             pieces = []
-            for rel in dest_rels:
-                pieces.extend(dest_pieces(sizes, source ^ rel))
+            for rel in range(cube.num_nodes - step + (c | (1 << t)), 0, -step):
+                pieces.extend(by_dest[source ^ rel])
             if not pieces:
                 continue
             groups = greedy_partition(pieces, sizes, packet_elems)

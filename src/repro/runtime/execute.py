@@ -157,6 +157,8 @@ def run_program(
         raise ValueError(
             f"on_fault must be one of {RUNTIME_FAULT_MODES}, got {on_fault!r}"
         )
+    if faults is not None:
+        faults.check_topology(cube)
     machine = machine or MachineParams()
     packet_elems = max(program.chunk_sizes.values(), default=1)
     if detect_timeout is None:

@@ -313,6 +313,8 @@ class CollectiveService:
         on_fault: str = "raise",
         jobs: int | None = None,
     ):
+        if faults is not None:
+            faults.check_topology(cube)
         self.cube = cube
         self.port_model = port_model
         self.machine = machine or MachineParams()

@@ -11,12 +11,11 @@ Two engines over one schedule representation:
 The event engine is the vectorized array core
 (:func:`repro.sim.run_async_vectorized`, of which ``run_async`` is the
 public name): it compiles the schedule to flat NumPy tables via
-:func:`repro.sim.lower_schedule`.  A naive reference oracle, selectable
-as ``engine="reference"`` (see :mod:`repro.sim.dispatch`), pins its
-results bit for bit.
+:func:`repro.sim.lower_schedule`.  It is the only event engine; the
+tests pin it bit for bit to a naive oracle,
+:func:`repro.sim._engine_reference.run_async_reference`.
 """
 
-from repro.sim.dispatch import ENGINES, get_engine, resolve_engine
 from repro.sim.faults import (
     DegradedResult,
     FaultError,
@@ -40,9 +39,6 @@ __all__ = [
     "AsyncResult",
     "run_async",
     "run_async_vectorized",
-    "ENGINES",
-    "get_engine",
-    "resolve_engine",
     "LoweredSchedule",
     "lower_schedule",
     "DegradedResult",

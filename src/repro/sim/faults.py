@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.sim.trace import LinkStats
+from repro.topology.base import Topology, require_integer, topology_token
 
 __all__ = [
     "FaultPlan",
@@ -127,8 +128,10 @@ class FaultPlan:
     every transfer it would send *or* receive.  The plan is immutable
     and hashable (via :meth:`cache_token`), so it can key caches.
 
-    ``topology`` optionally pins the plan to a host graph; the topology
-    identity becomes part of :meth:`cache_token`, so the same node/link
+    Addresses must be integers (``bool`` is rejected).  ``topology``
+    optionally pins the plan to a host graph: the plan is checked
+    against it (:meth:`check_topology`), and the topology identity
+    becomes part of :meth:`cache_token`, so the same node/link
     addresses on a hypercube and on a torus of equal ``n`` can never
     share a cache entry (the addresses name different physical links).
 
@@ -145,7 +148,7 @@ class FaultPlan:
         self,
         dead_links: Iterable[tuple] = (),
         dead_nodes: Iterable[int | tuple] = (),
-        topology: object | None = None,
+        topology: Topology | None = None,
     ):
         links: dict[tuple[int, int], float] = {}
         for item in dead_links:
@@ -156,6 +159,8 @@ class FaultPlan:
                 a, b, at = item
             else:
                 raise ValueError(f"dead link must be (a, b) or (a, b, at_time), got {item!r}")
+            a = require_integer(a, "dead link endpoint")
+            b = require_integer(b, "dead link endpoint")
             if a == b:
                 raise ValueError(f"a link needs two distinct endpoints, got {item!r}")
             if not at >= 0:  # NaN fails this too
@@ -169,6 +174,7 @@ class FaultPlan:
                 v, at = item
             else:
                 v, at = item, 0.0
+            v = require_integer(v, "dead node")
             if not at >= 0:  # NaN fails this too
                 raise ValueError(f"activation time must be >= 0, got {item!r}")
             prev = nodes.get(v)
@@ -178,8 +184,7 @@ class FaultPlan:
         if topology is None:
             self._topology: tuple | None = None
         else:
-            from repro.topology.base import topology_token
-
+            self.check_topology(topology)
             self._topology = topology_token(topology)
 
     # -- structure ----------------------------------------------------------
@@ -213,6 +218,15 @@ class FaultPlan:
     def node_activation(self, v: int) -> float | None:
         """Activation time of node ``v``, or ``None`` if healthy."""
         return self._nodes.get(v)
+
+    def check_topology(self, topology: Topology) -> None:
+        """Raise ``ValueError`` unless every dead node is a node of
+        ``topology`` and every dead link one of its links."""
+        for v in self._nodes:
+            topology.check_node(v)
+        for a, b in self._links:
+            if not topology.are_adjacent(a, b):
+                raise ValueError(f"dead link {(a, b)} is not a link of {topology!r}")
 
     # -- queries the engines use -------------------------------------------
 

@@ -362,6 +362,8 @@ def run_workload(
             f"on_fault must be 'raise' or 'report', got {workload.on_fault!r}"
         )
     cube = Hypercube(workload.dimension)
+    if workload.faults is not None:
+        workload.faults.check_topology(cube)
     machine = workload.machine or MachineParams()
     report = WorkloadReport(
         workload=workload.name, dimension=workload.dimension

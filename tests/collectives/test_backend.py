@@ -63,17 +63,6 @@ class TestRuntimeBackend:
         with pytest.raises(ValueError, match="runtime backend"):
             scatter(cube4, 0, "tcbt", 4, 2, backend="runtime")
 
-    def test_non_vectorized_engine_rejected(self, cube4, monkeypatch):
-        for fn in (broadcast, scatter):
-            with pytest.raises(ValueError, match="always runs on the vectorized"):
-                fn(cube4, 0, "sbt", 4, 2, backend="runtime", engine="reference")
-            rt = fn(cube4, 0, "sbt", 4, 2, backend="runtime", engine="vectorized")
-            assert isinstance(rt.async_, RuntimeResult)
-        # REPRO_ENGINE selects the sim backend's engine only
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        rt = broadcast(cube4, 0, "sbt", 4, 2, backend="runtime")
-        assert isinstance(rt.async_, RuntimeResult)
-
     def test_unknown_backend_rejected(self, cube4):
         with pytest.raises(ValueError, match="backend"):
             broadcast(cube4, 0, "sbt", 4, 2, backend="mpi")

@@ -25,7 +25,8 @@ from repro.collectives import (
     collective_schedule,
     reduce,
 )
-from repro.sim.dispatch import get_engine
+from repro.sim import run_async
+from repro.sim._engine_reference import run_async_reference
 from repro.sim.ports import PortModel
 from repro.sim.synchronous import run_synchronous
 from repro.sim.validate import assert_schedule_valid
@@ -39,7 +40,7 @@ TOPOLOGIES = [
     pytest.param(Torus(3, 2), id="torus-3x2"),
 ]
 OPS = ["broadcast", "scatter", "gather", "reduce", "all_broadcast"]
-ENGINES = ["vectorized", "reference"]
+RUNNERS = [run_async, run_async_reference]
 
 
 @pytest.mark.parametrize("pm", list(PortModel))
@@ -58,10 +59,9 @@ def test_point_matches_synchronous_engine(topo, op, pm):
     sync = run_synchronous(topo, sched, pm, initial)
     assert check_delivery(topo, op, source, sched, sync.holdings) == {}
 
-    # 3. the event engines agree with the lock-step engine
+    # 3. the event engine and its oracle agree with the lock-step engine
     results = []
-    for engine in ENGINES:
-        run = get_engine(engine)
+    for run in RUNNERS:
         res = run(topo, sched, pm, initial)
         assert res.holdings == sync.holdings
         # busy-time conservation: identical per-edge packets/elements

@@ -4,8 +4,8 @@ import pytest
 
 from repro.routing.common import scatter_chunks
 from repro.routing.scatter_common import (
-    dest_pieces,
     distribute_packet,
+    pieces_by_dest,
     tree_path_from_root,
     wave_scatter_schedule,
 )
@@ -16,13 +16,25 @@ from repro.trees import BalancedSpanningTree, SpanningBinomialTree
 
 class TestDestPieces:
     def test_ordered_pieces(self):
-        sizes = scatter_chunks([5], 10, 4)
-        pieces = dest_pieces(sizes, 5)
-        assert pieces == [("m", 5, 0), ("m", 5, 1), ("m", 5, 2)]
+        sizes = scatter_chunks([5, 3], 10, 4)
+        assert pieces_by_dest(sizes) == {
+            5: [("m", 5, 0), ("m", 5, 1), ("m", 5, 2)],
+            3: [("m", 3, 0), ("m", 3, 1), ("m", 3, 2)],
+        }
 
     def test_missing_destination_empty(self):
         sizes = scatter_chunks([5], 10, 4)
-        assert dest_pieces(sizes, 7) == []
+        assert 7 not in pieces_by_dest(sizes)
+
+    def test_matches_per_destination_scan(self):
+        """Equal to filtering ``sizes`` per destination and sorting by
+        piece index, whatever the key order of ``sizes``."""
+        sizes = dict(reversed(scatter_chunks([6, 2, 9], 11, 3).items()))
+        sizes[("x", 2, 0)] = 1  # not a message piece
+        assert pieces_by_dest(sizes) == {
+            d: sorted((c for c in sizes if c[0] == "m" and c[1] == d), key=lambda c: c[2])
+            for d in (6, 2, 9)
+        }
 
 
 class TestTreePath:

@@ -9,20 +9,22 @@ link statistics, start times, fault errors and degraded results alike.
 checks here replay a pre-built lowering with the transfer log on (the
 service layer's call) and run the fault matrix on the iPSC machine.
 
-Also covers the engine dispatch layer (:mod:`repro.sim.dispatch`), the
-``engine=`` plumbing through the collectives API, the sweep executor
-and the CLI, the ``repro_engine_table_bytes_peak`` gauge, and the
-admission-block count, which grows linearly in the packets per link.
+Also covers the absence of an engine choice (:mod:`repro.sim.dispatch`
+resolves only ``vectorized``; no collective takes ``engine``, no CLI
+subcommand ``--engine``), collective results against the oracle, the
+``repro_engine_table_bytes_peak`` gauge, and the admission-block count,
+which grows linearly in the packets per link.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives.api import broadcast
-from repro.experiments.parallel import run_sweep
+from repro.collectives.api import broadcast, scatter
 from repro.obs import REGISTRY
 from repro.obs.instruments import (
     ENGINE_ADMISSION_BLOCKS,
@@ -38,7 +40,8 @@ from repro.routing import (
     tree_broadcast_schedule,
 )
 from repro.cli import build_parser
-from repro.sim import ENGINES, get_engine, resolve_engine, run_async
+from repro.sim import run_async
+from repro.sim.dispatch import get_engine, resolve_engine
 from repro.sim._engine_reference import run_async_reference
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.lowering import lower_schedule
@@ -266,101 +269,73 @@ def test_property_vectorized_bit_identical(params, algo):
     assert vec.link_stats == ref.link_stats
 
 
-# -- dispatch and plumbing --------------------------------------------
+# -- no engine choice -------------------------------------------------
 
 
 def test_resolve_engine_default_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert resolve_engine() == "vectorized"
-    assert resolve_engine(None) == "vectorized"
+    """The one engine is ``vectorized``; ``REPRO_ENGINE`` is not read."""
     monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert resolve_engine() == "reference"
-    assert resolve_engine("vectorized") == "vectorized"
+    assert resolve_engine() == "vectorized"
+    assert resolve_engine(None) == resolve_engine("vectorized") == "vectorized"
+    assert get_engine() is run_async_vectorized
     with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("bogus")
-    monkeypatch.setenv("REPRO_ENGINE", "bogus")
-    with pytest.raises(ValueError, match="unknown engine"):
-        resolve_engine()
 
 
-def test_indexed_engine_name_rejected(monkeypatch):
-    """The removed engine's name fails loudly and lists what is left."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    with pytest.raises(ValueError, match="'indexed'.*vectorized, reference"):
-        resolve_engine("indexed")
-    with pytest.raises(ValueError, match="'indexed'.*vectorized, reference"):
-        broadcast(Hypercube(3), 0, "sbt", 4, 2, run_event_sim=True, engine="indexed")
-    monkeypatch.setenv("REPRO_ENGINE", "indexed")
-    with pytest.raises(ValueError, match="'indexed'.*vectorized, reference"):
-        resolve_engine()
+def test_indexed_engine_name_rejected():
+    """No engine name other than ``vectorized`` resolves, and no
+    collective takes an ``engine`` argument."""
+    for name in ("indexed", "reference"):
+        with pytest.raises(ValueError, match=f"{name!r}"):
+            resolve_engine(name)
+        with pytest.raises(ValueError, match=f"{name!r}"):
+            get_engine(name)
+        with pytest.raises(TypeError, match="engine"):
+            broadcast(Hypercube(3), 0, "sbt", 4, 2, run_event_sim=True, engine=name)
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["broadcast", "--dim", "3", "--engine", "indexed"],
-        ["table", "3", "--engine", "indexed"],
+        ["broadcast", "--dim", "3"],
+        ["table", "3"],
+        ["figure", "5"],
+        ["sweep", "all"],
+        ["scatter", "--dim", "3"],
+        ["reduce", "--dim", "3"],
+        ["allreduce", "--dim", "3"],
+        ["all-broadcast", "--dim", "3"],
     ],
-    ids=["collective", "table"],
+    ids=["collective", "table", "figure", "sweep", "scatter", "reduce",
+         "allreduce", "all-broadcast"],
 )
 def test_cli_rejects_indexed_engine(argv, capsys):
+    """No subcommand takes ``--engine``."""
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv)
+        build_parser().parse_args([*argv, "--engine", "indexed"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "invalid choice: 'indexed'" in err
-    assert "'vectorized', 'reference'" in err
+    assert "unrecognized arguments: --engine indexed" in capsys.readouterr().err
 
 
-def test_get_engine_returns_runners(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert get_engine() is run_async is run_async_vectorized
-    assert get_engine("vectorized") is run_async_vectorized
-    assert get_engine("reference") is run_async_reference
-    assert ENGINES == ("vectorized", "reference")
+def test_get_engine_returns_runners():
+    assert get_engine() is get_engine("vectorized") is run_async is run_async_vectorized
 
 
 def test_collectives_engine_parameter():
+    """A collective's event run equals the reference oracle run on the
+    returned schedule, at source 0 and at a nonzero source (whose
+    broadcast lowering is the translated source-0 cache entry)."""
     cube = Hypercube(4)
-    a = broadcast(cube, 0, "msbt", 64, 8, machine=IPSC_D7, run_event_sim=True)
-    b = broadcast(
-        cube, 0, "msbt", 64, 8, machine=IPSC_D7, run_event_sim=True,
-        engine="reference",
-    )
-    assert a.time == b.time
-    assert a.async_.start_times == sorted(b.async_.start_times)
-    with pytest.raises(ValueError, match="unknown engine"):
-        broadcast(
-            cube, 0, "msbt", 64, 8, run_event_sim=True, engine="bogus"
+    ops = [(broadcast, "sbt"), (broadcast, "msbt"), (scatter, "sbt"), (scatter, "bst")]
+    for (op, algorithm), source, pm in product(ops, (0, 11), PortModel):
+        res = op(cube, source, algorithm, 37, 8, pm, IPSC_D7, run_event_sim=True)
+        ref = run_async_reference(
+            cube, res.schedule, pm, {source: set(res.schedule.chunk_sizes)}, IPSC_D7
         )
-    # the name is checked on every call, whether or not an engine runs
-    for kwargs in (dict(), dict(backend="runtime")):
-        with pytest.raises(ValueError, match="unknown engine"):
-            broadcast(cube, 0, "msbt", 64, 8, engine="bogus", **kwargs)
-
-
-def _sweep_point(n: int) -> tuple[float, str]:
-    res = broadcast(
-        Hypercube(n), 0, "sbt", 32, 8, machine=IPSC_D7, run_event_sim=True
-    )
-    return res.time, resolve_engine()
-
-
-def test_run_sweep_exports_engine(monkeypatch):
-    """Pool workers inherit ``REPRO_ENGINE``, which is how the CLI's
-    ``--engine`` reaches the points of a table/figure/sweep."""
-    points = [{"n": 3}, {"n": 4}]
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    default = run_sweep(_sweep_point, points, jobs=2)
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    ref = run_sweep(_sweep_point, points, jobs=2)
-    assert ref.stats.executor == "process-pool"
-    assert [engine for _, engine in default.values] == ["vectorized"] * 2
-    assert [engine for _, engine in ref.values] == ["reference"] * 2
-    assert [t for t, _ in default.values] == [t for t, _ in ref.values]
-    monkeypatch.setenv("REPRO_ENGINE", "bogus")
-    with pytest.raises(ValueError, match="unknown engine"):
-        run_sweep(_sweep_point, points, jobs=2)
+        assert res.time == ref.time
+        assert res.async_.start_times == sorted(ref.start_times)
+        assert res.async_.holdings == ref.holdings
+        assert res.link_stats == ref.link_stats
 
 
 def test_table_bytes_gauge_tracks_peak():

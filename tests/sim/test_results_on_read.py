@@ -291,8 +291,8 @@ def test_delivery_check_reads_the_event_run(monkeypatch):
     though the lock-step run delivered everything."""
     real = api.get_engine
 
-    def short_engine(name):
-        run = real(name)
+    def short_engine():
+        run = real()
 
         def short(*args, **kwargs):
             res = run(*args, **kwargs)

@@ -27,38 +27,38 @@ GRID = [
         dict(op="broadcast", algorithm="msbt", source=3,
              message_elems=16, packet_elems=4),
         lambda cube: broadcast(cube, 3, "msbt", 16, 4,
-                               run_event_sim=True, engine="vectorized"),
+                               run_event_sim=True),
     ),
     (
         dict(op="broadcast", algorithm="sbt", source=0, message_elems=8),
         lambda cube: broadcast(cube, 0, "sbt", 8,
-                               run_event_sim=True, engine="vectorized"),
+                               run_event_sim=True),
     ),
     (
         dict(op="scatter", algorithm="bst", source=5,
              message_elems=4, packet_elems=2),
         lambda cube: scatter(cube, 5, "bst", 4, 2,
-                             run_event_sim=True, engine="vectorized"),
+                             run_event_sim=True),
     ),
     (
         dict(op="gather", algorithm="bst", source=2, message_elems=4),
         lambda cube: gather(cube, 2, "bst", 4,
-                            run_event_sim=True, engine="vectorized"),
+                            run_event_sim=True),
     ),
     (
         dict(op="reduce", source=1, message_elems=4, packet_elems=2),
         lambda cube: reduce(cube, 1, 4, 2,
-                            run_event_sim=True, engine="vectorized"),
+                            run_event_sim=True),
     ),
     (
         dict(op="allgather", message_elems=2),
         lambda cube: allgather(cube, 2,
-                               run_event_sim=True, engine="vectorized"),
+                               run_event_sim=True),
     ),
     (
         dict(op="alltoall", message_elems=2),
         lambda cube: alltoall_personalized(
-            cube, 2, run_event_sim=True, engine="vectorized"),
+            cube, 2, run_event_sim=True),
     ),
 ]
 
@@ -89,8 +89,7 @@ class TestSerialChainMatchesComposition:
         an SBT broadcast phase — must cost exactly what the allreduce
         composition reports (its phases run back to back)."""
         cube = Hypercube(DIM)
-        std = allreduce(cube, 8, 4, run_event_sim=True,
-                        engine="vectorized", root=0)
+        std = allreduce(cube, 8, 4, run_event_sim=True, root=0)
         dag = WorkloadDAG((
             PhaseSpec("red", op="reduce", source=0,
                       message_elems=8, packet_elems=4),
