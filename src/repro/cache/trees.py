@@ -83,12 +83,16 @@ def cached_tree(cls: type[T], cube: Topology, root: int = 0, *extra) -> T:
     """
     if not caching_enabled():
         return _build(cls, cube, root, extra)
+    # checked before the lookup, and ``extra`` keyed with its types:
+    # False == 0 == 0.0 would hit the entry of a valid twin
+    root = cube.check_node(root)
     topo = topology_token(cube)
-    key = (cls.__qualname__, topo, root, extra)
+    extra_key = (extra, tuple(map(type, extra)))
+    key = (cls.__qualname__, topo, root, extra_key)
     inst = _instances.get(key)
     if inst is not MISSING:
         return inst
-    ckey = (cls.__qualname__, topo, extra)
+    ckey = (cls.__qualname__, topo, extra_key)
     canonical = _canonical.get(ckey)
     if canonical is MISSING:
         canonical = _build(cls, cube, 0, extra)
@@ -111,7 +115,7 @@ def cached_msbt_graph(cube: Hypercube, source: int = 0) -> MSBTGraph:
     """
     if not caching_enabled():
         return MSBTGraph(cube, source)
-    key = (cube.dimension, source)
+    key = (cube.dimension, cube.check_node(source))
     graph = _msbt_graphs.get(key)
     if graph is not MISSING:
         return graph

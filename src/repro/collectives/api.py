@@ -55,6 +55,7 @@ from repro.routing import (
     tree_scatter_schedule,
 )
 from repro.routing.common import MSG
+from repro.routing.scatter_bst import check_subtree_order
 from repro.runtime.execute import RUNTIME_FAULT_MODES, run_collective
 from repro.runtime.rules import (
     RUNTIME_BROADCAST_ALGORITHMS,
@@ -302,6 +303,7 @@ def _collective(
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     if not isinstance(port_model, PortModel):
         raise ValueError(f"port_model must be a PortModel, got {port_model!r}")
+    check_subtree_order(subtree_order)
     modes = RUNTIME_FAULT_MODES if backend == "runtime" else ON_FAULT_MODES
     if on_fault not in modes:
         raise ValueError(
@@ -881,6 +883,7 @@ def collective_schedule(
     """
     if op not in SCHEDULE_OPS:
         raise ValueError(f"op must be one of {SCHEDULE_OPS}, got {op!r}")
+    check_subtree_order(subtree_order)
     algorithm = _resolve_algorithm(cube, op, algorithm)
     packet_elems = message_elems if packet_elems is None else packet_elems
     if op == "broadcast":

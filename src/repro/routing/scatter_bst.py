@@ -30,10 +30,18 @@ from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.topology.hypercube import Hypercube
 from repro.trees.bst import BalancedSpanningTree
 
-__all__ = ["bst_scatter_schedule", "SUBTREE_ORDERS"]
+__all__ = ["bst_scatter_schedule", "check_subtree_order", "SUBTREE_ORDERS"]
 
 #: transmission orders supported within a subtree (§5.2)
 SUBTREE_ORDERS = ("depth_first", "reversed_breadth_first")
+
+
+def check_subtree_order(subtree_order: str) -> None:
+    """Raise ``ValueError`` unless ``subtree_order`` is in ``SUBTREE_ORDERS``."""
+    if subtree_order not in SUBTREE_ORDERS:
+        raise ValueError(
+            f"unknown subtree order {subtree_order!r}; pick one of {SUBTREE_ORDERS}"
+        )
 
 
 @memoize_schedule()
@@ -58,10 +66,7 @@ def bst_scatter_schedule(
             only; the all-port schedule is level-by-level).
     """
     cube.check_node(source)
-    if subtree_order not in SUBTREE_ORDERS:
-        raise ValueError(
-            f"unknown subtree order {subtree_order!r}; pick one of {SUBTREE_ORDERS}"
-        )
+    check_subtree_order(subtree_order)
     tree = cached_tree(BalancedSpanningTree, cube, source)
     if port_model is PortModel.ALL_PORT:
         return wave_scatter_schedule(

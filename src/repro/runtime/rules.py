@@ -57,7 +57,7 @@ from repro.bits.ops import highest_set_bit, popcount
 from repro.cache import MISSING, LRUCache, caching_enabled
 from repro.routing.broadcast_sbt import SBT_ORDERS
 from repro.routing.common import BCAST, MSG, validate_message_args
-from repro.routing.scatter_bst import SUBTREE_ORDERS
+from repro.routing.scatter_bst import check_subtree_order
 from repro.routing.scheduler import greedy_partition
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk
@@ -194,10 +194,7 @@ def build_cluster_program(
         raise ValueError(f"port_model must be a PortModel, got {port_model!r}")
     if order not in SBT_ORDERS:
         raise ValueError(f"unknown SBT order {order!r}; pick one of {SBT_ORDERS}")
-    if subtree_order not in SUBTREE_ORDERS:
-        raise ValueError(
-            f"unknown subtree order {subtree_order!r}; pick one of {SUBTREE_ORDERS}"
-        )
+    check_subtree_order(subtree_order)
     if op == "broadcast":
         if algorithm not in RUNTIME_BROADCAST_ALGORITHMS:
             raise ValueError(

@@ -1,17 +1,16 @@
 """Merged-program execution and per-job provenance accounting.
 
-A service run or a workload step executes one merged program
-(:class:`~repro.sim.multi.MergedProgram`) on the vectorized event
-engine, with release times baked into the lowering and the transfer
-log enabled.  The service and the workload layer grow that program
-while it runs, through :class:`AdmissionRun`: jobs join one resumable
-engine run (:class:`~repro.sim.vectorized.VectorizedRun`) at their
-admission instants — all of them up front, when nothing the engine
-computes can change an admission — and the run advances only as far as
-the next event, never simulating an instant within ``_EPS`` of a
-pending admission.  Each instant is simulated once, and the final view
-equals :func:`execute_program` — the one-shot run of the finished
-program, kept as the public API and as the oracle — bit for bit.
+A service run or a workload step runs its jobs as one program on the
+vectorized event engine, with release times baked into the lowering
+and the transfer log on.  Through :class:`AdmissionRun`, jobs join one
+resumable engine run (:class:`~repro.sim.vectorized.VectorizedRun`) at
+their admission instants — all of them up front, when nothing the
+engine computes can change an admission — and the run advances only
+as far as the next event, never simulating an instant within ``_EPS``
+of a pending admission.  Each instant is simulated once, and the final
+view equals :func:`execute_program` — the one-shot run of a
+:class:`~repro.sim.multi.MergedProgram`, kept as the public API and as
+the oracle — bit for bit.
 
 Either way the run is split back into per-job views using the
 provenance chain
@@ -22,8 +21,8 @@ provenance chain
 
 :func:`execute_program` reads the owners off the merged program;
 :class:`AdmissionRun` takes them from the engine's own job column and
-never merges: its view's program builds its chunk-tagged fields on
-first read (:meth:`~repro.sim.multi.MergedProgram.deferred`), and
+never merges: its view's program builds its ``owners`` list and its
+chunk-tagged fields on first read (:mod:`repro.sim.onread`), and
 :meth:`ExecutionView.job_holdings` builds one job's untagged holdings
 from that job's held slots.
 
@@ -45,6 +44,7 @@ from repro.sim.faults import DegradedResult, FaultPlan
 from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry, MergedProgram, untag_holdings
+from repro.sim.onread import OnRead
 from repro.sim.ports import PortModel
 from repro.sim.result import AsyncResult, holdings_from_slots
 from repro.sim.schedule import Chunk
@@ -59,8 +59,15 @@ def _edges(src: np.ndarray, dst: np.ndarray) -> list[DirectedEdge]:
     return list(map(DirectedEdge, src.tolist(), dst.tolist()))
 
 
+def _link_busy(job: "JobSlice") -> dict[DirectedEdge, float]:
+    """``link_busy`` of a slice made by :func:`_split`, from the
+    ``(src, dst, busy)`` arrays of its used links."""
+    src, dst, busy = job._on_read
+    return dict(zip(_edges(src, dst), busy.tolist()))
+
+
 @dataclass
-class JobSlice:
+class JobSlice(OnRead):
     """One job's share of a merged engine run.
 
     Attributes:
@@ -92,24 +99,7 @@ class JobSlice:
     link_stats: LinkStats
     link_busy: dict[DirectedEdge, float]
 
-    # A slice made by _split starts without ``link_busy`` in its
-    # instance dict and the ``(src, dst, busy)`` arrays of its used
-    # links instead; the first read lands here.
-    def __getattr__(self, name: str):
-        if name == "link_busy":
-            links = self.__dict__.pop("_busy_links", None)
-            if links is not None:
-                src, dst, busy = links
-                out = self.link_busy = dict(zip(_edges(src, dst), busy.tolist()))
-                return out
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __getstate__(self) -> dict:
-        # pickle and copy see built link_busy, never the arrays
-        self.link_busy
-        return self.__dict__
+    _builders = {"link_busy": _link_busy}
 
 
 @dataclass
@@ -300,10 +290,11 @@ class AdmissionRun:
         entries in rank order (ties in admission order), the order
         ``merge_programs`` would be given.
 
-        Nothing is merged: the view's program is
-        :meth:`MergedProgram.deferred <repro.sim.multi.MergedProgram.deferred>`
-        with the engine's owners, and
-        :meth:`ExecutionView.job_holdings` reads each job's held slots.
+        Nothing is merged: the view's program builds its ``owners``
+        from the engine's owner array, and ``schedule``, ``initial``
+        and ``release_times`` by :func:`~repro.sim.multi.merge_programs`,
+        each on first read; :meth:`ExecutionView.job_holdings` reads
+        each job's held slots.
         """
         if self._run is not None:
             self.close()
@@ -311,7 +302,8 @@ class AdmissionRun:
             raise ValueError("entries must be the admitted entries in rank order")
         owners = self._owners
         view = _split(
-            MergedProgram.deferred(entries, owners), owners, *self._final
+            MergedProgram.on_read(owners, entries=list(entries)), owners,
+            *self._final,
         )
         view._held = self._held
         return view
@@ -369,7 +361,8 @@ def _split(
     for pos in range(n_jobs):
         a, b = bounds[pos], bounds[pos + 1]
         ka, kb = key_bounds[pos], key_bounds[pos + 1]
-        s = JobSlice(
+        slices.append(JobSlice.on_read(
+            (key_src[ka:kb], key_dst[ka:kb], busy[ka:kb]),
             position=pos,
             scheduled=scheduled[pos],
             executed=b - a,
@@ -382,12 +375,7 @@ def _split(
                 key_src[ka:kb], key_dst[ka:kb], packets[ka:kb],
                 elems_per[ka:kb],
             ),
-            link_busy={},
-        )
-        d = s.__dict__
-        del d["link_busy"]
-        d["_busy_links"] = (key_src[ka:kb], key_dst[ka:kb], busy[ka:kb])
-        slices.append(s)
+        ))
     return ExecutionView(
         program=program, raw=raw, slices=slices,
         ends=ends, receivers=link_dst[links].astype(np.int64),

@@ -25,6 +25,7 @@ from math import isfinite
 
 from repro.collectives.api import SCHEDULE_OPS
 from repro.routing.common import is_whole
+from repro.routing.scatter_bst import check_subtree_order
 from repro.sim.schedule import Chunk
 from repro.sim.trace import LinkStats
 from repro.topology.base import require_integer
@@ -86,6 +87,7 @@ class JobSpec:
                 "packet_elems must be a whole number >= 1 or None, "
                 f"got {self.packet_elems!r}"
             )
+        check_subtree_order(self.subtree_order)
         # the priority feeds the strict-priority sort key
         require_integer(self.priority, "priority")
 

@@ -5,10 +5,10 @@ jobs.JobSpec` onto one shared hypercube and executes them concurrently
 on the vectorized event engine — shared-link contention is enforced by
 the same port-model admission rules every single-collective run obeys,
 because concurrency is expressed *in the program itself*: admitted
-jobs are merged into one :class:`~repro.sim.multi.MergedProgram`
-(chunks namespaced per job, policy order = program order = contention
-priority, admission instants as per-chunk release times) and the
-merged program is executed whole.
+jobs join one resumable engine run (policy order = program order =
+contention priority, admission instants as per-chunk release times),
+and its chunk-tagged :class:`~repro.sim.multi.MergedProgram` is built
+only when a caller reads it.
 
 Admission loop
 --------------

@@ -70,14 +70,6 @@ class _Channel:
         self._actions = [a for a in self._actions if a.end > start + _EPS]
         self._actions.append(_Action(port, start, end))
 
-    def wakeup_times(self, port_hint: int | None = None) -> list[float]:
-        """Times at which this channel may admit a new action."""
-        out = []
-        for a in self._actions:
-            out.append(a.end)
-            out.append(a.start + (1.0 - self._overlap) * (a.end - a.start))
-        return out
-
 
 def run_async_reference(
     cube: Topology,

@@ -1,10 +1,10 @@
 """Multi-schedule programs: several collectives merged on one cube.
 
 The service layer (:mod:`repro.service`) runs a *stream* of collective
-jobs concurrently on one shared hypercube.  Each job still comes from
-the ordinary schedule generators, but the engines execute exactly one
-schedule per run — so concurrent jobs are composed here into a single
-:class:`MergedProgram` first:
+jobs concurrently on one shared hypercube.  The jobs join one
+resumable engine run (:class:`~repro.service.exec.AdmissionRun`) laid
+out as :func:`merge_programs` lays out a :class:`MergedProgram`, whose
+chunk-tagged objects are built only when read:
 
 * chunk ids are namespaced per job (``(tag, chunk)``) so two broadcasts
   both shipping ``("b", 0)`` never alias;
@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-import numpy as np
-
+from repro.sim.onread import OnRead
 from repro.sim.schedule import Chunk, Schedule, Transfer
 
 __all__ = ["JobEntry", "MergedProgram", "merge_programs", "untag_holdings"]
@@ -62,8 +61,22 @@ class JobEntry:
             raise ValueError(f"release time must be >= 0, got {self.release}")
 
 
+_TAGGED = ("schedule", "initial", "release_times")
+
+
+def _tagged(name: str):
+    """Builder of tagged field ``name``; one merge sets all three."""
+
+    def build(program: "MergedProgram"):
+        merged = merge_programs(program.entries)
+        vars(program).update({f: getattr(merged, f) for f in _TAGGED})
+        return getattr(merged, name)
+
+    return build
+
+
 @dataclass
-class MergedProgram:
+class MergedProgram(OnRead):
     """Several job schedules compiled into one engine-ready schedule.
 
     Attributes:
@@ -83,44 +96,12 @@ class MergedProgram:
     owners: list[int]
     entries: list[JobEntry]
 
-    @classmethod
-    def deferred(
-        cls, entries: Sequence[JobEntry], owners: np.ndarray
-    ) -> "MergedProgram":
-        """``merge_programs(entries)``, given its ``owners`` as an array
-        (a resumable engine run knows them from its own job column).
-
-        ``owners`` becomes a list, and the chunk-tagged ``schedule``,
-        ``initial`` and ``release_times`` are built by
-        :func:`merge_programs`, on first read: callers that only split
-        the run per job never pay for the tagged objects.
-        """
-        out = cls.__new__(cls)
-        out.__dict__.update(entries=list(entries), _owner_array=owners)
-        return out
-
-    # A deferred program starts without the tagged fields and ``owners``
-    # in its instance dict; the first read of one lands here.
-    def __getattr__(self, name: str):
-        d = self.__dict__
-        if name == "owners" and "_owner_array" in d:
-            owners = d["owners"] = d.pop("_owner_array").tolist()
-            return owners
-        if name in ("schedule", "initial", "release_times") and "entries" in d:
-            merged = merge_programs(d["entries"])
-            d["schedule"] = merged.schedule
-            d["initial"] = merged.initial
-            d["release_times"] = merged.release_times
-            return d[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __getstate__(self) -> dict:
-        # pickle and copy see every field built
-        self.schedule
-        self.owners
-        return self.__dict__
+    # a program split from a resumable run (``on_read(owner_array,
+    # entries=...)``): callers that only split the run never merge
+    _builders = {
+        "owners": lambda program: program._on_read.tolist(),
+        **{name: _tagged(name) for name in _TAGGED},
+    }
 
     @property
     def num_jobs(self) -> int:

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable
 
+from repro.sim.onread import OnRead
+
 if TYPE_CHECKING:
     from repro.topology.base import Topology
 
@@ -69,8 +71,17 @@ class Transfer:
         return f"Transfer({self.src}->{self.dst}, {len(self.chunks)} chunks)"
 
 
+def _translated_rounds(sched: "Schedule") -> list[tuple[Transfer, ...]]:
+    """The rounds of a :meth:`Schedule.translated` schedule."""
+    perm, rounds = sched._on_read
+    return [
+        tuple(Transfer(perm[t.src], perm[t.dst], t.chunks) for t in r)
+        for r in rounds
+    ]
+
+
 @dataclass
-class Schedule:
+class Schedule(OnRead):
     """A complete routing schedule for one collective operation.
 
     Attributes:
@@ -86,23 +97,7 @@ class Schedule:
     algorithm: str = ""
     meta: dict = field(default_factory=dict)
 
-    # A translated schedule (see translated) starts without ``rounds``
-    # in its instance dict and a ``_pending_rounds`` thunk instead;
-    # the first read of ``rounds`` lands here and builds them.
-    def __getattr__(self, name: str):
-        if name == "rounds":
-            build = self.__dict__.pop("_pending_rounds", None)
-            if build is not None:
-                rounds = self.rounds = build()
-                return rounds
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __getstate__(self) -> dict:
-        # pickle and copy see built rounds, never the thunk
-        self.rounds
-        return self.__dict__
+    _builders = {"rounds": _translated_rounds}
 
     @property
     def num_rounds(self) -> int:
@@ -178,16 +173,12 @@ class Schedule:
         meta = dict(self.meta)
         if "source" in meta:
             meta["source"] = perm[meta["source"]]
-        rounds = list(self.rounds)
-        out = Schedule.__new__(Schedule)
-        out.chunk_sizes = dict(self.chunk_sizes)
-        out.algorithm = self.algorithm
-        out.meta = meta
-        out._pending_rounds = lambda: [
-            tuple(Transfer(perm[t.src], perm[t.dst], t.chunks) for t in r)
-            for r in rounds
-        ]
-        return out
+        return Schedule.on_read(
+            (perm, list(self.rounds)),
+            chunk_sizes=dict(self.chunk_sizes),
+            algorithm=self.algorithm,
+            meta=meta,
+        )
 
     def __repr__(self) -> str:
         return (

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -38,7 +37,8 @@ from repro.sim.faults import (
 from repro.sim.lowering import LoweredSchedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
-from repro.sim.result import HoldingsOnRead, holdings_from_slots
+from repro.sim.onread import OnRead
+from repro.sim.result import SLOT_HOLDINGS
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.sim.trace import LinkStats
 from repro.topology.base import Topology
@@ -56,7 +56,7 @@ class ScheduleViolation(ValueError):
 
 
 @dataclass
-class SyncResult(HoldingsOnRead):
+class SyncResult(OnRead):
     """Outcome of a synchronous run.
 
     Attributes:
@@ -74,6 +74,8 @@ class SyncResult(HoldingsOnRead):
     holdings: dict[int, set[Chunk]]
     link_stats: LinkStats
     step_costs: list[float] = field(default_factory=list)
+
+    _builders = SLOT_HOLDINGS
 
     def holds(self, node: int, chunk: Chunk) -> bool:
         """True when ``node`` ended the run holding ``chunk``."""
@@ -255,8 +257,8 @@ def _run_lowered(
     held = np.isfinite(low.init_avail)
     held[low.out_idx] = True
     parts = [(low.slot_node[held], low.slot_chunk[held], low.chunk_objects, None)]
-    return SyncResult.deferred(
-        partial(holdings_from_slots, cube.nodes(), parts),
+    return SyncResult.on_read(
+        (cube.nodes(), parts),
         cycles=len(step_costs),
         time=sum(step_costs),
         link_stats=stats,

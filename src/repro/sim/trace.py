@@ -12,13 +12,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.sim.onread import OnRead
 from repro.topology.hypercube import DirectedEdge
 
 __all__ = ["LinkStats"]
 
 
+def _counter(name: str):
+    """Builder of counter ``name``; both counters share one edge list."""
+
+    def build(stats: "LinkStats") -> Counter:
+        links = stats._on_read
+        if "edges" not in links:
+            links["edges"] = list(
+                map(DirectedEdge, links["src"].tolist(), links["dst"].tolist())
+            )
+        return Counter(dict(zip(links["edges"], links[name].tolist())))
+
+    return build
+
+
 @dataclass
-class LinkStats:
+class LinkStats(OnRead):
     """Traffic accounting per directed edge.
 
     Attributes:
@@ -28,6 +43,8 @@ class LinkStats:
 
     elems: Counter = field(default_factory=Counter)
     packets: Counter = field(default_factory=Counter)
+
+    _builders = {"elems": _counter("elems"), "packets": _counter("packets")}
 
     @classmethod
     def from_links(
@@ -44,40 +61,13 @@ class LinkStats:
         Each counter is built on its first read, from one shared edge
         list; the totals and maxima answer from the arrays until then.
         """
-        out = cls.__new__(cls)
-        out._links = (src, dst, packets, elems)
-        return out
-
-    # Stats made by from_links start without ``elems`` and ``packets``
-    # in their instance dict; the first read of either lands here.
-    def __getattr__(self, name: str):
-        d = self.__dict__
-        links = d.get("_links")
-        if links is not None and name in ("elems", "packets"):
-            edges = d.get("_edges")
-            if edges is None:
-                edges = d["_edges"] = list(
-                    map(DirectedEdge, links[0].tolist(), links[1].tolist())
-                )
-            counts = links[2] if name == "packets" else links[3]
-            counter = d[name] = Counter(dict(zip(edges, counts.tolist())))
-            if "elems" in d and "packets" in d:
-                del d["_links"], d["_edges"]
-            return counter
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
+        return cls.on_read(
+            {"src": src, "dst": dst, "packets": packets, "elems": elems}
         )
 
-    def __getstate__(self) -> dict:
-        # pickle and copy see built counters, never the arrays
-        return {"elems": self.elems, "packets": self.packets}
-
-    def _unbuilt(self, name: str) -> np.ndarray | None:
+    def _counts(self, name: str) -> np.ndarray | None:
         """The per-link array behind counter ``name`` while it is unbuilt."""
-        links = self.__dict__.get("_links")
-        if links is None or name in self.__dict__:
-            return None
-        return links[2] if name == "packets" else links[3]
+        return self._on_read[name] if self._unbuilt(name) else None
 
     def record(self, src: int, dst: int, n_elems: int) -> None:
         """Account one packet of ``n_elems`` elements on edge ``src -> dst``."""
@@ -87,35 +77,35 @@ class LinkStats:
 
     def max_edge_elems(self) -> int:
         """Heaviest directed-edge traffic, in elements (bandwidth bottleneck)."""
-        counts = self._unbuilt("elems")
+        counts = self._counts("elems")
         if counts is not None:
             return int(counts.max()) if counts.size else 0
         return max(self.elems.values(), default=0)
 
     def max_edge_packets(self) -> int:
         """Heaviest directed-edge traffic, in packets (start-up bottleneck)."""
-        counts = self._unbuilt("packets")
+        counts = self._counts("packets")
         if counts is not None:
             return int(counts.max()) if counts.size else 0
         return max(self.packets.values(), default=0)
 
     def total_elems(self) -> int:
         """Total element-hops moved."""
-        counts = self._unbuilt("elems")
+        counts = self._counts("elems")
         if counts is not None:
             return int(counts.sum())
         return sum(self.elems.values())
 
     def total_packets(self) -> int:
         """Total packet-hops moved."""
-        counts = self._unbuilt("packets")
+        counts = self._counts("packets")
         if counts is not None:
             return int(counts.sum())
         return sum(self.packets.values())
 
     def links_used(self) -> int:
         """Number of directed edges that carried a packet."""
-        counts = self._unbuilt("packets")
+        counts = self._counts("packets")
         if counts is not None:
             return int(counts.size)
         return len(self.packets)

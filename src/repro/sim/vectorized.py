@@ -115,7 +115,6 @@ for bit that of one from-scratch run of the final merged program
 from __future__ import annotations
 
 import math
-from functools import partial
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Hashable
@@ -1317,7 +1316,7 @@ class VectorizedRun:
             h = held[off:off + low.n_slots]
             parts.append((low.slot_node[h], low.slot_chunk[h], low.chunk_objects, tag))
         self.held_slots = parts
-        build = partial(holdings_from_slots, self.cube.nodes(), parts)
+        slots = (self.cube.nodes(), parts)
 
         executed_ids = self._executed
         start_times = self._start_times
@@ -1348,7 +1347,7 @@ class VectorizedRun:
         remaining = self._remaining
         self._flush()
         if fault_events or remaining:
-            holdings = build()
+            holdings = holdings_from_slots(*slots)
             lost = list(self._lost)
             lost.extend(self._transfer(j) for j in range(nT) if not done_py[j])
             return DegradedResult(
@@ -1362,8 +1361,8 @@ class VectorizedRun:
                 start_times=start_sorted,
                 transfer_log=log,
             )
-        return AsyncResult.deferred(
-            build,
+        return AsyncResult.on_read(
+            slots,
             time=self._finish,
             link_stats=stats,
             start_times=start_sorted,

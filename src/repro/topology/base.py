@@ -110,7 +110,7 @@ class Topology(ABC):
         if type(node) is not int:
             node = require_integer(node, "node address")
         if not self.contains(node):
-            raise ValueError(f"node {node} outside {self!r} (N={self.num_nodes})")
+            raise ValueError(f"node {node} outside {self!r}")
         return node
 
     def check_port(self, port: int) -> int:

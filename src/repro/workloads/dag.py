@@ -36,6 +36,7 @@ from typing import Callable
 
 from repro.collectives.api import ROOTED_OPS, SCHEDULE_OPS
 from repro.routing.common import is_whole
+from repro.routing.scatter_bst import check_subtree_order
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
@@ -114,6 +115,7 @@ class PhaseSpec:
             raise ValueError(
                 f"phase {self.name!r}: duplicate dependencies {self.deps}"
             )
+        check_subtree_order(self.subtree_order)
 
     @property
     def kind(self) -> str:

@@ -328,7 +328,7 @@ def test_translated_schedule_round_trips(clone):
     moved = msbt_broadcast_schedule(cube, 11, 17, 4, pm)
     assert "rounds" not in vars(moved)
     twin = clone(moved)
-    assert "_pending_rounds" not in vars(twin)
+    assert "_on_read" not in vars(twin)
     assert twin == want
     assert moved == want
 

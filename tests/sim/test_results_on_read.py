@@ -213,9 +213,9 @@ def test_results_round_trip(make, clone):
     want.holdings, want.link_stats.packets, want.link_stats.elems
     lazy = make()
     twin = clone(lazy)
-    assert "_build_holdings" not in vars(twin)
+    assert "_on_read" not in vars(twin)
     if clone is not copy.copy:  # a shallow copy shares the stats object
-        assert "_links" not in vars(twin.link_stats)
+        assert "_on_read" not in vars(twin.link_stats)
     assert twin == want
     assert repr(twin) == repr(want)
     assert lazy == want
