@@ -49,7 +49,7 @@ from repro.sim.synchronous import lowered_constraints_hold
 from repro.topology.base import Topology
 from repro.trees.base import SpanningTree
 
-__all__ = ["memoize_schedule"]
+__all__ = ["memoize_schedule", "normalized_key"]
 
 F = TypeVar("F", bound=Callable[..., Schedule])
 
@@ -80,6 +80,12 @@ def _normalize(value: Any) -> Hashable:
     # hash alike, but a generator may accept one and reject another, and
     # a hit must not skip its validation
     return (type(value), value)
+
+
+def normalized_key(arguments: Mapping[str, Any]) -> tuple:
+    """The cache key of a call's bound ``arguments``: ``(name,
+    normalized value)`` pairs in argument order."""
+    return tuple((name, _normalize(value)) for name, value in arguments.items())
 
 
 def _copy_schedule(sched: Schedule) -> Schedule:
@@ -135,10 +141,7 @@ def memoize_schedule(
             if equivariant is not None and equivariant(arguments):
                 source = arguments["cube"].check_node(arguments["source"])
                 arguments["source"] = 0
-            key = tuple(
-                (name, _normalize(value)) for name, value in arguments.items()
-            )
-            return bound, source, key
+            return bound, source, normalized_key(arguments)
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):

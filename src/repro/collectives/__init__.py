@@ -10,6 +10,7 @@ from repro.collectives.api import (
     alltoall_personalized,
     broadcast,
     check_delivery,
+    collective_lowering,
     collective_schedule,
     default_algorithm,
     gather,
@@ -28,6 +29,7 @@ __all__ = [
     "alltoall_personalized",
     "broadcast",
     "check_delivery",
+    "collective_lowering",
     "collective_schedule",
     "default_algorithm",
     "gather",

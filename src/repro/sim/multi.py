@@ -29,9 +29,10 @@ like the paper's port-model admission rules demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
+from repro.sim.lowering import LoweredSchedule
 from repro.sim.onread import OnRead
 from repro.sim.schedule import Chunk, Schedule, Transfer
 
@@ -49,12 +50,21 @@ class JobEntry:
         initial: the job's initial holdings, untagged.
         release: earliest instant any transfer of the job may start
             (the service's admission time).
+        lowering: the untagged lowering of ``schedule`` with
+            ``initial`` (see :func:`repro.sim.lowering.lower_schedule`),
+            or ``None`` to have it lowered on admission.  The service
+            and the workload layer pass the cached one
+            (:func:`repro.collectives.api.collective_lowering`).  It is
+            not part of the entry's identity.
     """
 
     tag: Hashable
     schedule: Schedule
     initial: dict[int, set[Chunk]]
     release: float = 0.0
+    lowering: LoweredSchedule | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.release < 0:

@@ -64,11 +64,10 @@ from repro.service.exec import AdmissionRun, ExecutionView
 # without; call-site tracers (benchmarks/e2e/tracing.py) look them up
 # on this module
 from repro.service.exec import execute_program  # noqa: F401
-from repro.service.scheduler import pregenerate
+from repro.service.scheduler import Pregenerated, pregenerate
 from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry
 from repro.sim.multi import merge_programs  # noqa: F401
-from repro.sim.schedule import Chunk, Schedule
 from repro.topology.base import require_integer
 from repro.topology.hypercube import Hypercube
 from repro.workloads.dag import PhaseSpec, Workload, WorkloadDAG
@@ -103,7 +102,7 @@ def _pregenerate(
     workload: Workload,
     steps: int,
     jobs: int | None,
-) -> dict[tuple, tuple[Schedule, dict[int, set[Chunk]]]]:
+) -> dict[tuple, Pregenerated]:
     """Build every distinct schedule the run will need, once (keys in
     step, then declaration order; see
     :func:`repro.service.scheduler.pregenerate`)."""
@@ -199,7 +198,7 @@ def _run_step(
     workload: Workload,
     step: int,
     t0: float,
-    schedules: dict[tuple, tuple[Schedule, dict[int, set[Chunk]]]],
+    schedules: dict[tuple, Pregenerated],
     cube: Hypercube,
     machine: MachineParams,
 ) -> StepReport:
@@ -231,12 +230,12 @@ def _run_step(
             finish[p.name] = release[p.name]
             heappush(computes, (finish[p.name], admit_order[p.name], p.name))
             return
-        sched, initial = schedules[
+        sched, initial, low = schedules[
             _phase_key(workload.dimension, workload.port_model.value, p)
         ]
         entry = JobEntry(
             tag=p.name, schedule=sched, initial=initial,
-            release=release[p.name],
+            release=release[p.name], lowering=low,
         )
         # admission order is the merged program's priority order
         loop.admit(entry, len(entries))
