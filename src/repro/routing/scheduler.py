@@ -25,7 +25,7 @@ ready/eligible heaps) and skip saturated bins, and they are
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
@@ -74,7 +74,13 @@ def list_schedule(
     waiters: dict[tuple[int, Chunk], list[int]] = {}
     missing = [0] * n_transfers
     future: list[tuple[int, int]] = []  # (ready round, input index)
-    eligible: list[int] = []  # input indices
+    # Eligible input indices, one heap per sender.  Busy sets only grow
+    # within a round, so once a sender is busy under a one-port model
+    # every transfer it has left is blocked until the next round: those
+    # wait in their sender's heap instead of being popped and re-pushed.
+    eligible: dict[int, list[int]] = {}
+    sender_blocks = port_model is not PortModel.ALL_PORT
+    half = port_model.half_duplex
     done = [False] * n_transfers
     for idx, t in enumerate(transfers):
         m = 0
@@ -94,7 +100,13 @@ def list_schedule(
     r = 0
     while placed < n_transfers:
         while future and future[0][0] <= r:
-            heappush(eligible, heappop(future)[1])
+            idx = heappop(future)[1]
+            src = transfers[idx].src
+            q = eligible.get(src)
+            if q is None:
+                eligible[src] = [idx]
+            else:
+                heappush(q, idx)
         if not eligible:
             if future:
                 r = future[0][0]  # idle gap: nothing deliverable yet
@@ -110,17 +122,31 @@ def list_schedule(
         edge_busy: set[tuple[int, int]] = set()
         this_round: list[Transfer] = []
         deferred: list[int] = []
-        while eligible:
-            idx = heappop(eligible)
+        # The heads of the senders' heaps, merged: transfers are taken
+        # in input order, skipping only those of blocked senders, which
+        # would not fit anyway.
+        heads = [q[0] for q in eligible.values()]
+        heapify(heads)
+        while heads:
+            idx = heappop(heads)
             t = transfers[idx]
+            src = t.src
+            q = eligible[src]
+            heappop(q)
             if not _fits(port_model, t, send_busy, recv_busy, edge_busy):
                 deferred.append(idx)
+                if q and not (sender_blocks and (
+                    src in send_busy or (half and src in recv_busy)
+                )):
+                    heappush(heads, q[0])
                 continue
             this_round.append(t)
             done[idx] = True
-            send_busy.add(t.src)
+            send_busy.add(src)
             recv_busy.add(t.dst)
-            edge_busy.add((t.src, t.dst))
+            edge_busy.add((src, t.dst))
+            if q and not sender_blocks:
+                heappush(heads, q[0])
             for c in t.chunks:
                 key = (t.dst, c)
                 if key not in avail:
@@ -136,7 +162,9 @@ def list_schedule(
                                     ready = a
                             heappush(future, (ready, w))
         for idx in deferred:
-            heappush(eligible, idx)
+            heappush(eligible[transfers[idx].src], idx)
+        for src in [s for s, q in eligible.items() if not q]:
+            del eligible[src]
         # The round is never empty: with fresh busy sets the first
         # eligible transfer always fits.
         rounds.append(tuple(this_round))

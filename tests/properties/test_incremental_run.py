@@ -16,15 +16,18 @@ the service or a workload builds is compared against the oracle.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.service.scheduler as scheduler
 import repro.workloads.exec as wexec
-from repro.collectives.api import collective_schedule
+from repro.cache import disabled
+from repro.collectives.api import collective_lowering, collective_schedule
 from repro.service import AdmissionControl, JobSpec, run_service
 from repro.service.exec import AdmissionRun, execute_program
 from repro.sim.faults import FaultPlan
@@ -32,6 +35,7 @@ from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry, merge_programs
 from repro.sim.ports import PortModel
 from repro.sim.result import _EPS
+from repro.sim.schedule import Schedule
 from repro.topology import Hypercube
 from repro.workloads import PhaseSpec, Workload, WorkloadDAG, run_workload
 
@@ -321,3 +325,157 @@ class TestWorkloads:
         for step in report.steps:
             for p in step.phases:
                 assert p.finish >= p.release
+
+
+# -- staging: rows join a run that has already executed some ------------
+
+CACHING = [
+    pytest.param(nullcontext, id="cached"),
+    pytest.param(disabled, id="uncached"),
+]
+
+
+def _job(cube, pm, tag, release, op="broadcast", algorithm=None, source=0,
+         m=8, b=2):
+    """An entry carrying its lowering, as the service admits it."""
+    sched, initial = collective_schedule(cube, op, algorithm, source, m, b, pm)
+    low = collective_lowering(
+        cube, op, algorithm, source, m, b, pm, built=(sched, initial)
+    )
+    return JobEntry(tag, sched, initial, release=release, lowering=low)
+
+
+def _makespan(cube, pm, machine, entry):
+    return execute_program(cube, merge_programs([entry]), pm, machine).makespan
+
+
+def _admit_at_releases(run, jobs):
+    """Admit each ``(entry, rank)`` after advancing the run to its
+    release; returns the rows frozen once the last one is staged in."""
+    for entry, rank in jobs:
+        while run.next_completion(entry.release) is not None:
+            run.pop_completion()
+        run.admit(entry, rank)
+    run.next_completion(jobs[-1][0].release)  # flushes the last admission
+    return run._run._frozen
+
+
+def _check(run, jobs, cube, pm, machine, faults=None, on_fault="raise"):
+    """The closed run's view against the from-scratch oracle."""
+    ranked = [entry for entry, _ in sorted(jobs, key=lambda j: j[1])]
+    oracle = execute_program(
+        cube, merge_programs(ranked), pm, machine,
+        faults=faults, on_fault=on_fault,
+    )
+    got = run.view(ranked)
+    assert _view_key(got) == _view_key(oracle)
+    assert got.program == oracle.program
+    return got
+
+
+@pytest.mark.parametrize("caching", CACHING)
+@pytest.mark.parametrize("machine", MACHINES)
+@pytest.mark.parametrize("pm", list(PortModel))
+class TestStaging:
+    """Admissions into a run with executed rows (the frozen prefix) and
+    live rows, each checked against :func:`execute_program`."""
+
+    cube = Hypercube(3)
+
+    def test_later_admission_ranked_ahead_of_live_rows(self, pm, machine, caching):
+        cube = self.cube
+        with caching():
+            first = _job(cube, pm, "hog", 0.0, algorithm="sbt", m=24, b=1)
+            t = _makespan(cube, pm, machine, first) / 3
+            jobs = [
+                (first, 5),
+                (_job(cube, pm, "mouse", t, op="scatter", source=3, m=2), 0),
+                (_job(cube, pm, "late", 2 * t, source=6, m=4), 1),
+            ]
+            run = AdmissionRun(cube, pm, machine)
+            assert _admit_at_releases(run, jobs) > 0
+            view = _check(run, jobs, cube, pm, machine)
+        # the hog was still running when the others were ranked ahead
+        assert view.slices[2].finish > 2 * t
+
+    def test_admissions_after_every_earlier_row_executed(self, pm, machine, caching):
+        """The workload chain: each phase joins at its predecessor's
+        completion, when every earlier row has executed."""
+        cube = self.cube
+        with caching():
+            run = AdmissionRun(cube, pm, machine)
+            jobs = []
+            t = 0.0
+            for k, (op, source) in enumerate(
+                (("alltoall", 0), ("reduce", 0), ("broadcast", 5))
+            ):
+                entry = _job(cube, pm, k, t, op=op, source=source, m=4)
+                run.admit(entry, k)
+                jobs.append((entry, k))
+                rows = run._run.n_transfers
+                t, _ = run.next_completion(math.inf)
+                run.pop_completion()
+                # every row but the just-flushed ones is frozen
+                assert run._run._frozen == rows
+            _check(run, jobs, cube, pm, machine)
+
+    def test_two_jobs_admitted_at_the_same_instant(self, pm, machine, caching):
+        cube = self.cube
+        with caching():
+            first = _job(cube, pm, "a", 0.0, m=16, b=2)
+            t = _makespan(cube, pm, machine, first) / 2
+            jobs = [
+                (first, 1),
+                (_job(cube, pm, "b", t, op="scatter", source=5, m=2), 2),
+                (_job(cube, pm, "c", t, source=2, m=4), 0),
+            ]
+            run = AdmissionRun(cube, pm, machine)
+            assert _admit_at_releases(run, jobs) > 0
+            _check(run, jobs, cube, pm, machine)
+
+    def test_zero_transfer_jobs(self, pm, machine, caching):
+        cube = self.cube
+        empty = Schedule(rounds=[], chunk_sizes={("z", 0): 1}, algorithm="none")
+        with caching():
+            first = _job(cube, pm, "a", 0.0, m=16, b=2)
+            t = _makespan(cube, pm, machine, first) / 2
+            jobs = [
+                (first, 3),
+                (JobEntry("z1", empty, {1: {("z", 0)}}, release=t), 0),
+                (_job(cube, pm, "b", t, op="gather", source=4, m=2), 1),
+                (JobEntry("z2", empty, {2: {("z", 0)}}, release=2 * t), 2),
+            ]
+            run = AdmissionRun(cube, pm, machine)
+            assert _admit_at_releases(run, jobs) > 0
+            view = _check(run, jobs, cube, pm, machine)
+        assert [s.scheduled for s in view.slices if s.scheduled == 0] == [0, 0]
+
+    def test_report_cancellations(self, pm, machine, caching):
+        cube = self.cube
+        faults = FaultPlan(dead_links=[(0, 1)])
+        with caching():
+            first = _job(cube, pm, "a", 0.0, m=16, b=2)
+            t = _makespan(cube, pm, machine, first) / 3
+            jobs = [
+                (first, 2),
+                (_job(cube, pm, "b", t, op="scatter", source=0, m=2), 0),
+                (_job(cube, pm, "c", 2 * t, source=1, m=4), 1),
+            ]
+            run = AdmissionRun(cube, pm, machine, faults=faults, on_fault="report")
+            assert _admit_at_releases(run, jobs) > 0
+            view = _check(run, jobs, cube, pm, machine, faults, "report")
+        assert view.raw.fault_events
+
+    def test_one_lowering_admitted_twice(self, pm, machine, caching):
+        cube = self.cube
+        with caching():
+            first = _job(cube, pm, "a", 0.0, source=3, m=16, b=2)
+            t = _makespan(cube, pm, machine, first) / 2
+            again = JobEntry(
+                "b", first.schedule, first.initial, release=t,
+                lowering=first.lowering,
+            )
+            jobs = [(first, 1), (again, 0)]
+            run = AdmissionRun(cube, pm, machine)
+            assert _admit_at_releases(run, jobs) > 0
+            _check(run, jobs, cube, pm, machine)
