@@ -12,25 +12,21 @@ holds exactly, round order included; they are memoized with an
 ``equivariant`` predicate, and every fault-free call shares one
 source-0 entry per ``(n, M, B, port model, order)`` that a hit
 translates (:meth:`~repro.sim.schedule.Schedule.translated`, whose
-rounds are built only when read).  Such a generator also gains a
-``lowering`` attribute: the same call's
-:class:`~repro.sim.lowering.LoweredSchedule`, served from a second LRU
-(``lowerings.<generator>``) that keeps the source-0 lowering, read-only
-and with its lock-step verdict, and translated in NumPy per source
-(:meth:`~repro.sim.lowering.LoweredSchedule.translated`).  Every
-other generator keeps the source in its key: scatter schedules name
-their destinations in the chunk ids and pack rounds by absolute
-address, the tree/HP generators take a rooted tree, and a
-fault-routed schedule depends on where the faults sit relative to the
-source.
+rounds are built only when read).  Every other generator keeps the
+source in its key: scatter schedules name their destinations in the
+chunk ids and pack rounds by absolute address, the tree/HP generators
+take a rooted tree, and a fault-routed schedule depends on where the
+faults sit relative to the source.  Lowerings are not kept here: every
+collective call's lowering comes from the one ``lowerings`` LRU of
+:func:`repro.collectives.api.collective_lowering`, which translates the
+same way.
 
 Cached :class:`~repro.sim.schedule.Schedule` objects are never handed
 out directly: every call returns a fresh ``Schedule`` whose ``rounds``
 list, ``chunk_sizes`` dict and ``meta`` are copies (the ``Transfer``
 tuples inside are immutable and shared; a translated hit builds new
 ones when read), so callers may mutate the result without corrupting
-the cache.  Cached lowerings are shared instead, so their arrays are
-read-only.
+the cache.
 """
 
 from __future__ import annotations
@@ -42,10 +38,8 @@ from typing import Any, Callable, Hashable, Mapping, TypeVar
 
 from repro.cache.lru import MISSING, LRUCache, caching_enabled
 from repro.sim.faults import FaultPlan
-from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Schedule
-from repro.sim.synchronous import lowered_constraints_hold
 from repro.topology.base import Topology
 from repro.trees.base import SpanningTree
 
@@ -109,82 +103,40 @@ def memoize_schedule(
     attribute exposing the underlying :class:`LRUCache`.
 
     Args:
-        maxsize: LRU capacity (of each of the two caches of an
-            equivariant generator).
-        equivariant: for a broadcast generator taking ``cube``,
-            ``source`` and ``port_model``, a predicate over the bound
-            arguments that is true when the call's schedule is the
-            source-0 schedule translated by ``source``.  Such calls are
-            keyed at source 0 and served by
-            :meth:`~repro.sim.schedule.Schedule.translated`; the rest
-            keep ``source`` in the key.  The wrapper then also gains
-            ``lowering(*args, **kwargs)``: for such a call with caching
-            on, the lowering of its schedule with the source holding
-            every chunk, served as the cached source-0 lowering
-            translated by ``source``; ``None`` otherwise.  Its own
-            ``cache`` attribute is the lowerings' :class:`LRUCache`.
+        maxsize: LRU capacity.
+        equivariant: for a broadcast generator taking ``cube`` and
+            ``source``, a predicate over the bound arguments that is
+            true when the call's schedule is the source-0 schedule
+            translated by ``source``.  Such calls are keyed at source 0
+            and served by :meth:`~repro.sim.schedule.Schedule.translated`;
+            the rest keep ``source`` in the key.
     """
 
     def decorate(fn: F) -> F:
         sig = inspect.signature(fn)
         cache = LRUCache(f"schedules.{fn.__name__}", maxsize=maxsize)
 
-        def bind(args, kwargs) -> tuple:
-            """``(bound, source, key)`` of a call.  An equivariant call
-            is bound and keyed at source 0, with its own ``source``
-            returned; any other call keeps its source and returns
-            ``None`` for it."""
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            arguments = bound.arguments
-            source = None
-            if equivariant is not None and equivariant(arguments):
-                source = arguments["cube"].check_node(arguments["source"])
-                arguments["source"] = 0
-            return bound, source, normalized_key(arguments)
-
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             if not caching_enabled():
                 return fn(*args, **kwargs)
-            bound, source, key = bind(args, kwargs)
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            arguments = bound.arguments
+            source = 0
+            if equivariant is not None and equivariant(arguments):
+                source = arguments["cube"].check_node(arguments["source"])
+                arguments["source"] = 0
+            key = normalized_key(arguments)
             sched = cache.get(key)
             if sched is MISSING:
                 sched = fn(*bound.args, **bound.kwargs)
                 cache.put(key, sched)
             if source:
-                return sched.translated(bound.arguments["cube"], source)
+                return sched.translated(arguments["cube"], source)
             return _copy_schedule(sched)
 
         wrapper.cache = cache  # type: ignore[attr-defined]
-        if equivariant is None:
-            return wrapper  # type: ignore[return-value]
-        lowerings = LRUCache(f"lowerings.{fn.__name__}", maxsize=maxsize)
-
-        def lowering(*args, **kwargs) -> LoweredSchedule | None:
-            """The call's lowering, translated from the cached source-0
-            one (see ``equivariant`` above); ``None`` when not served."""
-            if not caching_enabled():
-                return None
-            bound, source, key = bind(args, kwargs)
-            if source is None:
-                return None
-            arguments = bound.arguments
-            cube = arguments["cube"]
-            low = lowerings.get(key)
-            if low is MISSING:
-                sched = wrapper(*bound.args, **bound.kwargs)
-                low = lower_schedule(cube, sched, {0: set(sched.chunk_sizes)})
-                # The verdict is taken once, here, by the full array
-                # check; every translation inherits it.
-                port_model = arguments["port_model"]
-                if lowered_constraints_hold(cube, low, port_model):
-                    low.checked_under = port_model
-                lowerings.put(key, low.read_only())
-            return low.translated(cube, source) if source else low
-
-        lowering.cache = lowerings  # type: ignore[attr-defined]
-        wrapper.lowering = lowering  # type: ignore[attr-defined]
         return wrapper  # type: ignore[return-value]
 
     return decorate

@@ -73,7 +73,7 @@ from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule
-from repro.sim.synchronous import run_synchronous
+from repro.sim.synchronous import lowered_constraints_hold, run_synchronous
 from repro.topology.base import Topology
 from repro.topology.hypercube import Hypercube
 from repro.topology.torus import Torus
@@ -252,9 +252,9 @@ def _runtime_collective(
         sync = run_synchronous(
             cube, sched, port_model, initial, machine,
             faults=faults, on_fault="report" if faults else "raise",
-            lowered=None if faults else _lowering(
+            lowered=None if faults else collective_lowering(
                 cube, op, algorithm, source, message_elems, packet_elems,
-                port_model, sched, initial,
+                port_model, subtree_order, built=(sched, initial),
             ),
         )
     undelivered = (
@@ -337,9 +337,9 @@ def _collective(
                 port_model, subtree_order,
             )
     # One lowering serves the lock-step check and the event engine.
-    lowered = None if faults else _lowering(
+    lowered = None if faults else collective_lowering(
         cube, op, algorithm, source, message_elems, packet_elems,
-        port_model, sched, initial,
+        port_model, subtree_order, built=(sched, initial),
     )
     with collector.phase("sync"):
         sync = run_synchronous(
@@ -370,44 +370,6 @@ def _collective(
     )
     collector.finalize(result)
     return result
-
-
-#: broadcast generators whose fault-free schedules from any source are
-#: the source-0 schedule translated (their memo's ``lowering``)
-_TRANSLATED_BROADCASTS = {
-    "sbt": sbt_broadcast_schedule,
-    "msbt": msbt_broadcast_schedule,
-}
-
-
-def _lowering(
-    cube: Topology,
-    op: str,
-    algorithm: str,
-    source: int,
-    message_elems: int,
-    packet_elems: int,
-    port_model: PortModel,
-    sched: Schedule,
-    initial: dict[int, set[Chunk]],
-) -> LoweredSchedule:
-    """The lowering of the fault-free ``sched`` built by
-    :func:`collective_schedule` for these arguments.
-
-    An SBT or MSBT broadcast on the hypercube is served by its
-    generator's memo as the cached source-0 lowering translated to
-    ``source``, with no ``Transfer`` built; it keeps the source-0
-    lock-step verdict, so the lock-step run only prices it.  Anything
-    else, or a call with caching off, is lowered from ``sched``.
-    """
-    gen = _TRANSLATED_BROADCASTS.get(algorithm)
-    if op == "broadcast" and gen is not None and isinstance(cube, Hypercube):
-        low = gen.lowering(
-            cube, source, message_elems, packet_elems, port_model
-        )
-        if low is not None:
-            return low
-    return lower_schedule(cube, sched, initial)
 
 
 def _fault_schedule(
@@ -945,8 +907,13 @@ def collective_schedule(
     return sched, alltoall_initial_holdings(cube)
 
 
-#: one read-only lowering per job-schedule call (see collective_lowering)
-_JOB_LOWERINGS = LRUCache("lowerings.jobs", maxsize=256)
+#: hypercube broadcasts whose fault-free schedule from any source is the
+#: source-0 schedule translated (see collective_lowering)
+_TRANSLATED_BROADCASTS = ("sbt", "msbt")
+
+#: one read-only lowering, with its lock-step verdict, per normalized
+#: collective call (see collective_lowering)
+_LOWERINGS = LRUCache("lowerings", maxsize=256)
 
 
 def collective_lowering(
@@ -963,19 +930,21 @@ def collective_lowering(
     """The lowering of :func:`collective_schedule` with the same
     arguments: its schedule lowered with its initial holdings.
 
-    A schedule depends only on its call, so its lowering does too.  An
-    SBT or MSBT broadcast on the hypercube is served by its generator's
-    memo, the cached source-0 lowering translated to ``source`` (as
-    :func:`broadcast` uses it).  Every other call is served from one
-    read-only entry per normalized call (resolved algorithm and packet
-    size, and source 0 for the rootless ops) in the
-    ``lowerings.jobs`` LRU.  Served lowerings are read-only.  With
-    caching off every call is lowered afresh.  ``built`` is the call's ``(schedule, initial)`` when the
-    caller already has it: a miss lowers it instead of building it
-    again.
-
-    The service and the workload layer admit every job and phase with
-    its lowering (:attr:`repro.sim.multi.JobEntry.lowering`).
+    A schedule depends only on its call, so its lowering does too.
+    Every collective call takes its fault-free lowering from here: the
+    public collectives (both backends), service jobs and workload
+    phases (:attr:`repro.sim.multi.JobEntry.lowering`).  Lowerings are
+    served from the one ``lowerings`` LRU, one read-only entry per
+    normalized call (resolved algorithm and packet size, source 0 for
+    the rootless ops).  An SBT or MSBT broadcast on the hypercube is
+    keyed at source 0 and served as that lowering translated to
+    ``source`` (:meth:`~repro.sim.lowering.LoweredSchedule.translated`),
+    with no ``Transfer`` built.  An entry takes its lock-step verdict
+    (``checked_under``) from one :func:`lowered_constraints_hold` when
+    it is filled, so the lock-step run of a hit only prices it.  With
+    caching off every call is lowered afresh, without a verdict.
+    ``built`` is the call's ``(schedule, initial)`` when the caller
+    already has it: a miss lowers it instead of building it again.
     """
     if op not in SCHEDULE_OPS:
         raise ValueError(f"op must be one of {SCHEDULE_OPS}, got {op!r}")
@@ -989,23 +958,25 @@ def collective_lowering(
         message_elems=message_elems, packet_elems=packet_elems,
         port_model=port_model, subtree_order=subtree_order,
     )
-    gen = _TRANSLATED_BROADCASTS.get(algorithm)
-    if op == "broadcast" and gen is not None and isinstance(cube, Hypercube):
-        low = gen.lowering(
-            cube, source, message_elems, packet_elems, port_model
-        )
-        if low is not None:
-            return low.read_only()
     if not caching_enabled():
         return lower_schedule(cube, *(built or collective_schedule(**call)))
+    by = 0
+    if (
+        op == "broadcast"
+        and algorithm in _TRANSLATED_BROADCASTS
+        and isinstance(cube, Hypercube)
+    ):
+        by, call["source"] = cube.check_node(source), 0
+        if by:
+            built = None  # the entry lowers the source-0 schedule
     key = normalized_key(call)
-    low = _JOB_LOWERINGS.get(key)
+    low = _LOWERINGS.get(key)
     if low is MISSING:
-        low = lower_schedule(
-            cube, *(built or collective_schedule(**call))
-        ).read_only()
-        _JOB_LOWERINGS.put(key, low)
-    return low
+        low = lower_schedule(cube, *(built or collective_schedule(**call)))
+        if lowered_constraints_hold(cube, low, port_model):
+            low.checked_under = port_model
+        _LOWERINGS.put(key, low.read_only())
+    return low.translated(cube, by).read_only() if by else low
 
 
 def check_delivery(

@@ -107,9 +107,9 @@ class LoweredSchedule:
         link_src, link_dst: link id -> directed endpoints.
         round_lens: round -> number of transfers (empty rounds included).
         checked_under: the port model whose lock-step constraints this
-            lowering is known to satisfy, or ``None``.  Only the cached
-            source-0 broadcast lowerings carry one (see
-            :func:`repro.cache.memoize_schedule`), and
+            lowering is known to satisfy, or ``None``.  An entry of the
+            ``lowerings`` LRU gets one when it is filled (see
+            :func:`repro.collectives.api.collective_lowering`), and
             :meth:`translated` keeps it: translation preserves every
             constraint.
     """

@@ -26,16 +26,6 @@ class PortModel(Enum):
     ALL_PORT = "all-ports"
 
     @property
-    def max_sends(self) -> int | None:
-        """Concurrent sends a node may have in flight (``None`` = one per port)."""
-        return None if self is PortModel.ALL_PORT else 1
-
-    @property
-    def max_receives(self) -> int | None:
-        """Concurrent receives a node may have in flight (``None`` = one per port)."""
-        return None if self is PortModel.ALL_PORT else 1
-
-    @property
     def half_duplex(self) -> bool:
         """True when a send and a receive may not overlap at one node."""
         return self is PortModel.ONE_PORT_HALF

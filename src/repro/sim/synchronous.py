@@ -305,8 +305,8 @@ def run_synchronous(
             which never reads ``schedule.rounds``; if that pass finds a
             violation, the per-round loop reruns to raise the same
             :class:`ScheduleViolation` it always did.  A lowering whose
-            ``checked_under`` is ``port_model`` (a translated cached
-            broadcast) skips the checks, not the pricing.  Faulted runs
+            ``checked_under`` is ``port_model`` (every cached
+            lowering) skips the checks, not the pricing.  Faulted runs
             ignore it.
 
     Returns:

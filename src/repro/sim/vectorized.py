@@ -310,7 +310,7 @@ class VectorizedRun:
         self._done: list[bool] = []
         self._queued: list[bool] = []
         self._inq: list[bool] = []
-        # Per-link state (_grow_links): the ready queue (a heap of
+        # Per-link state (_init_links): the ready queue (a heap of
         # transfer ids in program order), link_free, and the stored
         # constraint ``vc`` with the stamps (send epoch, recv epoch,
         # link_free) it was computed under.  An exam under unchanged
@@ -414,8 +414,9 @@ class VectorizedRun:
                 a, b = np.asarray(list(self.cube.links()), dtype=np.int64).T
                 n = self.cube.num_nodes
                 keys = np.unique(np.concatenate([a * n + b, b * n + a]))
-                self._grow_links(keys)
-                self._lport = self.cube.edge_ports(keys // n, keys % n).tolist()
+                self._init_links(
+                    keys, self.cube.edge_ports(keys // n, keys % n).tolist()
+                )
                 self._all_links = True
         h = self._stage(low, entry.tag, entry.release, rank)
         self._jleft.append(low.n_transfers)
@@ -516,24 +517,21 @@ class VectorizedRun:
                 [np.diff(getattr(low, name)) for low in lows]
             )
 
-        # Links: one sorted key table over every admitted job keeps the
-        # link ids canonical (ascending src * N + dst, as
-        # lower_schedule numbers them).
+        # Links: one sorted key table keeps the link ids canonical
+        # (ascending src * N + dst, as lower_schedule numbers them).  An
+        # admitted run set it to every edge of the cube at its first
+        # admit; a one-shot run stages one lowering, whose keys are the
+        # table as they are.
         keys_e = [
             low.link_src.astype(np.int64) * num_nodes + low.link_dst
             for low in lows
         ]
         n_keys = np.asarray([k.size for k in keys_e], dtype=np.int64)
         new_keys = np.concatenate(keys_e)
-        if self._all_links:
-            keys = self._link_key
-        elif self._link_key.size or len(lows) > 1:
-            keys = np.unique(np.concatenate([self._link_key, new_keys]))
-        else:
-            keys = new_keys  # one lowering's keys: already sorted, unique
-        grown = keys.size != self._link_key.size
-        if grown:
-            self._grow_links(keys)
+        one_shot = not self._all_links
+        if one_shot and (n_old or len(lows) > 1):
+            raise RuntimeError("a one-shot run stages exactly one lowering")
+        keys = new_keys if one_shot else self._link_key
         local_link = cat("link") + np.repeat(np.cumsum(n_keys) - n_keys, n_e)
 
         lens = cat("round_lens")
@@ -628,13 +626,11 @@ class VectorizedRun:
         self._src_py = _splice(self._src_py, F, src)
         self._dst_py = _splice(self._dst_py, F, dst)
         self._port_py = _splice(self._port_py, F, port)
-        if grown:  # the old rows' link ids moved too
-            self._link_py = icol[:, _LINK].tolist()
+        self._link_py = _splice(self._link_py, F, icol[F:, _LINK].tolist())
+        if one_shot:  # ports from the transfer columns
             lport = np.zeros(keys.size, dtype=np.int64)
             lport[icol[:, _LINK]] = icol[:, _PORT]
-            self._lport = lport.tolist()
-        else:
-            self._link_py = _splice(self._link_py, F, icol[F:, _LINK].tolist())
+            self._init_links(keys, lport.tolist())
         if self._track:  # set before the first flush, as long as jobs join
             self._job_py = _splice(self._job_py, F, icol[F:, _JOB].tolist())
         self._cost_py = _splice(self._cost_py, F, cost[F:].tolist())
@@ -701,43 +697,22 @@ class VectorizedRun:
         rank_pos[by_rank] = np.arange(len(by_rank))
         return rank_pos
 
-    def _grow_links(self, keys: np.ndarray) -> None:
-        """Renumber the links to the sorted key table ``keys`` (a
-        superset of the current one), carrying every per-link state."""
+    def _init_links(self, keys: np.ndarray, ports: list[int]) -> None:
+        """Set the link table, once per run: link id -> the sorted key
+        ``keys[id]`` (``src * N + dst``) and its port ``ports[id]``,
+        every link in its virgin state."""
         num_nodes = self.cube.num_nodes
-        moved = np.searchsorted(keys, self._link_key)
         n_links = keys.size
-
-        def carry(values: list, fill: float) -> list:
-            out = np.full(n_links, fill)
-            out[moved] = values
-            return out.tolist()
-
-        self._link_free = carry(self._link_free, 0.0)
-        self._llf = carry(self._llf, 0.0)
-        self._lvc = carry(self._lvc, 0.0)
-        self._lse = carry(self._lse, 0)
-        self._lre = carry(self._lre, 0)
-        lq: list[list[int]] = [[] for _ in range(n_links)]
-        mv = moved.tolist()
-        for li, q in enumerate(self._lq):
-            lq[mv[li]] = q
-        self._lq = lq
+        self._link_key = keys
         self._lsrc = (keys // num_nodes).tolist()
         self._ldst = (keys % num_nodes).tolist()
-        if self._link_key.size:
-            self._icol[:, _LINK] = moved[self._icol[:, _LINK]]
-            blks = (self._sblk,) if self._half else (self._sblk, self._rblk)
-            for blk in blks if self._use_lb else ():
-                for k, s in enumerate(blk):
-                    if s:
-                        blk[k] = {mv[li] for li in s}
-            self._pending = [x if x >= 0 else ~mv[~x] for x in self._pending]
-            self._calendar = {
-                t: [x if x >= 0 else ~mv[~x] for x in b]
-                for t, b in self._calendar.items()
-            }
-        self._link_key = keys
+        self._lport = ports
+        self._lq = [[] for _ in range(n_links)]
+        self._link_free = [0.0] * n_links
+        self._llf = [0.0] * n_links
+        self._lvc = [0.0] * n_links
+        self._lse = [0] * n_links
+        self._lre = [0] * n_links
 
     def _renumber(self, lo: int, m: list[int]) -> None:
         """Move the mutable state to the new ids of a flush: old id

@@ -5,9 +5,10 @@ generator: the schedule produced through the cache (miss *and* hit)
 must equal the one generated with caching disabled, and running both
 through the engines must give identical results.  Also covers the
 copy-on-hit isolation guarantee, and the translated broadcasts: their
-schedules (rounds built on first read) and their lowerings (the cached
-source-0 lowering translated in NumPy) must equal what the uncached
-path builds, as must every result of the public calls served by them.
+schedules (rounds built on first read) and their lowerings (the
+source-0 entry of ``collective_lowering`` translated in NumPy) must
+equal what the uncached path builds, as must every result of the public
+calls served by them.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.cache import clear_caches, disabled
-from repro.collectives import broadcast
+from repro.cache import cache_stats, clear_caches, disabled
+from repro.collectives import broadcast, collective_lowering
 from repro.routing import (
     allgather_schedule,
     alltoall_personalized_schedule,
@@ -32,6 +33,7 @@ from repro.routing import (
     sbt_scatter_schedule,
 )
 from repro.sim import run_async
+from repro.sim.faults import FaultPlan
 from repro.sim.lowering import ARRAYS, lower_schedule
 from repro.sim.machine import IPSC_D7, MachineParams
 from repro.sim.ports import PortModel
@@ -227,12 +229,13 @@ def assert_same_lockstep(a, b):
     assert list(a.link_stats.packets) == list(b.link_stats.packets)
 
 
-#: the memo's ``lowering`` of each ``BROADCASTS`` generator
+#: the lowering ``collective_lowering`` serves each ``BROADCASTS``
+#: generator's calls (packet-order SBT is no collective call)
 LOWERINGS = {
-    "sbt-port": lambda cube, s, M, B, pm: sbt_broadcast_schedule.lowering(cube, s, M, B, pm, "port"),
-    "sbt-packet": lambda cube, s, M, B, pm: sbt_broadcast_schedule.lowering(cube, s, M, B, pm, "packet"),
-    "msbt": lambda cube, s, M, B, pm: msbt_broadcast_schedule.lowering(cube, s, M, B, pm),
+    "sbt-port": lambda cube, s, M, B, pm: collective_lowering(cube, "broadcast", "sbt", s, M, B, pm),
+    "msbt": lambda cube, s, M, B, pm: collective_lowering(cube, "broadcast", "msbt", s, M, B, pm),
 }
+SERVED = [g for g in BROADCASTS if g[0] in LOWERINGS]
 
 
 @pytest.mark.parametrize("name,gen", BROADCASTS, ids=[g[0] for g in BROADCASTS])
@@ -251,9 +254,9 @@ def test_translated_lowering_at_n10(name, gen):
                 )
 
 
-@pytest.mark.parametrize("name,gen", BROADCASTS, ids=[g[0] for g in BROADCASTS])
+@pytest.mark.parametrize("name,gen", SERVED, ids=[g[0] for g in SERVED])
 def test_cached_lowering_runs_lockstep_like_the_uncached_schedule(name, gen):
-    """The memo's lowering carries the source-0 verdict, so the lock-step
+    """The served lowering carries the source-0 verdict, so the lock-step
     run only prices it; that pricing, its holdings and its link stats
     must match the round loop over the uncached schedule."""
     lowering = LOWERINGS[name]
@@ -336,39 +339,64 @@ def test_translated_schedule_round_trips(clone):
 # -- cached lowerings ----------------------------------------------------
 
 
+def _msbt_lowering(cube, s, pm):
+    return collective_lowering(cube, "broadcast", "msbt", s, 12, 4, pm)
+
+
 def test_cached_lowering_arrays_are_read_only():
     """A write into a shared lowering must raise rather than corrupt every
     later source served from it."""
     cube = Hypercube(4)
     pm = PortModel.ONE_PORT_FULL
-    low0 = msbt_broadcast_schedule.lowering(cube, 0, 12, 4, pm)
+    low0 = _msbt_lowering(cube, 0, pm)
     for name in ARRAYS:
         assert not getattr(low0, name).flags.writeable, name
     with pytest.raises(ValueError, match="read-only"):
         low0.src[0] = 1
-    moved = msbt_broadcast_schedule.lowering(cube, 9, 12, 4, pm)
+    moved = _msbt_lowering(cube, 9, pm)
     with pytest.raises(ValueError, match="read-only"):
         moved.port[0] = 3  # shared with the source-0 entry
     with disabled():
         sched = msbt_broadcast_schedule(cube, 9, 12, 4, pm)
     assert_same_lowering(
-        msbt_broadcast_schedule.lowering(cube, 9, 12, 4, pm),
+        _msbt_lowering(cube, 9, pm),
         lower_schedule(cube, sched, {9: set(sched.chunk_sizes)}),
     )
+
+
+def test_translated_lowering_is_isolated_from_its_entry():
+    """A translated hit is a new object: rebinding its columns or its
+    verdict leaves the entry, and every later source, as they were."""
+    cube = Hypercube(4)
+    pm = PortModel.ONE_PORT_HALF
+    moved = _msbt_lowering(cube, 5, pm)
+    moved.src = np.zeros_like(moved.src)
+    moved.chunk_objects = []
+    moved.checked_under = None
+    for s in (0, 5, 11):
+        again = _msbt_lowering(cube, s, pm)
+        assert again.checked_under is pm
+        with disabled():
+            sched = msbt_broadcast_schedule(cube, s, 12, 4, pm)
+        assert_same_lowering(
+            again, lower_schedule(cube, sched, {s: set(sched.chunk_sizes)})
+        )
 
 
 def test_lowering_is_served_only_for_cached_fault_free_calls():
     cube = Hypercube(4)
     pm = PortModel.ONE_PORT_FULL
     with disabled():
-        assert msbt_broadcast_schedule.lowering(cube, 3, 12, 4, pm) is None
+        fresh = _msbt_lowering(cube, 3, pm)
         broadcast(cube, 3, "msbt", 12, 4, pm, run_event_sim=True)
-    assert msbt_broadcast_schedule.lowering.cache.stats()["misses"] == 0
-    assert msbt_broadcast_schedule.lowering(
-        cube, 3, 12, 4, pm, dead_links=((0, 1),)
-    ) is None
-    msbt_broadcast_schedule.lowering(cube, 3, 12, 4, pm)
-    msbt_broadcast_schedule.lowering(cube, 7, 12, 4, pm)
-    stats = msbt_broadcast_schedule.lowering.cache.stats()
+    assert fresh.checked_under is None and fresh.src.flags.writeable
+    assert cache_stats()["lowerings"]["misses"] == 0
+    # a faulted call lowers its own fault-routed schedule, uncached
+    broadcast(cube, 3, "msbt", 12, 4, pm, faults=FaultPlan(dead_links=[(0, 1)]))
+    assert cache_stats()["lowerings"]["misses"] == 0
+    _msbt_lowering(cube, 3, pm)
+    _msbt_lowering(cube, 7, pm)
+    stats = cache_stats()["lowerings"]
     assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
-    assert not hasattr(bst_scatter_schedule, "lowering")
+    for gen in (sbt_broadcast_schedule, msbt_broadcast_schedule, bst_scatter_schedule):
+        assert not hasattr(gen, "lowering")

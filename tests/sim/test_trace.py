@@ -44,8 +44,6 @@ class TestPortsEnum:
 
         assert PortModel.ONE_PORT_HALF.half_duplex
         assert not PortModel.ONE_PORT_FULL.half_duplex
-        assert PortModel.ALL_PORT.max_sends is None
-        assert PortModel.ONE_PORT_FULL.max_sends == 1
         for pm in PortModel:
             assert pm.describe()
 

@@ -1,8 +1,10 @@
-"""The summary of ``scripts/e2e_pairs.py`` on canned run records."""
+"""The summary and the workload loop of ``scripts/e2e_pairs.py`` on
+canned run records."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,8 @@ e2e_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(e2e_pairs)
 
 METRICS = [
-    {"name": "ops_per_s", "better": "higher"},
-    {"name": "op_p50_s", "better": "lower"},
+    {"name": "ops_per_s", "better": "higher", "bound": 0.12},
+    {"name": "op_p50_s", "better": "lower", "bound": 0.15},
 ]
 
 
@@ -68,3 +70,97 @@ def test_table_lists_every_metric():
     assert lines[2].startswith("| ops_per_s (1/s) | 101 [98, 104] | 119 [97, 125] | +17.8% |")
     assert lines[2].endswith("| 3/4 |")
     assert lines[3].startswith("| op_p50_s (s) |")
+    assert "| +17.8% | 12% | ok |" in lines[2]
+
+
+def _pairs(base: list[float], work: list[float]) -> list[tuple[dict, dict]]:
+    return [(_record(b, 0.01), _record(w, 0.01)) for b, w in zip(base, work)]
+
+
+def _verdict(base: list[float], work: list[float]) -> str:
+    (ops,) = e2e_pairs.summarize(_pairs(base, work), METRICS[:1])
+    return ops["verdict"]
+
+
+def test_verdict_ok_when_inside_the_bound():
+    assert _verdict([100, 101, 99, 100], [95, 96, 94, 95]) == "ok"  # -5%
+    assert _verdict([100, 101, 99, 100], [130, 131, 129, 130]) == "ok"
+
+
+def test_verdict_worse_beyond_the_bound():
+    # -15% in the median against a 12% bound, whatever the spread
+    assert _verdict([100, 101, 99, 100], [85, 86, 84, 85]) == "worse"
+    assert _verdict([60, 140, 100, 100], [85, 86, 84, 85]) == "worse"
+
+
+def test_verdict_unresolved_when_the_base_spreads_wider_than_the_bound():
+    # base quartiles (inclusive) of 60, 100, 100, 140: 90 and 110, an
+    # IQR of 20% of the median against a 12% bound
+    assert _verdict([60, 140, 100, 100], [100, 100, 100, 100]) == "unresolved"
+    # unless every work run reads better than every base run
+    assert _verdict([60, 140, 100, 100], [141, 150, 142, 145]) == "ok"
+
+
+def test_lower_is_better_metrics_take_their_own_bound():
+    pairs = [(_record(100.0, 0.010), _record(100.0, w)) for w in (0.0114, 0.0114)]
+    _, p50 = e2e_pairs.summarize(pairs, METRICS)
+    assert p50["bound"] == 0.15
+    assert p50["gain"] == pytest.approx(-0.14)
+    assert p50["verdict"] == "ok"  # 14% worse, inside the 15% bound
+    pairs = [(_record(100.0, 0.010), _record(100.0, 0.0116))]
+    assert e2e_pairs.summarize(pairs, METRICS)[1]["verdict"] == "worse"
+
+
+def _full_record(ops: float, correct: bool = True) -> dict:
+    """A record carrying every end-to-end metric of BENCHMARK.json."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: [1.0, m["unit"]] for m in bench["end_to_end"]}
+    metrics["ops_per_s"] = [ops, "1/s"]
+    return {"correct": correct, "metrics": metrics}
+
+
+@pytest.fixture
+def canned(monkeypatch):
+    """Replace the runs with canned records; returns the workloads run."""
+    ran: list[str] = []
+    records = {"bad": False}
+
+    def run_pairs(workload, base_tree, tmp_path, args):
+        ran.append(workload)
+        work = _full_record(101.0, correct=not records["bad"])
+        return [(_full_record(100.0), work)] * args.pairs
+
+    monkeypatch.setattr(e2e_pairs, "export_ref", lambda ref, dest: None)
+    monkeypatch.setattr(e2e_pairs, "run_pairs", run_pairs)
+    return ran, records
+
+
+def test_all_runs_every_workload_in_benchmark_order(canned, capsys):
+    ran, _ = canned
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    assert e2e_pairs.main(["--workload", "all", "--pairs", "2"]) == 0
+    assert ran == names
+    out = capsys.readouterr().out
+    for name in names:
+        assert f"{name}, seed 0, default length, base HEAD:" in out
+    assert out.count("| ops_per_s (1/s) |") == len(names)
+
+
+def test_several_workloads_run_in_the_order_given(canned):
+    ran, _ = canned
+    assert e2e_pairs.main(["--workload", "runtime-n9", "paper-grid", "--pairs", "1"]) == 0
+    assert ran == ["runtime-n9", "paper-grid"]
+
+
+def test_unknown_workload_runs_nothing(canned, capsys):
+    ran, _ = canned
+    assert e2e_pairs.main(["--workload", "paper-grid", "no-such"]) == 2
+    assert ran == []
+    assert "no-such" in capsys.readouterr().err
+
+
+def test_a_failed_run_fails_the_command(canned):
+    _, records = canned
+    records["bad"] = True
+    assert e2e_pairs.main(["--workload", "cube-n10", "--pairs", "2"]) == 1
