@@ -8,6 +8,7 @@ vectorized whole-cube computations all get a timed budget.
 import pytest
 
 from repro import cache
+from repro.collectives import collective_program
 from repro.routing import bst_scatter_schedule, msbt_broadcast_schedule
 from repro.sim import IPSC_D7, PortModel, run_async, run_synchronous
 from repro.topology import Hypercube
@@ -29,8 +30,8 @@ def huge_broadcast():
 
 
 def test_perf_generate_msbt_schedule(benchmark):
-    # cold generation: the schedule cache would otherwise absorb every
-    # round after the first
+    # cold generation: the MSBT graph cache would otherwise absorb the
+    # tree construction of every round after the first
     cube = Hypercube(7)
 
     def cold():
@@ -44,11 +45,9 @@ def test_perf_generate_msbt_schedule(benchmark):
 
 
 def test_perf_generate_msbt_schedule_cached(benchmark):
-    cube = Hypercube(7)
-    msbt_broadcast_schedule(cube, 0, 61440, 1024, PortModel.ONE_PORT_FULL)  # warm
-    sched = benchmark(
-        msbt_broadcast_schedule, cube, 0, 61440, 1024, PortModel.ONE_PORT_FULL
-    )
+    call = (Hypercube(7), "broadcast", "msbt", 0, 61440, 1024, PortModel.ONE_PORT_FULL)
+    collective_program(*call)  # warm
+    sched, _, _ = benchmark(collective_program, *call)
     assert sched.num_transfers > 0
 
 

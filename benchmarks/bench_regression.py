@@ -1,10 +1,11 @@
 """Benchmark-regression suite: canonical workloads pinned in BENCH_ENGINE.json.
 
 The workloads cover the event engine (large cubes, and deep per-link
-packet queues) and the lock-step engine, the
-schedule-generation path (cold and cached), the translation of
-cached trees and broadcast schedules to a new root, a public
-broadcast served from the translated source-0 schedule and lowering,
+packet queues) and the lock-step engine, cold schedule generation,
+hits of the collective-call memo (``collective_program``) at source 0
+and translated to a new source, the translation of cached trees to a
+new root, a public broadcast served from the translated source-0
+schedule and lowering,
 and the engine result build (holdings and link counters) that such a
 call's reader pays for.  ``scripts/bench_compare.py`` runs this file with
 ``--benchmark-json``, extracts each benchmark's median, and compares it
@@ -23,7 +24,7 @@ import pytest
 
 from repro import cache
 from repro.cache import cached_msbt_graph
-from repro.collectives import broadcast
+from repro.collectives import broadcast, collective_program
 from repro.routing import msbt_broadcast_schedule, sbt_broadcast_schedule
 from repro.sim import (
     IPSC_D7,
@@ -140,25 +141,24 @@ def test_regress_msbt_graph_new_source_n10(benchmark):
 
 
 def test_regress_generate_msbt_cached(benchmark):
-    cube = Hypercube(7)
-    msbt_broadcast_schedule(cube, 0, 61440, 1024, PortModel.ONE_PORT_FULL)  # warm
-    sched = benchmark(
-        msbt_broadcast_schedule, cube, 0, 61440, 1024, PortModel.ONE_PORT_FULL
-    )
+    # a memo hit at source 0: the entry's schedule copied, its lowering
+    # shared
+    call = (Hypercube(7), "broadcast", "msbt", 0, 61440, 1024, PortModel.ONE_PORT_FULL)
+    collective_program(*call)  # warm
+    sched, _, _ = benchmark(collective_program, *call)
     assert sched.num_transfers > 0
 
 
 def test_regress_generate_msbt_new_source_n10(benchmark):
     # every round broadcasts from a source not asked for before, so the
-    # schedule is the cached source-0 schedule translated
+    # schedule and the lowering are the cached source-0 ones translated
     cube = Hypercube(10)
     cache.clear_caches()
-    msbt_broadcast_schedule(cube, 0, 1024, 1024, PortModel.ONE_PORT_FULL)  # warm
+    args = (1024, 1024, PortModel.ONE_PORT_FULL)
+    collective_program(cube, "broadcast", "msbt", 0, *args)  # warm
     sources = itertools.cycle(range(1, cube.num_nodes))
-    sched = benchmark(
-        lambda: msbt_broadcast_schedule(
-            cube, next(sources), 1024, 1024, PortModel.ONE_PORT_FULL
-        )
+    sched, _, _ = benchmark(
+        lambda: collective_program(cube, "broadcast", "msbt", next(sources), *args)
     )
     assert sched.num_transfers == cube.num_nodes - 1
 

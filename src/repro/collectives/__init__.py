@@ -10,7 +10,7 @@ from repro.collectives.api import (
     alltoall_personalized,
     broadcast,
     check_delivery,
-    collective_lowering,
+    collective_program,
     collective_schedule,
     default_algorithm,
     gather,
@@ -29,7 +29,7 @@ __all__ = [
     "alltoall_personalized",
     "broadcast",
     "check_delivery",
-    "collective_lowering",
+    "collective_program",
     "collective_schedule",
     "default_algorithm",
     "gather",

@@ -1,9 +1,9 @@
 """High-level collective operations on a simulated topology.
 
-Every function runs one pipeline: :func:`collective_schedule` builds
-the routing schedule, the lock-step engine validates it against the
-port model, the event-driven engine optionally times it, and
-:func:`check_delivery` must pass before a
+Every function runs one pipeline: :func:`collective_program` serves
+the routing schedule and its lowering, the lock-step engine validates
+it against the port model, the event-driven engine optionally times
+it, and :func:`check_delivery` must pass before a
 :class:`~repro.collectives.result.CollectiveResult` is returned (an
 ``AssertionError`` names the first short node otherwise).
 
@@ -29,8 +29,10 @@ the Jung–Sakho ring-circulation ``"ring"`` schedule for
 
 from __future__ import annotations
 
+import copy
+from typing import Any, Hashable
+
 from repro.cache import MISSING, LRUCache, cached_tree, caching_enabled
-from repro.cache.schedules import normalized_key
 from repro.collectives.result import AllreduceResult, CollectiveResult
 from repro.obs.runs import RunCollector
 from repro.routing import (
@@ -92,7 +94,7 @@ __all__ = [
     "all_broadcast",
     "alltoall_personalized",
     "collective_schedule",
-    "collective_lowering",
+    "collective_program",
     "check_delivery",
     "default_algorithm",
 ]
@@ -244,7 +246,7 @@ def _runtime_collective(
             faults=faults, on_fault=on_fault, trace=trace,
         )
     with collector.phase("schedule"):
-        sched, initial = collective_schedule(
+        sched, initial, lowered = collective_program(
             cube, op, algorithm, source, message_elems, packet_elems,
             port_model, subtree_order,
         )
@@ -252,10 +254,7 @@ def _runtime_collective(
         sync = run_synchronous(
             cube, sched, port_model, initial, machine,
             faults=faults, on_fault="report" if faults else "raise",
-            lowered=None if faults else collective_lowering(
-                cube, op, algorithm, source, message_elems, packet_elems,
-                port_model, subtree_order, built=(sched, initial),
-            ),
+            lowered=None if faults else lowered,
         )
     undelivered = (
         frozenset(rt.undelivered_nodes)
@@ -292,14 +291,14 @@ def _collective(
 ) -> CollectiveResult:
     """The one pipeline behind every public collective.
 
-    Builds the schedule with :func:`collective_schedule` (under a
-    non-empty ``faults`` plan, with :func:`_fault_schedule`), runs it
-    on the lock-step engine and, with ``run_event_sim``, on the event
-    engine, then raises ``AssertionError`` unless :func:`check_delivery`
-    passes at every node the schedule serves, on the event run's
-    holdings when a fault-free one ran and on the lock-step run's
-    otherwise.  ``backend="runtime"``
-    hands the call to :func:`_runtime_collective`.
+    Takes the schedule and its lowering from :func:`collective_program`
+    (under a non-empty ``faults`` plan, builds the schedule afresh with
+    :func:`_fault_schedule`), runs it on the lock-step engine and, with
+    ``run_event_sim``, on the event engine, then raises
+    ``AssertionError`` unless :func:`check_delivery` passes at every
+    node the schedule serves, on the event run's holdings when a
+    fault-free one ran and on the lock-step run's otherwise.
+    ``backend="runtime"`` hands the call to :func:`_runtime_collective`.
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -323,6 +322,7 @@ def _collective(
     packet_elems = message_elems if packet_elems is None else packet_elems
     collector = RunCollector(op, algorithm, topology=cube.kind)
     undelivered: frozenset[int] = frozenset()
+    lowered = None
     with collector.phase("schedule"):
         if faults:
             sched, undelivered = _fault_schedule(
@@ -332,15 +332,11 @@ def _collective(
             initial = {source: set(sched.chunk_sizes)}
         else:
             faults, on_fault = None, "raise"
-            sched, initial = collective_schedule(
+            # one lowering serves the lock-step check and the event engine
+            sched, initial, lowered = collective_program(
                 cube, op, algorithm, source, message_elems, packet_elems,
                 port_model, subtree_order,
             )
-    # One lowering serves the lock-step check and the event engine.
-    lowered = None if faults else collective_lowering(
-        cube, op, algorithm, source, message_elems, packet_elems,
-        port_model, subtree_order, built=(sched, initial),
-    )
     with collector.phase("sync"):
         sync = run_synchronous(
             cube, sched, port_model, initial, machine,
@@ -908,15 +904,32 @@ def collective_schedule(
 
 
 #: hypercube broadcasts whose fault-free schedule from any source is the
-#: source-0 schedule translated (see collective_lowering)
+#: source-0 schedule translated (see collective_program)
 _TRANSLATED_BROADCASTS = ("sbt", "msbt")
 
-#: one read-only lowering, with its lock-step verdict, per normalized
-#: collective call (see collective_lowering)
-_LOWERINGS = LRUCache("lowerings", maxsize=256)
+#: one read-only ``(schedule, initial, lowering)`` entry, the lowering
+#: with its lock-step verdict, per normalized collective call (see
+#: collective_program)
+_PROGRAMS = LRUCache("lowerings", maxsize=256)
 
 
-def collective_lowering(
+def _normalize(value: Any) -> Hashable:
+    """A cache-key component for one argument of a collective call."""
+    if isinstance(value, Topology):
+        # the full token — ("hypercube", n) vs ("torus", n, k) — so
+        # different topologies at the same n can never share an entry
+        return value.cache_token()
+    if isinstance(value, PortModel):
+        return ("port", value.value)
+    if type(value) is int:
+        return value
+    # any other leaf is keyed with its type: True == 1 == 1.0 == np.True_
+    # hash alike, but a generator may accept one and reject another, and
+    # a hit must not skip its validation
+    return (type(value), value)
+
+
+def collective_program(
     cube: Topology,
     op: str,
     algorithm: str | None = None,
@@ -926,25 +939,32 @@ def collective_lowering(
     port_model: PortModel = PortModel.ONE_PORT_FULL,
     subtree_order: str = "depth_first",
     built: tuple[Schedule, dict[int, set[Chunk]]] | None = None,
-) -> LoweredSchedule:
-    """The lowering of :func:`collective_schedule` with the same
-    arguments: its schedule lowered with its initial holdings.
+) -> tuple[Schedule, dict[int, set[Chunk]], LoweredSchedule]:
+    """:func:`collective_schedule` with the same arguments, plus the
+    schedule lowered with its initial holdings: ``(schedule, initial,
+    lowering)``.
 
     A schedule depends only on its call, so its lowering does too.
-    Every collective call takes its fault-free lowering from here: the
+    Every fault-free collective call takes its program from here: the
     public collectives (both backends), service jobs and workload
-    phases (:attr:`repro.sim.multi.JobEntry.lowering`).  Lowerings are
+    phases (:attr:`repro.sim.multi.JobEntry.lowering`).  Programs are
     served from the one ``lowerings`` LRU, one read-only entry per
     normalized call (resolved algorithm and packet size, source 0 for
     the rootless ops).  An SBT or MSBT broadcast on the hypercube is
-    keyed at source 0 and served as that lowering translated to
-    ``source`` (:meth:`~repro.sim.lowering.LoweredSchedule.translated`),
-    with no ``Transfer`` built.  An entry takes its lock-step verdict
-    (``checked_under``) from one :func:`lowered_constraints_hold` when
-    it is filled, so the lock-step run of a hit only prices it.  With
-    caching off every call is lowered afresh, without a verdict.
-    ``built`` is the call's ``(schedule, initial)`` when the caller
-    already has it: a miss lowers it instead of building it again.
+    keyed at source 0 and served as that entry translated to
+    ``source`` (:meth:`~repro.sim.schedule.Schedule.translated`, whose
+    rounds are built on first read, and
+    :meth:`~repro.sim.lowering.LoweredSchedule.translated`).  An entry
+    takes its lock-step verdict (``checked_under``) from one
+    :func:`lowered_constraints_hold` when it is filled, so the lock-step
+    run of a hit only prices it.  Every call gets a fresh ``Schedule``
+    (``rounds`` list, ``chunk_sizes`` and ``meta`` copied; the
+    ``Transfer`` tuples are immutable and shared) and fresh initial
+    sets, so callers may mutate them; the lowering's columns are
+    read-only.  With caching off every call is built and lowered
+    afresh, without a verdict.  ``built`` is the call's ``(schedule,
+    initial)`` when the caller already has it (a worker process built
+    it): a miss keeps and lowers it instead of building it again.
     """
     if op not in SCHEDULE_OPS:
         raise ValueError(f"op must be one of {SCHEDULE_OPS}, got {op!r}")
@@ -959,7 +979,8 @@ def collective_lowering(
         port_model=port_model, subtree_order=subtree_order,
     )
     if not caching_enabled():
-        return lower_schedule(cube, *(built or collective_schedule(**call)))
+        sched, initial = built or collective_schedule(**call)
+        return sched, initial, lower_schedule(cube, sched, initial)
     by = 0
     if (
         op == "broadcast"
@@ -968,15 +989,31 @@ def collective_lowering(
     ):
         by, call["source"] = cube.check_node(source), 0
         if by:
-            built = None  # the entry lowers the source-0 schedule
-    key = normalized_key(call)
-    low = _LOWERINGS.get(key)
-    if low is MISSING:
-        low = lower_schedule(cube, *(built or collective_schedule(**call)))
+            built = None  # the entry holds the source-0 program
+    key = tuple((name, _normalize(value)) for name, value in call.items())
+    entry = _PROGRAMS.get(key)
+    if entry is MISSING:
+        sched, initial = built or collective_schedule(**call)
+        low = lower_schedule(cube, sched, initial)
         if lowered_constraints_hold(cube, low, port_model):
             low.checked_under = port_model
-        _LOWERINGS.put(key, low.read_only())
-    return low.translated(cube, by).read_only() if by else low
+        entry = (sched, initial, low.read_only())
+        _PROGRAMS.put(key, entry)
+    sched, initial, low = entry
+    if by:
+        moved = sched.translated(cube, by)
+        return (
+            moved,
+            {by: set(moved.chunk_sizes)},
+            low.translated(cube, by).read_only(),
+        )
+    fresh = Schedule(
+        rounds=list(sched.rounds),
+        chunk_sizes=dict(sched.chunk_sizes),
+        algorithm=sched.algorithm,
+        meta=copy.deepcopy(sched.meta),
+    )
+    return fresh, {v: set(chunks) for v, chunks in initial.items()}, low
 
 
 def check_delivery(

@@ -24,7 +24,7 @@ serialize each step into two.
 from __future__ import annotations
 
 from repro.bits.ops import bit
-from repro.cache import cached_tree, memoize_schedule
+from repro.cache import cached_tree
 from repro.routing.common import validate_message_args
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
@@ -44,7 +44,6 @@ GATHER_TAG = "g"
 EXCHANGE_TAG = "x"
 
 
-@memoize_schedule()
 def allgather_schedule(
     cube: Hypercube,
     message_elems: int,
@@ -87,7 +86,6 @@ def allgather_initial_holdings(cube: Hypercube) -> dict[int, set[Chunk]]:
     return {v: {(GATHER_TAG, v)} for v in cube.nodes()}
 
 
-@memoize_schedule()
 def alltoall_personalized_schedule(
     cube: Hypercube,
     message_elems: int,
@@ -147,7 +145,6 @@ def alltoall_initial_holdings(cube: Hypercube) -> dict[int, set[Chunk]]:
     }
 
 
-@memoize_schedule()
 def alltoall_bst_schedule(
     cube: Hypercube,
     message_elems: int,

@@ -16,7 +16,6 @@ directions; under ONE_PORT_HALF everything serializes further.
 
 from __future__ import annotations
 
-from repro.cache import memoize_schedule
 from repro.routing.common import BCAST, broadcast_chunks
 from repro.routing.scheduler import list_schedule
 from repro.sim.ports import PortModel
@@ -27,7 +26,6 @@ from repro.trees.hp_variants import hamiltonian_cycle
 __all__ = ["dual_hp_broadcast_schedule"]
 
 
-@memoize_schedule()
 def dual_hp_broadcast_schedule(
     cube: Hypercube,
     source: int,

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Collection
 from math import ceil
 
-from repro.cache import cached_msbt_graph, memoize_schedule
+from repro.cache import cached_msbt_graph
 from repro.routing.common import BCAST, broadcast_chunks
 from repro.routing.scheduler import list_schedule, reschedule
 from repro.sim.faults import FaultError
@@ -42,7 +42,6 @@ from repro.trees.msbt import MSBTGraph
 __all__ = ["msbt_broadcast_schedule"]
 
 
-@memoize_schedule(equivariant=lambda args: not args["dead_links"])
 def msbt_broadcast_schedule(
     cube: Hypercube,
     source: int,
@@ -104,8 +103,8 @@ def _relative_order(cube: Hypercube, source: int) -> list[int]:
     Walking nodes in this order makes a fault-free schedule from any
     source the source-0 schedule translated, round order included
     (labels, parents and levels of the ERSBTs translate with the root),
-    which lets :func:`memoize_schedule` serve every source from one
-    source-0 entry.
+    which lets :func:`repro.collectives.api.collective_program` serve
+    every source from one source-0 entry.
     """
     return [source ^ c for c in range(cube.num_nodes)]
 

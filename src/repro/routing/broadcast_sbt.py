@@ -18,7 +18,6 @@ Two schedules:
 from __future__ import annotations
 
 from repro.bits.ops import popcount
-from repro.cache import memoize_schedule
 from repro.routing.common import BCAST, broadcast_chunks
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Schedule, Transfer
@@ -34,7 +33,6 @@ __all__ = ["sbt_broadcast_schedule"]
 SBT_ORDERS = ("port", "packet")
 
 
-@memoize_schedule(equivariant=lambda args: True)
 def sbt_broadcast_schedule(
     cube: Hypercube,
     source: int,

@@ -15,7 +15,6 @@ greedy packing reproduces the classic pipelined step counts:
 
 from __future__ import annotations
 
-from repro.cache import memoize_schedule
 from repro.routing.common import BCAST, broadcast_chunks
 from repro.routing.scheduler import list_schedule
 from repro.sim.ports import PortModel
@@ -25,7 +24,6 @@ from repro.trees.base import SpanningTree
 __all__ = ["tree_broadcast_schedule"]
 
 
-@memoize_schedule()
 def tree_broadcast_schedule(
     tree: SpanningTree,
     message_elems: int,

@@ -18,7 +18,7 @@ broadcast: running a distribution schedule backwards collects instead.
 
 from __future__ import annotations
 
-from repro.cache import cached_tree, memoize_schedule
+from repro.cache import cached_tree
 from repro.routing.common import broadcast_chunks, validate_message_args
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
@@ -56,7 +56,6 @@ def gather_from_scatter(scatter_schedule: Schedule) -> Schedule:
     return g
 
 
-@memoize_schedule()
 def sbt_reduce_schedule(
     cube: Hypercube,
     root: int,
@@ -139,7 +138,6 @@ def sbt_reduce_schedule(
     )
 
 
-@memoize_schedule()
 def tree_reduce_schedule(
     tree,
     message_elems: int,

@@ -29,7 +29,6 @@ coincides with the hypercube's dimension-exchange allgather.  Chunk
 
 from __future__ import annotations
 
-from repro.cache import memoize_schedule
 from repro.routing.alltoall import GATHER_TAG, allgather_schedule
 from repro.routing.common import validate_message_args
 from repro.sim.ports import PortModel
@@ -45,7 +44,6 @@ __all__ = [
 ]
 
 
-@memoize_schedule()
 def torus_all_broadcast_schedule(
     cube: Torus,
     message_elems: int,

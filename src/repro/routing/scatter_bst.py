@@ -17,7 +17,7 @@
 
 from __future__ import annotations
 
-from repro.cache import cached_tree, memoize_schedule
+from repro.cache import cached_tree
 from repro.routing.common import scatter_chunks
 from repro.routing.scatter_common import (
     distribute_packet,
@@ -44,7 +44,6 @@ def check_subtree_order(subtree_order: str) -> None:
         )
 
 
-@memoize_schedule()
 def bst_scatter_schedule(
     cube: Hypercube,
     source: int,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from repro.cache import memoize_schedule
 from repro.routing.common import MSG, scatter_chunks
 from repro.routing.scheduler import split_oversized
 from repro.sim.ports import PortModel
@@ -59,7 +58,6 @@ def tree_path_from_root(tree: SpanningTree, dest: int) -> list[int]:
     return path
 
 
-@memoize_schedule()
 def wave_scatter_schedule(
     tree: SpanningTree,
     message_elems: int,

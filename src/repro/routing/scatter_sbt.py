@@ -16,7 +16,7 @@
 
 from __future__ import annotations
 
-from repro.cache import cached_tree, memoize_schedule
+from repro.cache import cached_tree
 from repro.routing.common import scatter_chunks
 from repro.routing.scatter_common import pieces_by_dest, wave_scatter_schedule
 from repro.routing.scheduler import greedy_partition
@@ -28,7 +28,6 @@ from repro.trees.sbt import SpanningBinomialTree
 __all__ = ["sbt_scatter_schedule"]
 
 
-@memoize_schedule()
 def sbt_scatter_schedule(
     cube: Hypercube,
     source: int,

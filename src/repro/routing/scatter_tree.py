@@ -9,7 +9,6 @@ personalized-communication bounds up to the scheduling slack its
 
 from __future__ import annotations
 
-from repro.cache import memoize_schedule
 from repro.routing.scatter_common import wave_scatter_schedule
 from repro.routing.scheduler import reschedule
 from repro.sim.ports import PortModel
@@ -19,7 +18,6 @@ from repro.trees.base import SpanningTree
 __all__ = ["tree_scatter_schedule"]
 
 
-@memoize_schedule()
 def tree_scatter_schedule(
     tree: SpanningTree,
     message_elems: int,

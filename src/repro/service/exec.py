@@ -10,7 +10,7 @@ as far as the next event, never simulating an instant within ``_EPS``
 of a pending admission.  A job joins with its lowering, which depends
 only on its collective call, so the service and the workload layer
 serve it from a cache
-(:func:`~repro.collectives.api.collective_lowering`) instead of
+(:func:`~repro.collectives.api.collective_program`) instead of
 lowering every job.  Each instant is simulated once, and the final
 view equals :func:`execute_program` — the one-shot run of a
 :class:`~repro.sim.multi.MergedProgram`, kept as the public API and as
@@ -212,7 +212,7 @@ class AdmissionRun:
     enough to name the earliest job completion at or before a bound;
     :meth:`view` closes the run and splits it per job.  Jobs come with
     their lowering (:attr:`~repro.sim.multi.JobEntry.lowering`, served
-    by :func:`~repro.collectives.api.collective_lowering` in the service
+    by :func:`~repro.collectives.api.collective_program` in the service
     and the workload layer), each instant is simulated once, and the
     final view is bit-identical to :func:`execute_program` on the final
     merged program.

@@ -64,7 +64,7 @@ from typing import Iterable, Sequence
 from repro.collectives.api import (
     ROOTED_OPS,
     check_delivery,
-    collective_lowering,
+    collective_program,
     collective_schedule,
 )
 from repro.experiments.parallel import resolve_jobs
@@ -266,15 +266,14 @@ def _build_schedule(args: tuple) -> tuple[Schedule, dict[int, set[Chunk]]]:
     )
 
 
-def _with_lowering(
-    key: tuple, built: tuple[Schedule, dict[int, set[Chunk]]]
+def _program(
+    key: tuple, built: tuple[Schedule, dict[int, set[Chunk]]] | None = None
 ) -> Pregenerated:
     dimension, op, algorithm, source, m, b, port_value, subtree = key
-    low = collective_lowering(
+    return collective_program(
         Hypercube(dimension), op, algorithm, source, m, b,
         PortModel(port_value), subtree, built=built,
     )
-    return (*built, low)
 
 
 def pregenerate(
@@ -284,22 +283,21 @@ def pregenerate(
     ``(dimension, op, algorithm, source, M, B, port value, subtree
     order)``, with its initial holdings and its lowering.
 
-    Keys are deduplicated in first-seen order and built inline
-    (``jobs=None``), or in a ``jobs``-worker pool (``0`` = all cores)
-    reassembled positionally — so the worker count cannot change
-    anything.  ``jobs`` is checked by
-    :func:`repro.experiments.parallel.resolve_jobs`.  The lowerings
-    come from :func:`~repro.collectives.api.collective_lowering`, in
-    this process, where its cache lives.
+    Keys are deduplicated in first-seen order and served inline by
+    :func:`~repro.collectives.api.collective_program` (``jobs=None``),
+    or built in a ``jobs``-worker pool (``0`` = all cores), reassembled
+    positionally, and handed to ``collective_program`` as ``built`` —
+    so the worker count cannot change anything.  ``jobs`` is checked by
+    :func:`repro.experiments.parallel.resolve_jobs`.  The programs are
+    cached in this process, where the memo lives.
     """
     workers = 1 if jobs is None else resolve_jobs(jobs)
     todo = list(dict.fromkeys(keys))
     if workers == 1 or len(todo) <= 1:
-        built = map(_build_schedule, todo)
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-            built = list(pool.map(_build_schedule, todo))
-    return {k: _with_lowering(k, b) for k, b in zip(todo, built)}
+        return {k: _program(k) for k in todo}
+    with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+        built = list(pool.map(_build_schedule, todo))
+    return {k: _program(k, b) for k, b in zip(todo, built)}
 
 
 class CollectiveService:

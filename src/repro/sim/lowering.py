@@ -16,10 +16,11 @@ into an array-of-structs :class:`LoweredSchedule`:
   holdings — or their per-chunk release time, see ``release_times`` —
   and ``+inf`` for absent);
 * dependency CSR indexes: ``in_ptr``/``in_idx`` (the slots a transfer
-  reads at its sender), ``out_ptr``/``out_idx`` (the slots it writes at
-  its receiver) and the inverted ``wait_ptr``/``wait_idx`` (the
-  transfers waiting on each slot), plus ``init_missing`` — how many of
-  each transfer's input slots start out absent;
+  reads at its sender), ``out_idx`` (the slots it writes at its
+  receiver, under the same ``in_ptr``: a transfer writes the chunks it
+  reads) and the inverted ``wait_ptr``/``wait_idx`` (the transfers
+  waiting on each slot), plus ``init_missing`` — how many of each
+  transfer's input slots start out absent;
 * ``round_lens``, the transfers per round, so the lock-step pass
   (:mod:`repro.sim.synchronous`) never reads the schedule's rounds.
 
@@ -58,7 +59,7 @@ __all__ = ["LoweredSchedule", "lower_schedule"]
 #: every NumPy column of a :class:`LoweredSchedule`
 ARRAYS = (
     "src", "dst", "port", "link", "elems",
-    "in_ptr", "in_idx", "out_ptr", "out_idx",
+    "in_ptr", "in_idx", "out_idx",
     "wait_ptr", "wait_idx",
     "slot_node", "slot_chunk", "init_avail", "init_missing",
     "link_src", "link_dst", "round_lens",
@@ -99,7 +100,7 @@ class LoweredSchedule:
         link: per-transfer dense directed-link id.
         elems: per-transfer payload size in elements.
         in_ptr, in_idx: CSR — transfer -> sender payload slots.
-        out_ptr, out_idx: CSR — transfer -> receiver payload slots.
+        out_idx: receiver payload slots, indexed by ``in_ptr`` too.
         wait_ptr, wait_idx: CSR — slot -> transfer ids waiting on it.
         slot_node, slot_chunk: slot -> ``(node, chunk id)`` decode.
         init_avail: slot -> availability time at t=0 (``inf`` = absent).
@@ -109,7 +110,7 @@ class LoweredSchedule:
         checked_under: the port model whose lock-step constraints this
             lowering is known to satisfy, or ``None``.  An entry of the
             ``lowerings`` LRU gets one when it is filled (see
-            :func:`repro.collectives.api.collective_lowering`), and
+            :func:`repro.collectives.api.collective_program`), and
             :meth:`translated` keeps it: translation preserves every
             constraint.
     """
@@ -125,7 +126,6 @@ class LoweredSchedule:
     elems: np.ndarray
     in_ptr: np.ndarray
     in_idx: np.ndarray
-    out_ptr: np.ndarray
     out_idx: np.ndarray
     wait_ptr: np.ndarray
     wait_idx: np.ndarray
@@ -196,7 +196,6 @@ class LoweredSchedule:
             elems=self.elems,
             in_ptr=self.in_ptr,
             in_idx=slot_rank[self.in_idx],
-            out_ptr=self.out_ptr,
             out_idx=slot_rank[self.out_idx],
             wait_ptr=wait_ptr,
             wait_idx=wait_idx,
@@ -321,10 +320,8 @@ def lower_schedule(
     slot_node = (uniq_slots // n_chunks).astype(np.int64)
     slot_chunk = (uniq_slots % n_chunks).astype(np.int64)
 
-    ptr = np.zeros(n_transfers + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    in_ptr = ptr
-    out_ptr = ptr.copy()  # in/out slot lists are parallel per transfer
+    in_ptr = np.zeros(n_transfers + 1, dtype=np.int64)
+    np.cumsum(counts, out=in_ptr[1:])
 
     init_avail = np.full(n_slots, np.inf)
     # np.minimum.at: a chunk held by several nodes keeps the earliest
@@ -355,7 +352,6 @@ def lower_schedule(
         elems=elems,
         in_ptr=in_ptr,
         in_idx=in_idx,
-        out_ptr=out_ptr,
         out_idx=out_idx,
         wait_ptr=wait_ptr,
         wait_idx=wait_idx,

@@ -54,7 +54,7 @@ class JobEntry:
             ``initial`` (see :func:`repro.sim.lowering.lower_schedule`),
             or ``None`` to have it lowered on admission.  The service
             and the workload layer pass the cached one
-            (:func:`repro.collectives.api.collective_lowering`).  It is
+            (:func:`repro.collectives.api.collective_program`).  It is
             not part of the entry's identity.
     """
 

@@ -890,7 +890,8 @@ class VectorizedRun:
         port_py = self._port_py
         link_py = self._link_py
         costs_py = self._cost_py
-        in_ptr = out_ptr = self._ptr_py
+        # a transfer writes the chunks it reads: one pointer list
+        in_ptr = self._ptr_py
         in_idx = self._in_py
         out_idx = self._out_py
         wait_ptr = self._wait_ptr_py
@@ -1107,8 +1108,8 @@ class VectorizedRun:
                     wake_set.add(end)
                     heappush(wake, end)
 
-                op = out_ptr[i]
-                oe = out_ptr[i + 1]
+                op = in_ptr[i]
+                oe = in_ptr[i + 1]
                 outs = (out_idx[op],) if oe - op == 1 else out_idx[op:oe]
                 for s in outs:
                     a = avail_py[s]
@@ -1338,7 +1339,7 @@ class VectorizedRun:
             if not jleft[h]:
                 res.append(h)
         if self._report:
-            out_ptr = self._ptr_py
+            ptr = self._ptr_py
             out_idx = self._out_py
             wait_ptr = self._wait_ptr_py
             wait_idx = self._wait_py
@@ -1348,7 +1349,7 @@ class VectorizedRun:
             dead = self._dead
             while stack:
                 i = stack.pop()
-                for s in out_idx[out_ptr[i]:out_ptr[i + 1]]:
+                for s in out_idx[ptr[i]:ptr[i + 1]]:
                     wr_left[s] -= 1
                     if wr_left[s] or avail_py[s] != _INF:
                         continue

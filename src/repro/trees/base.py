@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from functools import cached_property
 
-from repro.topology.base import Topology, topology_token
+from repro.topology.base import Topology
 from repro.topology.graph import check_spanning_tree
 from repro.topology.hypercube import DirectedEdge
 
@@ -64,19 +64,6 @@ class SpanningTree(ABC):
         arithmetic instead.
         """
         return node ^ self._root
-
-    def cache_token(self) -> tuple:
-        """Hashable identity used by the schedule cache (see repro.cache).
-
-        Two trees with equal tokens must be structurally identical;
-        construction of every family here is deterministic in
-        ``(class, topology, root)``, so that triple suffices.  The
-        topology token (e.g. ``("torus", n, k)``) keeps trees of
-        different hosts at the same ``n`` from ever colliding.
-        Subclasses with extra identity (e.g. the ERSBT tree index) must
-        extend this.
-        """
-        return (type(self).__qualname__, topology_token(self._cube), self._root)
 
     # -- derived structure ----------------------------------------------------
 

@@ -101,20 +101,6 @@ class SurvivorTree(SpanningTree):
         except KeyError:
             raise ValueError(f"node {node} is not covered by this tree") from None
 
-    def cache_token(self) -> tuple:
-        """Identity for the schedule cache: the full edge set.
-
-        Two survivor trees are interchangeable only when their parent
-        maps coincide, so the map itself is the token — a cached
-        fault-free schedule can never be served for a damaged cube.
-        """
-        return (
-            type(self).__qualname__,
-            self.n,
-            self._root,
-            tuple(sorted(self._parents.items(), key=lambda kv: kv[0])),
-        )
-
     def __repr__(self) -> str:
         return (
             f"SurvivorTree(n={self.n}, root={self._root}, "

@@ -135,9 +135,6 @@ class EdgeReversedSBT(SpanningTree):
         """Which of the ``n`` ERSBTs this is (the port ``j`` it starts on)."""
         return self._j
 
-    def cache_token(self) -> tuple:
-        return (type(self).__qualname__, self.n, self._root, self._j)
-
     def parent(self, node: int) -> int | None:
         self._cube.check_node(node)
         return ersbt_parent(node, self._j, self._root, self.n)

@@ -10,8 +10,8 @@ background "mice" flows ride along with no dependencies at all.
 This module is the declarative half of that model:
 
 * :class:`PhaseSpec` — one DAG node: either a **collective phase**
-  (any op of :data:`repro.collectives.SCHEDULE_OPS`, lowered through
-  :func:`repro.collectives.collective_schedule` at execution time)
+  (any op of :data:`repro.collectives.SCHEDULE_OPS`, built and lowered
+  by :func:`repro.collectives.collective_program` at execution time)
   or a **compute phase** (``op=None``: a pure simulated-time gap).
   Every phase may carry a ``compute`` gap that elapses after its
   dependencies finish and before its communication starts — compute

@@ -1,14 +1,14 @@
-"""Cached schedules are bit-identical to uncached generation.
+"""Cached collective programs are bit-identical to uncached generation.
 
-Randomized ``(n, source, M, B, port_model)`` samples for every memoized
-generator: the schedule produced through the cache (miss *and* hit)
-must equal the one generated with caching disabled, and running both
-through the engines must give identical results.  Also covers the
-copy-on-hit isolation guarantee, and the translated broadcasts: their
-schedules (rounds built on first read) and their lowerings (the
-source-0 entry of ``collective_lowering`` translated in NumPy) must
-equal what the uncached path builds, as must every result of the public
-calls served by them.
+Randomized ``(n, source, M, B, port_model)`` samples for every kind of
+collective call: the schedule :func:`repro.collectives.collective_program`
+serves (miss *and* hit) must equal the one generated with caching
+disabled, and running both through the engines must give identical
+results.  Also covers the copy-on-hit isolation guarantee, that a warm
+call builds nothing, and the translated broadcasts: their schedules
+(rounds built on first read) and their lowerings (the source-0 entry
+translated in NumPy) must equal what the uncached path builds, as must
+every result of the public calls served by them.
 """
 
 from __future__ import annotations
@@ -16,21 +16,18 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
 from repro.cache import cache_stats, clear_caches, disabled
-from repro.collectives import broadcast, collective_lowering
+import repro.collectives.api as api
+from repro.collectives import broadcast, collective_program
 from repro.routing import (
-    allgather_schedule,
-    alltoall_personalized_schedule,
     bst_scatter_schedule,
-    dual_hp_broadcast_schedule,
     msbt_broadcast_schedule,
     sbt_broadcast_schedule,
-    sbt_reduce_schedule,
-    sbt_scatter_schedule,
 )
 from repro.sim import run_async
 from repro.sim.faults import FaultPlan
@@ -65,43 +62,49 @@ def assert_same_lowering(a, b):
         assert np.array_equal(x, y), name
 
 
-GENERATORS = [
-    ("sbt-broadcast", lambda cube, s, M, B, pm: sbt_broadcast_schedule(cube, s, M, B, pm)),
-    ("msbt-broadcast", lambda cube, s, M, B, pm: msbt_broadcast_schedule(cube, s, M, B, pm)),
-    ("dual-hp-broadcast", lambda cube, s, M, B, pm: dual_hp_broadcast_schedule(cube, s, M, B, pm)),
-    ("bst-scatter", lambda cube, s, M, B, pm: bst_scatter_schedule(cube, s, M, B, pm)),
-    ("sbt-scatter", lambda cube, s, M, B, pm: sbt_scatter_schedule(cube, s, M, B, pm)),
-    ("sbt-reduce", lambda cube, s, M, B, pm: sbt_reduce_schedule(cube, s, M, B, pm)),
-    ("allgather", lambda cube, s, M, B, pm: allgather_schedule(cube, M, pm)),
-    ("alltoall", lambda cube, s, M, B, pm: alltoall_personalized_schedule(cube, M, pm)),
+#: (id, op, algorithm) of every kind of call the memo serves
+CALLS = [
+    ("sbt-broadcast", "broadcast", "sbt"),
+    ("msbt-broadcast", "broadcast", "msbt"),
+    ("dual-hp-broadcast", "broadcast", "hp-dual"),
+    ("bst-scatter", "scatter", "bst"),
+    ("sbt-scatter", "scatter", "sbt"),
+    ("sbt-reduce", "reduce", "sbt"),
+    ("allgather", "allgather", None),
+    ("alltoall", "alltoall", None),
 ]
 
 
-@pytest.mark.parametrize("name,gen", GENERATORS, ids=[g[0] for g in GENERATORS])
-def test_cached_schedule_identical_to_uncached_randomized(name, gen):
+def _schedule(cube, op, algorithm, s, M, B, pm):
+    return collective_program(cube, op, algorithm, s, M, B, pm)[0]
+
+
+@pytest.mark.parametrize("name,op,algorithm", CALLS, ids=[c[0] for c in CALLS])
+def test_cached_schedule_identical_to_uncached_randomized(name, op, algorithm):
     rng = random.Random(hash(name) & 0xFFFF)
     for _ in range(6):
         n = rng.choice([3, 4, 5])
         cube = Hypercube(n)
-        source = rng.randrange(cube.num_nodes)
-        M = rng.choice([1, 5, 17, 64])
-        B = rng.choice([1, 4, 16])
-        pm = rng.choice(list(PortModel))
+        call = (cube, op, algorithm, rng.randrange(cube.num_nodes),
+                rng.choice([1, 5, 17, 64]), rng.choice([1, 4, 16]),
+                rng.choice(list(PortModel)))
         with disabled():
-            cold = gen(cube, source, M, B, pm)
-        miss = gen(cube, source, M, B, pm)  # populates the cache
-        hit = gen(cube, source, M, B, pm)  # served from it
-        assert_same_schedule(miss, cold)
-        assert_same_schedule(hit, cold)
+            cold, cold_initial, _ = collective_program(*call)
+        miss = collective_program(*call)  # populates the cache
+        hit = collective_program(*call)  # served from it
+        for sched, initial, _ in (miss, hit):
+            assert_same_schedule(sched, cold)
+            assert initial == cold_initial
 
 
 def test_cached_schedule_runs_identically_on_the_engine():
     cube = Hypercube(4)
     pm = PortModel.ONE_PORT_FULL
+    call = (cube, "broadcast", "msbt", 6, 40, 8, pm)
     with disabled():
-        cold = msbt_broadcast_schedule(cube, 6, 40, 8, pm)
-    msbt_broadcast_schedule(cube, 6, 40, 8, pm)
-    warm = msbt_broadcast_schedule(cube, 6, 40, 8, pm)
+        cold = _schedule(*call)
+    _schedule(*call)
+    warm = _schedule(*call)
     res_cold = run_async(cube, cold, pm, {6: set(cold.chunk_sizes)}, IPSC_D7)
     res_warm = run_async(cube, warm, pm, {6: set(warm.chunk_sizes)}, IPSC_D7)
     assert res_cold.time == res_warm.time
@@ -111,39 +114,45 @@ def test_cached_schedule_runs_identically_on_the_engine():
 
 
 def test_cache_hit_returns_isolated_copies():
-    """Source 0 hits are copies of the entry, other sources translations
-    of it (rounds built on read); neither shares mutable state with the
-    entry or with another hit."""
+    """Source 0 hits are copies of the entry, translated broadcasts from
+    other sources translations of it (rounds built on read); neither
+    shares mutable state with the entry or with another hit, and
+    neither do their initial holdings."""
     cube = Hypercube(3)
     pm = PortModel.ONE_PORT_FULL
-    for source in (0, 2):
-        first = sbt_broadcast_schedule(cube, source, 16, 4, pm)
+    for (op, algorithm), source in product([("broadcast", "sbt"), ("scatter", "bst")], (0, 2)):
+        first, initial, _ = collective_program(cube, op, algorithm, source, 16, 4, pm)
         first.meta["poison"] = True
         first.chunk_sizes["poison"] = 1
         first.rounds.append(())
+        initial[source].add("poison")
+        initial[7] = {"poison"}
         for s in (source, 0, 5):
-            again = sbt_broadcast_schedule(cube, s, 16, 4, pm)
+            again, again_initial, _ = collective_program(cube, op, algorithm, s, 16, 4, pm)
             assert "poison" not in again.meta
             assert "poison" not in again.chunk_sizes
             assert again.rounds[-1] != ()
+            assert again_initial == {s: set(again.chunk_sizes)}
         # two hits are themselves independent
-        a = sbt_broadcast_schedule(cube, source, 16, 4, pm)
-        b = sbt_broadcast_schedule(cube, source, 16, 4, pm)
+        a, a_initial, _ = collective_program(cube, op, algorithm, source, 16, 4, pm)
+        b, b_initial, _ = collective_program(cube, op, algorithm, source, 16, 4, pm)
         assert a is not b
         assert a.meta is not b.meta
         assert a.chunk_sizes is not b.chunk_sizes
         assert a.rounds is not b.rounds
+        assert a_initial[source] is not b_initial[source]
 
 
 def test_positional_and_keyword_calls_share_an_entry():
     cube = Hypercube(3)
     pm = PortModel.ONE_PORT_HALF
     clear_caches()
-    sbt_broadcast_schedule(cube, 1, 8, 2, pm)
-    sbt_broadcast_schedule(
-        cube, source=1, message_elems=8, packet_elems=2, port_model=pm
+    collective_program(cube, "broadcast", "sbt", 1, 8, 2, pm)
+    collective_program(
+        cube, op="broadcast", algorithm="sbt", source=1, message_elems=8,
+        packet_elems=2, port_model=pm,
     )
-    stats = sbt_broadcast_schedule.cache.stats()
+    stats = cache_stats()["lowerings"]
     assert stats["misses"] == 1
     assert stats["hits"] == 1
 
@@ -153,11 +162,12 @@ def test_source_is_part_of_the_key():
     distinct entries, not translated hits."""
     cube = Hypercube(4)
     pm = PortModel.ONE_PORT_FULL
-    s0 = bst_scatter_schedule(cube, 0, 12, 4, pm)
-    s5 = bst_scatter_schedule(cube, 5, 12, 4, pm)
+    s0 = _schedule(cube, "scatter", "bst", 0, 12, 4, pm)
+    s5 = _schedule(cube, "scatter", "bst", 5, 12, 4, pm)
     assert s0.meta["source"] == 0
     assert s5.meta["source"] == 5
     assert s0.rounds != s5.rounds
+    assert cache_stats()["lowerings"]["misses"] == 2
 
 
 BROADCASTS = [
@@ -195,24 +205,48 @@ def test_broadcast_from_any_source_is_the_translated_source_0_schedule(name, gen
 
 @pytest.mark.parametrize("gen", [sbt_broadcast_schedule, msbt_broadcast_schedule])
 def test_broadcasts_from_two_sources_share_one_entry(gen):
+    """Each served schedule equals what ``gen`` builds from its source."""
+    algorithm = "sbt" if gen is sbt_broadcast_schedule else "msbt"
     cube = Hypercube(4)
     pm = PortModel.ONE_PORT_HALF
-    first = gen(cube, 3, 12, 4, pm)
-    second = gen(cube, 9, 12, 4, pm)
-    stats = gen.cache.stats()
+    first = _schedule(cube, "broadcast", algorithm, 3, 12, 4, pm)
+    second = _schedule(cube, "broadcast", algorithm, 9, 12, 4, pm)
+    stats = cache_stats()["lowerings"]
     assert (stats["misses"], stats["hits"]) == (1, 1)
     assert first.meta["source"] == 3
     assert second.meta["source"] == 9
+    assert_same_schedule(first, gen(cube, 3, 12, 4, pm))
+    assert_same_schedule(second, gen(cube, 9, 12, 4, pm))
 
 
-def test_degraded_msbt_keeps_the_source_in_the_key():
+@pytest.mark.parametrize("source", [0, 6])
+@pytest.mark.parametrize("name,op,algorithm", CALLS, ids=[c[0] for c in CALLS])
+def test_warm_call_builds_nothing(name, op, algorithm, source, monkeypatch):
+    """A repeated call is one memo lookup: no ``repro.routing`` generator
+    runs, and neither do the schedule builder and the lowering."""
     cube = Hypercube(4)
-    pm = PortModel.ONE_PORT_FULL
-    dead = ((0, 1),)
-    a = msbt_broadcast_schedule(cube, 2, 12, 4, pm, dead_links=dead)
-    b = msbt_broadcast_schedule(cube, 6, 12, 4, pm, dead_links=dead)
-    assert msbt_broadcast_schedule.cache.stats()["misses"] == 2
-    assert a.meta["source"] == 2 and b.meta["source"] == 6
+    call = (cube, op, algorithm, source, 12, 4, PortModel.ONE_PORT_FULL)
+    collective_program(*call)
+    built = []
+
+    def refuse(name):
+        return lambda *args, **kwargs: built.append(name)
+
+    for attr, obj in vars(api).items():
+        module = getattr(obj, "__module__", "") or ""
+        # every builder; argument checks such as check_subtree_order run
+        if module.startswith("repro.routing") and not attr.startswith("check_"):
+            monkeypatch.setattr(api, attr, refuse(attr))
+    for attr in ("collective_schedule", "lower_schedule", "lowered_constraints_hold"):
+        monkeypatch.setattr(api, attr, refuse(attr))
+    sched, initial, low = collective_program(*call)
+    assert built == []
+    with disabled():
+        monkeypatch.undo()
+        cold, cold_initial, cold_low = collective_program(*call)
+    assert_same_schedule(sched, cold)
+    assert initial == cold_initial
+    assert_same_lowering(low, cold_low)
 
 
 # -- translated lowerings ----------------------------------------------
@@ -229,11 +263,11 @@ def assert_same_lockstep(a, b):
     assert list(a.link_stats.packets) == list(b.link_stats.packets)
 
 
-#: the lowering ``collective_lowering`` serves each ``BROADCASTS``
+#: the lowering ``collective_program`` serves each ``BROADCASTS``
 #: generator's calls (packet-order SBT is no collective call)
 LOWERINGS = {
-    "sbt-port": lambda cube, s, M, B, pm: collective_lowering(cube, "broadcast", "sbt", s, M, B, pm),
-    "msbt": lambda cube, s, M, B, pm: collective_lowering(cube, "broadcast", "msbt", s, M, B, pm),
+    "sbt-port": lambda cube, s, M, B, pm: collective_program(cube, "broadcast", "sbt", s, M, B, pm)[2],
+    "msbt": lambda cube, s, M, B, pm: collective_program(cube, "broadcast", "msbt", s, M, B, pm)[2],
 }
 SERVED = [g for g in BROADCASTS if g[0] in LOWERINGS]
 
@@ -327,8 +361,8 @@ def test_translated_schedule_round_trips(clone):
     pm = PortModel.ONE_PORT_HALF
     with disabled():
         want = msbt_broadcast_schedule(cube, 11, 17, 4, pm)
-    msbt_broadcast_schedule(cube, 0, 17, 4, pm)
-    moved = msbt_broadcast_schedule(cube, 11, 17, 4, pm)
+    _schedule(cube, "broadcast", "msbt", 0, 17, 4, pm)
+    moved = _schedule(cube, "broadcast", "msbt", 11, 17, 4, pm)
     assert "rounds" not in vars(moved)
     twin = clone(moved)
     assert "_on_read" not in vars(twin)
@@ -340,7 +374,7 @@ def test_translated_schedule_round_trips(clone):
 
 
 def _msbt_lowering(cube, s, pm):
-    return collective_lowering(cube, "broadcast", "msbt", s, 12, 4, pm)
+    return collective_program(cube, "broadcast", "msbt", s, 12, 4, pm)[2]
 
 
 def test_cached_lowering_arrays_are_read_only():
@@ -399,4 +433,4 @@ def test_lowering_is_served_only_for_cached_fault_free_calls():
     stats = cache_stats()["lowerings"]
     assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
     for gen in (sbt_broadcast_schedule, msbt_broadcast_schedule, bst_scatter_schedule):
-        assert not hasattr(gen, "lowering")
+        assert not hasattr(gen, "cache")  # generators keep no memo of their own

@@ -1,10 +1,11 @@
-"""Cache correctness under faults: damaged cubes never reuse clean keys.
+"""Cache correctness under faults: damaged cubes never reuse clean entries.
 
-The schedule cache keys on normalized generator arguments, so a
-``dead_links``/``FaultPlan`` argument must split the key space — a
-fault-free cached schedule must never be served for a damaged cube,
-and vice versa.  Survivor trees carry their full parent map in their
-cache token for the same reason.
+A :class:`FaultPlan` normalizes how its faults are spelled into its
+``cache_token`` (which its hash and equality read), so equal fault sets
+key alike and any difference splits them.  A collective call under a
+non-empty plan never touches the collective-call memo: its schedule is
+routed afresh around the faults, so a fault-free cached program is
+never served for a damaged cube.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cache import cache_stats, clear_caches
-from repro.cache.schedules import _normalize
-from repro.routing import msbt_broadcast_schedule, tree_broadcast_schedule
+from repro.collectives import broadcast, scatter
+from repro.routing import tree_broadcast_schedule
 from repro.routing.fault_aware import survivor_broadcast_tree
 from repro.sim import FaultPlan, PortModel
 from repro.topology import Hypercube
@@ -33,70 +34,42 @@ def _fresh_caches():
 class TestNormalization:
     def test_fault_plan_normalizes_to_its_token(self):
         plan = FaultPlan(dead_links=[(1, 0)], dead_nodes=[(4, 2.0)])
-        assert _normalize(plan) == plan.cache_token()
-        # spelled differently but equal -> same key component
-        assert _normalize(plan) == _normalize(
-            FaultPlan(dead_links=[(0, 1, 0.0)], dead_nodes=[(4, 2.0)])
-        )
+        # spelled differently but equal -> same token, equal plans
+        twin = FaultPlan(dead_links=[(0, 1, 0.0)], dead_nodes=[(4, 2.0)])
+        assert plan.cache_token() == twin.cache_token()
+        assert plan == twin and hash(plan) == hash(twin)
 
     def test_distinct_plans_normalize_apart(self):
         a = FaultPlan(dead_links=[(0, 1)])
         b = FaultPlan(dead_links=[(0, 1, 5.0)])  # same link, later onset
-        assert _normalize(a) != _normalize(b)
-        assert _normalize(a) != _normalize(FaultPlan())
+        assert a.cache_token() != b.cache_token()
+        assert a.cache_token() != FaultPlan().cache_token()
+        assert a != b
 
     def test_sets_normalize_order_free(self):
-        assert _normalize({(0, 1), (2, 3)}) == _normalize(
-            frozenset({(2, 3), (0, 1)})
-        )
+        assert FaultPlan(dead_links={(0, 1), (2, 3)}).cache_token() == FaultPlan(
+            dead_links=[(3, 2), (1, 0)]
+        ).cache_token()
 
 
-class TestScheduleKeys:
-    def test_dead_links_split_the_key(self):
-        clean = msbt_broadcast_schedule(CUBE, 0, 6, 2, PM)
-        damaged = msbt_broadcast_schedule(CUBE, 0, 6, 2, PM, dead_links=((0, 1),))
-        assert clean.algorithm == "msbt-broadcast"
-        assert damaged.algorithm == "msbt-broadcast-degraded"
-        # the degraded schedule genuinely avoids the dead link
-        assert FaultPlan(dead_links=[(0, 1)]).schedule_is_clean(damaged)
-        assert not FaultPlan(dead_links=[(0, 1)]).schedule_is_clean(clean)
-        # and asking for the clean cube again returns the clean schedule
-        again = msbt_broadcast_schedule(CUBE, 0, 6, 2, PM)
-        assert again.algorithm == "msbt-broadcast"
-        assert again.rounds == clean.rounds
-
-    def test_cache_stats_reflect_new_fault_keys(self):
-        name = "schedules.msbt_broadcast_schedule"
-        msbt_broadcast_schedule(CUBE, 0, 6, 2, PM)
-        base = cache_stats()[name]
-        assert base["misses"] >= 1
-
-        # a new fault set is a miss, repeating it is a hit
-        msbt_broadcast_schedule(CUBE, 0, 6, 2, PM, dead_links=((2, 6),))
-        after_miss = cache_stats()[name]
-        assert after_miss["misses"] == base["misses"] + 1
-        msbt_broadcast_schedule(CUBE, 0, 6, 2, PM, dead_links=((2, 6),))
-        after_hit = cache_stats()[name]
-        assert after_hit["hits"] == after_miss["hits"] + 1
-        assert after_hit["misses"] == after_miss["misses"]
-
-    def test_different_fault_sets_get_different_schedules(self):
-        a = msbt_broadcast_schedule(CUBE, 0, 6, 2, PM, dead_links=((0, 1),))
-        b = msbt_broadcast_schedule(CUBE, 0, 6, 2, PM, dead_links=((0, 2),))
-        assert not FaultPlan(dead_links=[(0, 2)]).schedule_is_clean(a) or (
-            a.rounds != b.rounds
-        )
-        assert FaultPlan(dead_links=[(0, 2)]).schedule_is_clean(b)
+@pytest.mark.parametrize("call", [broadcast, scatter], ids=["broadcast", "scatter"])
+@pytest.mark.parametrize("algorithm", ["sbt", None])
+def test_faulted_call_is_never_served_the_clean_entry(call, algorithm):
+    """The clean call's entry is filled first; the faulted call after it
+    neither reads nor fills the memo, and its schedule avoids the dead
+    link the clean one uses."""
+    plan = FaultPlan(dead_links=[(0, 1)])
+    clean = call(CUBE, 0, algorithm, 6, 2, PM)
+    assert not plan.schedule_is_clean(clean.schedule)
+    before = cache_stats()["lowerings"]
+    damaged = call(CUBE, 0, algorithm, 6, 2, PM, faults=plan)
+    assert cache_stats()["lowerings"] == before
+    assert plan.schedule_is_clean(damaged.schedule)
+    again = call(CUBE, 0, algorithm, 6, 2, PM)
+    assert again.schedule.rounds == clean.schedule.rounds
 
 
 class TestSurvivorTreeTokens:
-    def test_token_encodes_the_parent_map(self):
-        t1 = survivor_broadcast_tree(CUBE, 0, FaultPlan(dead_links=[(0, 1)]))
-        t2 = survivor_broadcast_tree(CUBE, 0, FaultPlan(dead_links=[(0, 2)]))
-        t3 = survivor_broadcast_tree(CUBE, 0, FaultPlan(dead_links=[(0, 1)]))
-        assert t1.cache_token() != t2.cache_token()
-        assert t1.cache_token() == t3.cache_token()
-
     def test_generic_broadcast_not_cross_served(self):
         t1 = survivor_broadcast_tree(CUBE, 0, FaultPlan(dead_links=[(0, 1)]))
         t2 = survivor_broadcast_tree(CUBE, 0, FaultPlan(dead_links=[(0, 2)]))
@@ -104,7 +77,7 @@ class TestSurvivorTreeTokens:
         s2 = tree_broadcast_schedule(t2, 4, 2, PM)
         assert FaultPlan(dead_links=[(0, 1)]).schedule_is_clean(s1)
         assert FaultPlan(dead_links=[(0, 2)]).schedule_is_clean(s2)
-        # the cached s1 must not leak into the t2 call
+        # each tree's schedule follows that tree, not the other one
         assert not FaultPlan(dead_links=[(0, 2)]).schedule_is_clean(s1)
 
     def test_partial_tree_covered_set(self):

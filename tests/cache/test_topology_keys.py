@@ -2,16 +2,16 @@
 
 Regression tests for the torus/hypercube key-collision class of bug:
 a ``Torus(n, k)`` and a ``Hypercube(n)`` (or two tori of different
-arity) must never share a cache entry — not in the
-schedule memoizer, not in the tree cache, and not through a
-:class:`FaultPlan` pinned to a topology.
+arity) must never share a cache entry — not in the collective-call
+memo, not in the tree cache, and not through a :class:`FaultPlan`
+pinned to a topology.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache.schedules import _normalize
+from repro.collectives.api import _normalize
 from repro.cache.trees import cached_tree
 from repro.sim.faults import FaultPlan
 from repro.sim.ports import PortModel
@@ -30,7 +30,7 @@ class TestTopologyTokens:
         assert topology_token(Torus(4, 3)) == ("torus", 4, 3)
 
     def test_normalize_splits_topologies(self):
-        """The schedule memoizer's key component per topology argument."""
+        """The collective-call memo's key component per topology."""
         keys = {
             _normalize(Hypercube(2)),
             _normalize(Torus(2, 2)),
@@ -60,12 +60,6 @@ class TestTreeCacheKeys:
         assert cached.parents_map == direct.parents_map
         assert cached.children_map == direct.children_map
         assert cached.levels == direct.levels
-
-    def test_tree_cache_token_includes_topology(self):
-        a = RingDecompositionTree(Torus(2, 3), 0).cache_token()
-        b = RingDecompositionTree(Torus(2, 4), 0).cache_token()
-        assert a != b
-        assert ("torus", 2, 3) in a
 
 
 class TestFaultPlanTopologyPinning:

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro import cache
-from repro.routing import sbt_broadcast_schedule
+from repro.collectives import collective_program
 from repro.sim.ports import PortModel
 from repro.topology import Hypercube
 
@@ -24,17 +24,19 @@ _METHODS = [
     m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
 ]
 
-_LRU_NAME = "schedules.sbt_broadcast_schedule"
+_LRU_NAME = "lowerings"
 
 
 def _generate():
-    return sbt_broadcast_schedule(Hypercube(3), 0, 32, 8, PortModel.ONE_PORT_FULL)
+    return collective_program(
+        Hypercube(3), "broadcast", "sbt", 0, 32, 8, PortModel.ONE_PORT_FULL
+    )
 
 
 # --- probe functions (module level: picklable by reference for spawn) ---
 
 def _probe_lru_size():
-    """(pid, entries currently in the schedule LRU)."""
+    """(pid, entries currently in the collective-call LRU)."""
     stats = cache.cache_stats()[_LRU_NAME]
     return os.getpid(), stats["size"]
 
@@ -131,5 +133,7 @@ def test_sweep_executor_respects_start_method_default(method):
 
 
 def _sweep_point(n):
-    sched = sbt_broadcast_schedule(Hypercube(n), 0, 32, 8, PortModel.ONE_PORT_FULL)
+    sched, _, _ = collective_program(
+        Hypercube(n), "broadcast", "sbt", 0, 32, 8, PortModel.ONE_PORT_FULL
+    )
     return (n, sched.rounds)

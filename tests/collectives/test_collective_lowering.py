@@ -1,6 +1,6 @@
-"""The one lowering memo behind every collective call.
+"""The one memo behind every collective call.
 
-:func:`repro.collectives.api.collective_lowering` serves the lowering of
+:func:`repro.collectives.api.collective_program` serves the lowering of
 a ``collective_schedule`` call from the ``lowerings`` LRU, to the public
 collectives, service jobs and workload phases alike.  For every
 schedule op, port model and a spread of sources, the served lowering
@@ -20,7 +20,7 @@ from repro.cache import cache_stats, clear_caches, disabled
 from repro.collectives import (
     SCHEDULE_OPS,
     broadcast,
-    collective_lowering,
+    collective_program,
     collective_schedule,
     scatter,
 )
@@ -42,6 +42,11 @@ CACHE = "lowerings"
 
 #: calls served as the source-0 entry translated
 _TRANSLATED = {("broadcast", None), ("broadcast", "sbt")}
+
+
+def _lowering(*args, **kwargs):
+    """The lowering ``collective_program`` serves for a call."""
+    return collective_program(*args, **kwargs)[2]
 
 
 def _fresh(op, algorithm, source, pm):
@@ -66,14 +71,14 @@ def _assert_same(got, want) -> None:
 @pytest.mark.parametrize("op,algorithm", CALLS)
 class TestCollectiveLowering:
     def test_served_lowering_equals_a_fresh_one(self, op, algorithm, source, pm):
-        got = collective_lowering(CUBE, op, algorithm, source, 4, 2, pm)
+        got = _lowering(CUBE, op, algorithm, source, 4, 2, pm)
         _assert_same(got, _fresh(op, algorithm, source, pm))
         assert all(not getattr(got, name).flags.writeable for name in ARRAYS)
 
     def test_second_call_is_a_hit(self, op, algorithm, source, pm):
-        first = collective_lowering(CUBE, op, algorithm, source, 4, 2, pm)
+        first = _lowering(CUBE, op, algorithm, source, 4, 2, pm)
         before = cache_stats()[CACHE]
-        again = collective_lowering(CUBE, op, algorithm, source, 4, 2, pm)
+        again = _lowering(CUBE, op, algorithm, source, 4, 2, pm)
         after = cache_stats()[CACHE]
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
@@ -82,10 +87,10 @@ class TestCollectiveLowering:
             assert again is first  # one shared entry per call
 
     def test_disabled_lowers_afresh(self, op, algorithm, source, pm):
-        cached = collective_lowering(CUBE, op, algorithm, source, 4, 2, pm)
+        cached = _lowering(CUBE, op, algorithm, source, 4, 2, pm)
         before = cache_stats()[CACHE]
         with disabled():
-            got = collective_lowering(CUBE, op, algorithm, source, 4, 2, pm)
+            got = _lowering(CUBE, op, algorithm, source, 4, 2, pm)
         assert cache_stats()[CACHE] == before
         assert got is not cached
         assert got.src.flags.writeable
@@ -94,8 +99,8 @@ class TestCollectiveLowering:
 
 def test_rootless_calls_share_one_entry():
     """``source`` is ignored by the rootless ops, so it is not keyed."""
-    first = collective_lowering(CUBE, "alltoall", source=0, message_elems=3)
-    assert collective_lowering(CUBE, "alltoall", source=5, message_elems=3) is first
+    first = _lowering(CUBE, "alltoall", source=0, message_elems=3)
+    assert _lowering(CUBE, "alltoall", source=5, message_elems=3) is first
 
 
 def test_built_schedule_is_lowered_on_a_miss():
@@ -103,7 +108,7 @@ def test_built_schedule_is_lowered_on_a_miss():
     ``built``: under ``disabled()`` that schedule is lowered as is."""
     sched, initial = collective_schedule(CUBE, "scatter", None, 2, 4, 2)
     with disabled():
-        got = collective_lowering(CUBE, "scatter", None, 2, 4, 2, built=(sched, initial))
+        got = _lowering(CUBE, "scatter", None, 2, 4, 2, built=(sched, initial))
     _assert_same(got, lower_schedule(CUBE, sched, initial))
 
 
@@ -132,7 +137,7 @@ def test_public_call_and_service_job_share_one_entry(op, algorithm, source):
     (job,) = service.run().jobs
     assert job.accepted and not job.degraded and not job.undelivered
     assert _entries() == (misses, hits + 1, size)
-    served = collective_lowering(cube, op, algorithm, source, 12, 4, pm)
+    served = _lowering(cube, op, algorithm, source, 12, 4, pm)
     assert _entries() == (misses, hits + 2, size)
     sched, initial = collective_schedule(cube, op, algorithm, source, 12, 4, pm)
     with disabled():
@@ -150,20 +155,20 @@ def test_a_hit_carries_its_verdict(op, algorithm, source, monkeypatch):
     a hit only prices it, as it does the uncached lowering after its
     own check."""
     pm = PortModel.ALL_PORT
-    collective_lowering(CUBE, op, algorithm, source, 4, 2, pm)
+    _lowering(CUBE, op, algorithm, source, 4, 2, pm)
     calls = []
     check = synchronous.lowered_constraints_hold
     monkeypatch.setattr(
         synchronous, "lowered_constraints_hold",
         lambda *a: calls.append(a) or check(*a),
     )
-    hit = collective_lowering(CUBE, op, algorithm, source, 4, 2, pm)
+    hit = _lowering(CUBE, op, algorithm, source, 4, 2, pm)
     assert hit.checked_under is pm
     sched, initial = collective_schedule(CUBE, op, algorithm, source, 4, 2, pm)
     warm = run_synchronous(CUBE, sched, pm, initial, lowered=hit)
     assert calls == []
     with disabled():
-        fresh = collective_lowering(CUBE, op, algorithm, source, 4, 2, pm)
+        fresh = _lowering(CUBE, op, algorithm, source, 4, 2, pm)
     assert fresh.checked_under is None
     cold = run_synchronous(CUBE, sched, pm, initial, lowered=fresh)
     assert len(calls) == 1
@@ -177,13 +182,13 @@ def test_bad_arguments_raise_after_their_twin_is_cached(op, algorithm):
     """A cached entry never skips validation: a source or size that only
     hashes like a cached one is rejected, not served."""
     for source in (0, 1):
-        collective_lowering(CUBE, op, algorithm, source, 4, 2)
-    collective_lowering(CUBE, op, algorithm, 0, 1)
+        _lowering(CUBE, op, algorithm, source, 4, 2)
+    _lowering(CUBE, op, algorithm, 0, 1)
     for bad in (False, 0.0, True, np.True_):
         with pytest.raises(ValueError, match="node address"):
-            collective_lowering(CUBE, op, algorithm, bad, 4, 2)
+            _lowering(CUBE, op, algorithm, bad, 4, 2)
     with pytest.raises(ValueError, match="message size"):
-        collective_lowering(CUBE, op, algorithm, 0, True)
+        _lowering(CUBE, op, algorithm, 0, True)
 
 
 @pytest.mark.parametrize("first,second", [

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import repro.service.scheduler as scheduler
 import repro.workloads.exec as wexec
 from repro.cache import disabled
-from repro.collectives.api import collective_lowering, collective_schedule
+from repro.collectives.api import collective_program, collective_schedule
 from repro.service import AdmissionControl, JobSpec, run_service
 from repro.service.exec import AdmissionRun, execute_program
 from repro.sim.faults import FaultPlan
@@ -338,10 +338,7 @@ CACHING = [
 def _job(cube, pm, tag, release, op="broadcast", algorithm=None, source=0,
          m=8, b=2):
     """An entry carrying its lowering, as the service admits it."""
-    sched, initial = collective_schedule(cube, op, algorithm, source, m, b, pm)
-    low = collective_lowering(
-        cube, op, algorithm, source, m, b, pm, built=(sched, initial)
-    )
+    sched, initial, low = collective_program(cube, op, algorithm, source, m, b, pm)
     return JobEntry(tag, sched, initial, release=release, lowering=low)
 
 

@@ -65,12 +65,3 @@ class TestConstruction:
         )
         assert "covered=7/8" in repr(SurvivorTree(CUBE, 0, parents))
 
-
-class TestTokens:
-    def test_equal_maps_equal_tokens(self):
-        assert _full_tree().cache_token() == _full_tree().cache_token()
-
-    def test_token_sensitive_to_structure(self):
-        a = _full_tree(dead_links=[(0, 1)])
-        b = _full_tree(dead_links=[(0, 2)])
-        assert a.cache_token() != b.cache_token()
