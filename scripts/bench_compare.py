@@ -27,8 +27,10 @@ the repo root:
   exceeds its baseline by more than ``--threshold`` (default 50%) *and*
   by more than ``--min-delta`` seconds (absolute floor shielding
   microsecond-scale benchmarks from scheduler noise).
-* ``python scripts/bench_compare.py --update`` — rewrite the baseline
-  with the freshly measured medians.
+* ``python scripts/bench_compare.py --update`` — write the freshly
+  measured medians into the baseline.  Entries the run did not measure
+  (say, with a pytest filter such as ``-- -k generate_msbt``) keep
+  their recorded medians.
 
 New benchmarks (no baseline entry) and orphaned baseline entries are
 reported but never fail the comparison; refresh with ``--update``.
@@ -94,8 +96,14 @@ def load_baseline(baseline_path: Path) -> dict:
 def save_baseline(
     medians: dict[str, float], bench_file: Path, baseline_path: Path
 ) -> None:
+    """Merge ``medians`` into the baseline file: a measured entry gets
+    its new median, every other recorded entry stays as it was."""
+    baseline = load_baseline(baseline_path)
+    recorded = dict(baseline.get("benchmarks", {}))
+    recorded.update((name, {"median": m}) for name, m in medians.items())
     payload = {
         "_meta": {
+            **baseline.get("_meta", {}),
             "updated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "python": sys.version.split()[0],
             "platform": sys.platform,
@@ -103,9 +111,7 @@ def save_baseline(
             "suite": str(bench_file.relative_to(REPO_ROOT)),
             "stat": "median seconds per round",
         },
-        "benchmarks": {
-            name: {"median": medians[name]} for name in sorted(medians)
-        },
+        "benchmarks": {name: recorded[name] for name in sorted(recorded)},
     }
     baseline_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"baseline written: {baseline_path}")
@@ -189,7 +195,8 @@ def main() -> int:
     parser.add_argument(
         "--update",
         action="store_true",
-        help="rewrite BENCH_ENGINE.json with the measured medians",
+        help="write the measured medians into the suite's baseline "
+        "(entries not measured keep theirs)",
     )
     parser.add_argument(
         "--threshold",

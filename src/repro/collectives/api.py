@@ -74,6 +74,7 @@ from repro.sim.faults import (
 from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
+from repro.sim.result import held_count, holdings_from_slots
 from repro.sim.schedule import Chunk, Schedule
 from repro.sim.synchronous import lowered_constraints_hold, run_synchronous
 from repro.topology.base import Topology
@@ -354,9 +355,14 @@ def _collective(
     # A fault-free event run holds what the lock-step run holds (the
     # initial holdings plus every output slot: both engines run every
     # transfer), so the check reads the map a caller of the timed run
-    # reads too, and the lock-step holdings stay unbuilt.
+    # reads too, and the lock-step holdings stay unbuilt.  A run that
+    # holds every fillable slot of a lowering with a positive delivery
+    # verdict builds neither.
     delivered = sync if async_ is None or faults else async_
-    _require_delivery(cube, op, source, sched, delivered.holdings, undelivered)
+    if lowered is None or not lowered.delivered_with(held_count(delivered)):
+        _require_delivery(
+            cube, op, source, sched, delivered.holdings, undelivered
+        )
     result = CollectiveResult(
         schedule=sched,
         sync=sync,
@@ -908,8 +914,8 @@ def collective_schedule(
 _TRANSLATED_BROADCASTS = ("sbt", "msbt")
 
 #: one read-only ``(schedule, initial, lowering)`` entry, the lowering
-#: with its lock-step verdict, per normalized collective call (see
-#: collective_program)
+#: with its lock-step and delivery verdicts, per normalized collective
+#: call (see collective_program)
 _PROGRAMS = LRUCache("lowerings", maxsize=256)
 
 
@@ -957,14 +963,19 @@ def collective_program(
     :meth:`~repro.sim.lowering.LoweredSchedule.translated`).  An entry
     takes its lock-step verdict (``checked_under``) from one
     :func:`lowered_constraints_hold` when it is filled, so the lock-step
-    run of a hit only prices it.  Every call gets a fresh ``Schedule``
-    (``rounds`` list, ``chunk_sizes`` and ``meta`` copied; the
-    ``Transfer`` tuples are immutable and shared) and fresh initial
-    sets, so callers may mutate them; the lowering's columns are
-    read-only.  With caching off every call is built and lowered
-    afresh, without a verdict.  ``built`` is the call's ``(schedule,
-    initial)`` when the caller already has it (a worker process built
-    it): a miss keeps and lowers it instead of building it again.
+    run of a hit only prices it, and its delivery verdict
+    (``n_fillable``, ``delivers``) from one :func:`check_delivery` over
+    the holdings of its fillable slots, so a run that ends holding them
+    all needs no check of its own
+    (:meth:`~repro.sim.lowering.LoweredSchedule.delivered_with`).
+    Every call gets a fresh ``Schedule`` (``rounds`` list,
+    ``chunk_sizes`` and ``meta`` copied; the ``Transfer`` tuples are
+    immutable and shared) and fresh initial sets, so callers may mutate
+    them; the lowering's columns are read-only.  With caching off every
+    call is built and lowered afresh, without a verdict.  ``built`` is
+    the call's ``(schedule, initial)`` when the caller already has it (a
+    worker process built it): a miss keeps and lowers it instead of
+    building it again.
     """
     if op not in SCHEDULE_OPS:
         raise ValueError(f"op must be one of {SCHEDULE_OPS}, got {op!r}")
@@ -997,6 +1008,15 @@ def collective_program(
         low = lower_schedule(cube, sched, initial)
         if lowered_constraints_hold(cube, low, port_model):
             low.checked_under = port_model
+        fill = low.fillable()
+        low.n_fillable = int(fill.sum())
+        low.delivers = not check_delivery(
+            cube, op, call["source"], sched, holdings_from_slots(
+                cube.nodes(),
+                [(low.slot_node[fill], low.slot_chunk[fill],
+                  low.chunk_objects, None)],
+            ),
+        )
         entry = (sched, initial, low.read_only())
         _PROGRAMS.put(key, entry)
     sched, initial, low = entry

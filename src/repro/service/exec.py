@@ -151,6 +151,19 @@ class ExecutionView:
         slot_node, slot_chunk, chunks, _ = held[position]
         return holdings_from_slots(nodes, [(slot_node, slot_chunk, chunks, None)])
 
+    def job_delivered(self, position: int) -> bool:
+        """True when the job at ``position`` is known to deliver without
+        building its holdings: a view of an :class:`AdmissionRun` counts
+        the job's held slots, and its lowering's verdict holds for that
+        count (:meth:`~repro.sim.lowering.LoweredSchedule.delivered_with`).
+        False means unknown: check :meth:`job_holdings`."""
+        if self._held is None:
+            return False
+        low = self.program.entries[position].lowering
+        return low is not None and low.delivered_with(
+            self._held[1][position][0].size
+        )
+
     def link_busy_total(self) -> dict[DirectedEdge, float]:
         """Total busy time per directed link, over all jobs: each sum is
         accumulated job by job in position order, and the links are

@@ -26,6 +26,7 @@ from math import isfinite
 from repro.collectives.api import SCHEDULE_OPS
 from repro.routing.common import is_whole
 from repro.routing.scatter_bst import check_subtree_order
+from repro.sim.onread import OnRead
 from repro.sim.schedule import Chunk
 from repro.sim.trace import LinkStats
 from repro.topology.base import require_integer
@@ -93,7 +94,7 @@ class JobSpec:
 
 
 @dataclass
-class JobResult:
+class JobResult(OnRead):
     """One job's slice of a shared-cube service run.
 
     Attributes:
@@ -112,7 +113,9 @@ class JobResult:
             durations) — the fair-share policy's currency.
         link_stats: this job's own per-edge traffic.
         holdings: this job's final chunk placement, untagged (node ->
-            chunks of *this* job only).
+            chunks of *this* job only); an admitted job's is built on
+            first read from the run's view
+            (:meth:`~repro.service.exec.ExecutionView.job_holdings`).
         undelivered: node -> chunks the op should have delivered there
             but did not (non-empty only under faults).
         degraded: True when the job lost transfers or deliveries to a
@@ -133,6 +136,10 @@ class JobResult:
     holdings: dict[int, set[Chunk]] = field(default_factory=dict)
     undelivered: dict[int, set[Chunk]] = field(default_factory=dict)
     degraded: bool = False
+
+    _builders = {
+        "holdings": lambda r: r._on_read[0].job_holdings(r._on_read[1])
+    }
 
     @property
     def tenant(self) -> str:

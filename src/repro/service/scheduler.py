@@ -523,7 +523,8 @@ class CollectiveService:
             for h, job_id in enumerate(job_of):
                 r = results[job_id]
                 entry = entries[h]
-                s = view.slices[positions[h]]
+                pos = positions[h]
+                s = view.slices[pos]
                 r.start_time = s.first_start
                 # a job whose every transfer was cancelled by a fault
                 # resolves at its release instant
@@ -532,10 +533,10 @@ class CollectiveService:
                 r.elems = s.elems
                 r.link_time = s.link_time
                 r.link_stats = s.link_stats
-                r.holdings = view.job_holdings(positions[h])
-                r.undelivered = check_delivery(
-                    self.cube, r.spec.op, r.spec.source,
-                    entry.schedule, r.holdings,
+                r.read_later((view, pos))  # holdings built on read
+                r.undelivered = {} if view.job_delivered(pos) else check_delivery(
+                    self.cube, r.spec.op, r.spec.source, entry.schedule,
+                    r.holdings,
                 )
                 r.degraded = bool(r.undelivered) or s.executed < s.scheduled
         result = ServiceResult(

@@ -46,7 +46,8 @@ object-path engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -113,6 +114,19 @@ class LoweredSchedule:
             :func:`repro.collectives.api.collective_program`), and
             :meth:`translated` keeps it: translation preserves every
             constraint.
+        n_fillable: the number of slots a run can end up holding (see
+            :meth:`fillable`), or ``None``; set with ``delivers``.
+        delivers: whether the holdings of the fillable slots pass the
+            call's :func:`~repro.collectives.api.check_delivery`, or
+            ``None`` (no verdict).  The ``lowerings`` entries take both
+            facts when they are filled, and :meth:`translated` keeps
+            them (a translation moves the obligations with the slots);
+            :meth:`delivered_with` reads them.
+        block: the static rows an admitted run adds for this lowering
+            (:class:`~repro.sim.vectorized.AdmissionBlock`), built on its
+            first admission and kept here, or ``None``.
+        translated_from: the lowering this one is a translation of, whose
+            block an admission moves instead of building one, or ``None``.
     """
 
     n_transfers: int
@@ -137,11 +151,40 @@ class LoweredSchedule:
     link_dst: np.ndarray
     round_lens: np.ndarray
     checked_under: PortModel | None = None
+    n_fillable: int | None = None
+    delivers: bool | None = None
+    block: Any = field(default=None, repr=False, compare=False)
+    translated_from: "LoweredSchedule | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def table_bytes(self) -> int:
-        """Total bytes held by the lowered arrays (peak table footprint)."""
-        return sum(getattr(self, name).nbytes for name in ARRAYS)
+        """Total bytes held by the lowered arrays and, once built, the
+        admission block (peak table footprint)."""
+        arrays = sum(getattr(self, name).nbytes for name in ARRAYS)
+        return arrays + (0 if self.block is None else self.block.nbytes)
+
+    def fillable(self) -> np.ndarray:
+        """Slot mask of the slots a run can end up holding: the initial
+        holdings and every transfer's output.  A fault-free run holds
+        exactly these; any run holds a subset of them."""
+        held = np.isfinite(self.init_avail)
+        held[self.out_idx] = True
+        return held
+
+    def delivered_with(self, n_held: int | None) -> bool:
+        """True when a run that ended holding ``n_held`` of this
+        lowering's slots is known to deliver: held slots are always
+        fillable, so ``n_held == n_fillable`` means they are all the
+        fillable slots, and ``delivers`` is then the run's outcome.
+        False means unknown (a short run, or no verdict): check the
+        holdings."""
+        return (
+            self.delivers is True
+            and n_held is not None
+            and n_held == self.n_fillable
+        )
 
     def transfer(self, i: int) -> Transfer:
         """Transfer ``i`` rebuilt from the columns (for error reporting,
@@ -172,8 +215,10 @@ class LoweredSchedule:
         ``node * C + chunk``, one ``argsort`` each, and every column
         indexing them is remapped.  Transfer order, chunk ids, sizes and
         ports stay: a translation preserves ports.  So does every
-        lock-step constraint, hence ``checked_under`` carries over.
-        Unchanged columns are shared with ``self``.
+        lock-step constraint, hence ``checked_under`` carries over, and
+        every delivery obligation, hence ``n_fillable`` and
+        ``delivers``.  Unchanged columns are shared with ``self``, which
+        the result names as ``translated_from`` (or ``self``'s own).
         """
         perm = np.asarray(cube.translation(by), dtype=np.int64)
         link_src = perm[self.link_src]
@@ -207,6 +252,11 @@ class LoweredSchedule:
             link_dst=link_dst[link_order].astype(np.int32),
             round_lens=self.round_lens,
             checked_under=self.checked_under,
+            n_fillable=self.n_fillable,
+            delivers=self.delivers,
+            translated_from=(
+                self if self.translated_from is None else self.translated_from
+            ),
         )
 
 

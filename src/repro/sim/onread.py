@@ -31,6 +31,14 @@ class OnRead:
         out.__dict__.update(fields, _on_read=inputs)
         return out
 
+    def read_later(self, inputs: Any) -> None:
+        """Drop the fields of ``_builders`` from ``self`` and build each
+        on its next read from ``inputs``, as :meth:`on_read` would."""
+        d = self.__dict__
+        for name in self._builders:
+            d.pop(name, None)
+        d["_on_read"] = inputs
+
     def _unbuilt(self, name: str) -> bool:
         """True while field ``name`` waits for its first read."""
         d = self.__dict__

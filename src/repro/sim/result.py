@@ -49,6 +49,15 @@ def holdings_from_slots(
 SLOT_HOLDINGS = {"holdings": lambda res: holdings_from_slots(*res._on_read)}
 
 
+def held_count(result: OnRead) -> int | None:
+    """How many slots ``result`` holds, counted on the parts its
+    ``holdings`` wait to be built from (:data:`SLOT_HOLDINGS`), or
+    ``None`` once they are built (a caller may have changed them)."""
+    if not result._unbuilt("holdings"):
+        return None
+    return sum(part[0].size for part in result._on_read[1])
+
+
 @dataclass
 class AsyncResult(OnRead):
     """Outcome of an asynchronous run.

@@ -254,8 +254,7 @@ def _run_lowered(
             low.link_src[order], low.link_dst[order], packets, elems
         )
 
-    held = np.isfinite(low.init_avail)
-    held[low.out_idx] = True
+    held = low.fillable()
     parts = [(low.slot_node[held], low.slot_chunk[held], low.chunk_objects, None)]
     return SyncResult.on_read(
         (cube.nodes(), parts),

@@ -121,6 +121,7 @@ bit that of one from-scratch run of the final merged program
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Hashable
@@ -146,7 +147,7 @@ from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.sim.trace import LinkStats
 from repro.topology.base import Topology
 
-__all__ = ["VectorizedRun", "run_async_vectorized"]
+__all__ = ["AdmissionBlock", "VectorizedRun", "run_async_vectorized"]
 
 _INF = float("inf")
 
@@ -155,6 +156,73 @@ _INF = float("inf")
 #: within the round, owning job handle, row in the job's own lowering
 _SRC, _DST, _PORT, _LINK, _ELEMS, _RND, _WITHIN, _JOB, _LOCAL = range(9)
 _NCOL = 9
+
+
+@dataclass(frozen=True)
+class AdmissionBlock:
+    """The rows one lowering adds to a run, as far as the lowering alone
+    fixes them.  An admitted run keeps it with the lowering
+    (:attr:`~repro.sim.lowering.LoweredSchedule.block`), so a flush
+    only fills in the job, prices the sizes and offsets the slots.
+
+    Attributes:
+        icol: the ``(T, _NCOL)`` static table in the lowering's row
+            order, with the job column 0.
+        sizes, size_inv: the distinct transfer sizes, ascending, and
+            each row's index into them.
+        io: the ``(input, output)`` slot of every CSR entry, relative
+            to the job's first slot.
+    """
+
+    icol: np.ndarray
+    sizes: np.ndarray
+    size_inv: np.ndarray
+    io: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.icol, self.sizes, self.size_inv, self.io):
+            a.flags.writeable = False
+
+    @property
+    def nbytes(self) -> int:
+        return (
+            self.icol.nbytes + self.sizes.nbytes + self.size_inv.nbytes
+            + self.io.nbytes
+        )
+
+    @classmethod
+    def build(cls, low: LoweredSchedule, link: np.ndarray) -> "AdmissionBlock":
+        """The block of ``low`` whose rows use the link ids ``link``."""
+        n = low.n_transfers
+        lens = low.round_lens
+        icol = np.empty((n, _NCOL), dtype=np.int64)
+        icol[:, _SRC] = low.src
+        icol[:, _DST] = low.dst
+        icol[:, _PORT] = low.port
+        icol[:, _LINK] = link
+        icol[:, _ELEMS] = low.elems
+        icol[:, _RND] = np.repeat(np.arange(lens.size), lens)
+        row = np.arange(n)
+        icol[:, _WITHIN] = row - np.repeat(np.cumsum(lens) - lens, lens)
+        icol[:, _JOB] = 0
+        icol[:, _LOCAL] = row
+        sizes, inv = np.unique(low.elems, return_inverse=True)
+        return cls(icol, sizes, inv.reshape(-1), _io(low))
+
+    def moved(self, low: LoweredSchedule, link: np.ndarray) -> "AdmissionBlock":
+        """This block moved to ``low``, a translation of its lowering:
+        rows keep their order, round, size and port, so only the
+        endpoints, the links and the slots change."""
+        icol = self.icol.copy()
+        icol[:, _SRC] = low.src
+        icol[:, _DST] = low.dst
+        icol[:, _LINK] = link
+        return AdmissionBlock(icol, self.sizes, self.size_inv, _io(low))
+
+
+def _io(low: LoweredSchedule) -> np.ndarray:
+    """``low``'s ``(in_idx, out_idx)`` as one ``(nnz, 2)`` array."""
+    return np.stack((low.in_idx, low.out_idx), axis=1)
 
 
 def run_async_vectorized(
@@ -471,7 +539,6 @@ class VectorizedRun:
         self._entries.append((low, tag, self.n_slots))
         self._ranks.append(rank)
         self._staged.append((h, low))
-        self._table_bytes += low.table_bytes
         self.n_slots += low.n_slots
         init = low.init_avail
         if release:
@@ -502,6 +569,8 @@ class VectorizedRun:
         n_old = self.n_transfers
         num_nodes = self.cube.num_nodes
         lows = [low for _, low in staged]
+        blocks = [self._block(low) for low in lows]
+        self._table_bytes += sum(low.table_bytes for low in lows)
         n_e = np.asarray([low.n_transfers for low in lows], dtype=np.int64)
         n_new = int(n_e.sum())
         T = n_old + n_new
@@ -522,55 +591,38 @@ class VectorizedRun:
         # admitted run set it to every edge of the cube at its first
         # admit; a one-shot run stages one lowering, whose keys are the
         # table as they are.
-        keys_e = [
-            low.link_src.astype(np.int64) * num_nodes + low.link_dst
-            for low in lows
-        ]
-        n_keys = np.asarray([k.size for k in keys_e], dtype=np.int64)
-        new_keys = np.concatenate(keys_e)
         one_shot = not self._all_links
         if one_shot and (n_old or len(lows) > 1):
             raise RuntimeError("a one-shot run stages exactly one lowering")
-        keys = new_keys if one_shot else self._link_key
-        local_link = cat("link") + np.repeat(np.cumsum(n_keys) - n_keys, n_e)
-
-        lens = cat("round_lens")
-        n_rounds = np.asarray([low.round_lens.size for low in lows], dtype=np.int64)
-        ic = np.empty((n_new, _NCOL), dtype=np.int64)
-        ic[:, _SRC] = cat("src")
-        ic[:, _DST] = cat("dst")
-        ic[:, _PORT] = cat("port")
-        ic[:, _LINK] = np.searchsorted(keys, new_keys)[local_link]
-        ic[:, _ELEMS] = cat("elems")
-        ic[:, _RND] = np.repeat(
-            np.arange(lens.size) - np.repeat(np.cumsum(n_rounds) - n_rounds, n_rounds),
-            lens,
+        keys = (
+            lows[0].link_src.astype(np.int64) * num_nodes + lows[0].link_dst
+            if one_shot else self._link_key
         )
-        ic[:, _WITHIN] = np.arange(n_new) - np.repeat(np.cumsum(lens) - lens, lens)
-        ic[:, _JOB] = np.repeat([h for h, _ in staged], n_e)
-        ic[:, _LOCAL] = np.arange(n_new) - np.repeat(row0, n_e)
+        icol = np.concatenate([self._icol, *(b.icol for b in blocks)])
+        icol[n_old:, _JOB] = np.repeat([h for h, _ in staged], n_e)
         # send_cost is pure in the size: once per distinct size
-        uniq, inv = np.unique(ic[:, _ELEMS], return_inverse=True)
-        cost_new = np.asarray(
-            [self._cost(int(s)) for s in uniq.tolist()], dtype=np.float64
-        )[inv.reshape(-1)]
+        cost_new = np.concatenate([
+            np.asarray(
+                [self._cost(s) for s in b.sizes.tolist()], dtype=np.float64
+            )[b.size_inv]
+            for b in blocks
+        ])
         nnz_e = np.asarray([low.in_idx.size for low in lows], dtype=np.int64)
-        slot_off = np.repeat([self._entries[h][2] for h, _ in staged], nnz_e)
-        io_new = np.empty((int(nnz_e.sum()), 2), dtype=np.int64)
-        io_new[:, 0] = cat("in_idx") + slot_off
-        io_new[:, 1] = cat("out_idx") + slot_off
+        io_old = self._io.shape[0]
+        io = np.concatenate([self._io, *(b.io for b in blocks)])
+        io[io_old:] += np.repeat(
+            [self._entries[h][2] for h, _ in staged], nnz_e
+        )[:, None]
         # slots are disjoint per job: the slot -> waiters CSR just grows
         nw_e = np.asarray([low.wait_idx.size for low in lows], dtype=np.int64)
         wait_new = cat("wait_idx") + np.repeat(row0 + n_old, nw_e)
         wait_ptr_new = self._wait_ptr[-1] + np.cumsum(counts("wait_ptr"))
         missing_new = cat("init_missing")
 
-        icol = np.concatenate([self._icol, ic])
         cost = np.concatenate([self._cost_np, cost_new])
         ptr = np.concatenate(
             [self._ptr, self._ptr[-1] + np.cumsum(counts("in_ptr"))]
         )
-        io = np.concatenate([self._io, io_new])
         wait_idx = np.concatenate([self._wait_idx, wait_new])
         seeds = np.flatnonzero(missing_new == 0) + n_old
         F2 = F  # the frozen prefix after this flush
@@ -684,6 +736,28 @@ class VectorizedRun:
                     heappush(wake, r)
             else:
                 pending.append(i)
+
+    def _block(self, low: LoweredSchedule) -> AdmissionBlock:
+        """The static rows of ``low`` in this run.  Admitted runs number
+        links in the one whole-cube table, so their block is kept with
+        the lowering, and a translated lowering moves its source's.  A
+        one-shot run uses the lowering's own link ids and keeps
+        nothing."""
+        if not self._all_links:
+            return AdmissionBlock.build(low, low.link)
+        block = low.block
+        if block is None:
+            link = np.searchsorted(
+                self._link_key,
+                low.link_src.astype(np.int64) * self.cube.num_nodes
+                + low.link_dst,
+            )[low.link]
+            source = low.translated_from
+            block = low.block = (
+                AdmissionBlock.build(low, link) if source is None
+                else self._block(source).moved(low, link)
+            )
+        return block
 
     def rank_order(self) -> list[int]:
         """Job handles in rank order, ties by handle (admission order)."""

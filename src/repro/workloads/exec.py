@@ -299,7 +299,7 @@ def _run_step(
             assert view is not None
             pos = position[p.name]
             s = view.slices[pos]
-            undelivered = check_delivery(
+            undelivered = () if view.job_delivered(pos) else check_delivery(
                 cube, p.op, p.source, entries[pos].schedule,
                 view.job_holdings(pos),
             )

@@ -2,11 +2,12 @@
 
 A translated schedule, a lowered lock-step result, a vectorized event
 result, link stats made from arrays, a program split from a resumable
-service run and one job's slice of that run all leave some fields
-unbuilt until they are read (:class:`repro.sim.onread.OnRead`).  Read
-or not, each must behave like the same object built eagerly, build
-each field at most once, pickle and copy with built fields only, and
-reject an unknown attribute like any other object.
+service run, one job's slice of that run and one job's service result
+all leave some fields unbuilt until they are read
+(:class:`repro.sim.onread.OnRead`).  Read or not, each must behave like
+the same object built eagerly, build each field at most once, pickle
+and copy with built fields only, and reject an unknown attribute like
+any other object.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import pytest
 
 from repro.cache import disabled
 from repro.routing import msbt_broadcast_schedule
-from repro.service import JobSpec, run_service
+from repro.service import JobResult, JobSpec, run_service
 from repro.service.exec import JobSlice, execute_program
 from repro.sim import LinkStats, run_async
 from repro.sim._engine_reference import run_async_reference
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7
-from repro.sim.multi import merge_programs
+from repro.sim.multi import merge_programs, untag_holdings
 from repro.sim.ports import PortModel
 from repro.sim.synchronous import run_synchronous
 from repro.topology.hypercube import DirectedEdge, Hypercube
@@ -116,6 +117,20 @@ def _eager_slice(pos: int) -> JobSlice:
     return JobSlice(**counts, link_stats=stats, link_busy=busy)
 
 
+def _eager_job(job_id: int) -> JobResult:
+    """Job ``job_id``'s result with its holdings untagged from the
+    one-shot run of the service's merged program."""
+    result = _service()
+    program = merge_programs(result.program.entries)
+    raw = execute_program(Hypercube(3), program, FULL, IPSC_D7).raw
+    lazy = result.jobs[job_id]
+    kept = {
+        f.name: getattr(lazy, f.name) for f in fields(JobResult)
+        if f.name != "holdings"
+    }
+    return JobResult(**kept, holdings=untag_holdings(raw.holdings, job_id))
+
+
 #: name -> (make an unread instance, make its eager twin by another path)
 CASES = {
     "Schedule": (_translated, _generated),
@@ -135,6 +150,10 @@ CASES = {
     "JobSlice": (
         lambda: _service().view.slices[1],
         lambda: _eager_slice(1),
+    ),
+    "JobResult": (
+        lambda: _service().jobs[0],
+        lambda: _eager_job(0),
     ),
 }
 

@@ -247,12 +247,12 @@ def test_each_result_owns_its_holdings_and_counters():
 
 
 def test_public_broadcast_builds_nothing_it_does_not_read():
-    """The delivery check reads the event run's holdings; metrics and
-    summaries read totals from the arrays."""
+    """The delivery check reads the cached lowering's verdict, not the
+    holdings; metrics and summaries read totals from the arrays."""
     res = broadcast(CUBE, 5, "msbt", 37, 8, FULL, IPSC_D7, run_event_sim=True)
     assert res.metrics["packets_sent"] == res.link_stats.total_packets()
     assert "holdings" not in vars(res.sync)
-    assert "holdings" in vars(res.async_)
+    assert "holdings" not in vars(res.async_)
     for stats in (res.link_stats, res.async_.link_stats):
         assert "packets" not in vars(stats)
         assert "elems" not in vars(stats)
@@ -261,7 +261,7 @@ def test_public_broadcast_builds_nothing_it_does_not_read():
 
     res = broadcast(CUBE, 5, "sbt", 37, 8, FULL)
     assert res.async_ is None
-    assert "holdings" in vars(res.sync)  # the delivery check read it
+    assert "holdings" not in vars(res.sync)
     assert "packets" not in vars(res.link_stats)
 
 
