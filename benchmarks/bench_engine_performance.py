@@ -1,18 +1,16 @@
 """Raw performance of the library itself (not a paper exhibit).
 
 Keeps the engines and generators honest as the repo evolves: schedule
-generation, lock-step execution, event-driven execution, and the
-vectorized whole-cube computations all get a timed budget.
+generation, lock-step execution and event-driven execution all get a
+timed budget.
 """
 
 import pytest
 
-from repro import cache
 from repro.collectives import collective_program
 from repro.routing import bst_scatter_schedule, msbt_broadcast_schedule
 from repro.sim import IPSC_D7, PortModel, run_async, run_synchronous
 from repro.topology import Hypercube
-from repro.trees.vectorized import bst_subtree_sizes_array
 
 
 @pytest.fixture(scope="module")
@@ -30,17 +28,11 @@ def huge_broadcast():
 
 
 def test_perf_generate_msbt_schedule(benchmark):
-    # cold generation: the MSBT graph cache would otherwise absorb the
-    # tree construction of every round after the first
+    # cold generation: the generators keep no memo
     cube = Hypercube(7)
-
-    def cold():
-        with cache.disabled():
-            return msbt_broadcast_schedule(
-                cube, 0, 61440, 1024, PortModel.ONE_PORT_FULL
-            )
-
-    sched = benchmark(cold)
+    sched = benchmark(
+        msbt_broadcast_schedule, cube, 0, 61440, 1024, PortModel.ONE_PORT_FULL
+    )
     assert sched.num_transfers > 0
 
 
@@ -53,12 +45,9 @@ def test_perf_generate_msbt_schedule_cached(benchmark):
 
 def test_perf_generate_bst_scatter(benchmark):
     cube = Hypercube(6)
-
-    def cold():
-        with cache.disabled():
-            return bst_scatter_schedule(cube, 0, 1024, 1024, PortModel.ONE_PORT_FULL)
-
-    sched = benchmark(cold)
+    sched = benchmark(
+        bst_scatter_schedule, cube, 0, 1024, 1024, PortModel.ONE_PORT_FULL
+    )
     assert sched.num_transfers >= cube.num_nodes - 1
 
 
@@ -88,8 +77,3 @@ def test_perf_event_engine_n10(benchmark, huge_broadcast):
         iterations=1,
     )
     assert res.time > 0
-
-
-def test_perf_vectorized_table5_n18(benchmark):
-    sizes = benchmark(bst_subtree_sizes_array, 18)
-    assert int(sizes.sum()) == (1 << 18) - 1

@@ -3,11 +3,10 @@
 The workloads cover the event engine (large cubes, and deep per-link
 packet queues) and the lock-step engine, cold schedule generation,
 hits of the collective-call memo (``collective_program``) at source 0
-and translated to a new source, the translation of cached trees to a
-new root, a public broadcast served from the translated source-0
-schedule and lowering,
-and the engine result build (holdings and link counters) that such a
-call's reader pays for.  ``scripts/bench_compare.py`` runs this file with
+and translated to a new source, a public broadcast served from the
+translated source-0 schedule and lowering, and the engine result build
+(holdings and link counters) that such a call's reader pays for.
+``scripts/bench_compare.py`` runs this file with
 ``--benchmark-json``, extracts each benchmark's median, and compares it
 against the medians recorded in ``BENCH_ENGINE.json`` at the repo root;
 ``--update`` refreshes the baseline.  Run the suite directly with::
@@ -23,7 +22,6 @@ import itertools
 import pytest
 
 from repro import cache
-from repro.cache import cached_msbt_graph
 from repro.collectives import broadcast, collective_program
 from repro.routing import msbt_broadcast_schedule, sbt_broadcast_schedule
 from repro.sim import (
@@ -118,26 +116,10 @@ def test_regress_lockstep_engine_n7(benchmark, workload_n7):
 
 def test_regress_generate_msbt_cold(benchmark):
     cube = Hypercube(7)
-
-    def cold():
-        with cache.disabled():
-            return msbt_broadcast_schedule(
-                cube, 0, 61440, 1024, PortModel.ONE_PORT_FULL
-            )
-
-    sched = benchmark(cold)
+    sched = benchmark(
+        msbt_broadcast_schedule, cube, 0, 61440, 1024, PortModel.ONE_PORT_FULL
+    )
     assert sched.num_transfers > 0
-
-
-def test_regress_msbt_graph_new_source_n10(benchmark):
-    # every round asks for a source the graph cache has not seen, so the
-    # n ERSBTs are translated from the canonical source-0 trees
-    cube = Hypercube(10)
-    cache.clear_caches()
-    cached_msbt_graph(cube, 0)  # the canonical trees
-    sources = itertools.cycle(range(1, cube.num_nodes))
-    graph = benchmark(lambda: cached_msbt_graph(cube, next(sources)))
-    assert len(graph.trees) == cube.dimension
 
 
 def test_regress_generate_msbt_cached(benchmark):

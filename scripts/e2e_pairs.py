@@ -9,10 +9,14 @@ Usage (from the repository root)::
     python scripts/e2e_pairs.py --workload all --pairs 4
 
 The base ref's committed files are exported (``git archive``) into a
-temporary directory.  Each pair runs ``benchmarks/e2e/run.py --out`` once
-in the base tree and once in the working tree, one after the other; the
-side that goes first alternates from pair to pair, so a machine that
-slows down or speeds up during the session weighs on both sides alike.
+temporary directory, and the working tree's files (tracked ones and
+untracked ones git does not ignore, as they are on disk) are copied
+beside them, once per batch: a file edited while the batch runs does
+not change the code its later pairs measure.  Each pair runs
+``benchmarks/e2e/run.py --out`` once in each of the two copies, one
+after the other; the side that goes first alternates from pair to pair,
+so a machine that slows down or speeds up during the session weighs on
+both sides alike.
 The workloads run one after the other (``all``: every workload of
 ``BENCHMARK.json``, in its order), each with its own pairs.
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,6 +54,21 @@ def export_ref(ref: str, dest: Path) -> None:
         cwd=ROOT, check=True, capture_output=True,
     ).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def export_worktree(dest: Path, root: Path = ROOT) -> None:
+    """Copy the working tree of the repository at ``root`` into ``dest``:
+    its tracked files and the untracked ones git does not ignore, as
+    they are on disk."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True,
+    ).stdout
+    for name in sorted(set(listed.decode().split("\0")) - {""}):
+        src = root / name
+        if src.is_file():  # a tracked file deleted on disk is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name, follow_symlinks=False)
 
 
 def run_once(tree: Path, workload: str, args: argparse.Namespace, out: Path) -> dict:
@@ -152,12 +172,16 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 
 def run_pairs(
-    workload: str, base_tree: Path, tmp_path: Path, args: argparse.Namespace
+    workload: str,
+    base_tree: Path,
+    work_tree: Path,
+    tmp_path: Path,
+    args: argparse.Namespace,
 ) -> list[tuple[dict, dict]]:
     """``args.pairs`` alternating ``(base, work)`` runs of ``workload``."""
     pairs: list[tuple[dict, dict]] = []
     for i in range(args.pairs):
-        sides = [("base", base_tree), ("work", ROOT)]
+        sides = [("base", base_tree), ("work", work_tree)]
         if i % 2:
             sides.reverse()
         got = {
@@ -187,11 +211,13 @@ def main(argv: list[str] | None = None) -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="e2e-pairs-") as tmp:
         tmp_path = Path(tmp)
-        base_tree = tmp_path / "base"
+        base_tree, work_tree = tmp_path / "base", tmp_path / "work"
         base_tree.mkdir()
+        work_tree.mkdir()
         export_ref(args.base, base_tree)
+        export_worktree(work_tree)
         for workload in workloads:
-            pairs = run_pairs(workload, base_tree, tmp_path, args)
+            pairs = run_pairs(workload, base_tree, work_tree, tmp_path, args)
             print(f"\n{workload}, seed {args.seed}, {length}, base {args.base}:\n")
             print(format_rows(summarize(pairs, bench["end_to_end"])), flush=True)
             print()

@@ -55,7 +55,7 @@ __all__ = [
 def _extend_api() -> None:
     """Populate the top-level API from the higher layers."""
     from repro.analysis import models  # noqa: F401
-    from repro.cache import cache_stats, caching_enabled, clear_caches, configure
+    from repro.cache import cache_stats, clear_caches
     from repro.collectives.api import (
         all_broadcast,
         allgather,
@@ -88,9 +88,7 @@ def _extend_api() -> None:
         FaultError=FaultError,
         FaultPlan=FaultPlan,
         cache_stats=cache_stats,
-        caching_enabled=caching_enabled,
         clear_caches=clear_caches,
-        configure=configure,
     )
     __all__.extend(
         [
@@ -110,9 +108,7 @@ def _extend_api() -> None:
             "FaultError",
             "FaultPlan",
             "cache_stats",
-            "caching_enabled",
             "clear_caches",
-            "configure",
         ]
     )
 

@@ -1,25 +1,16 @@
-"""Keyed LRU caches with a process-wide registry and an on/off switch.
+"""Keyed LRU caches with a process-wide registry.
 
 Every cache created through :class:`LRUCache` registers itself under a
 name so callers can inspect hit rates (:func:`cache_stats`) or reset
 state (:func:`clear_caches`) — important for benchmarks that want to
-measure cold-path cost.  Caching can be disabled globally, either via
-the ``REPRO_CACHE`` environment variable (``0``/``off``/``false``) or
-temporarily with the :func:`disabled` context manager.
-
-Enablement precedence: ``REPRO_CACHE`` is read once at import time;
-after that, the most recent :func:`configure` call wins.  A later
-change to the environment variable is picked up only by an explicit
-``configure(from_env=True)`` (processes spawned by the sweep executor
-import fresh, so they see the current environment automatically).
+measure cold-path cost.  There is no switch: a caller that wants a
+result built afresh calls the uncached builder behind the cache.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable
 
 from repro.obs.instruments import CACHE_OPS
 
@@ -27,10 +18,7 @@ __all__ = [
     "LRUCache",
     "MISSING",
     "cache_stats",
-    "caching_enabled",
     "clear_caches",
-    "configure",
-    "disabled",
 ]
 
 #: sentinel distinguishing "not cached" from a cached ``None``
@@ -38,14 +26,6 @@ MISSING = object()
 
 #: every cache in the process, keyed by name
 _REGISTRY: "OrderedDict[str, LRUCache]" = OrderedDict()
-
-
-def _env_enabled() -> bool:
-    value = os.environ.get("REPRO_CACHE", "1").strip().lower()
-    return value not in ("0", "off", "false", "no")
-
-
-_ENABLED = _env_enabled()
 
 
 class LRUCache:
@@ -137,53 +117,6 @@ class LRUCache:
             f"LRUCache({self.name!r}, size={len(self)}/{self.maxsize}, "
             f"hits={self.hits}, misses={self.misses})"
         )
-
-
-def caching_enabled() -> bool:
-    """True when the cache layer is active."""
-    return _ENABLED
-
-
-def configure(enabled: bool | None = None, *, from_env: bool = False) -> bool:
-    """Turn the cache layer on or off process-wide.
-
-    Args:
-        enabled: the new state.  ``configure(False)`` / ``configure(True)``
-            set it explicitly.
-        from_env: re-read ``REPRO_CACHE`` and adopt its value.  The
-            variable is otherwise read only once, at import — changing
-            it afterwards has no effect until this is called.
-
-    Exactly one of the two must be given; the most recent call wins.
-    Returns the resulting state.
-    """
-    global _ENABLED
-    if from_env:
-        if enabled is not None:
-            raise ValueError("pass either enabled=... or from_env=True, not both")
-        _ENABLED = _env_enabled()
-    else:
-        if enabled is None:
-            raise ValueError("configure() needs enabled=... or from_env=True")
-        _ENABLED = bool(enabled)
-    return _ENABLED
-
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Context manager that bypasses all caches inside the block.
-
-    Used by the cold-path benchmarks and the cached-vs-uncached
-    equivalence tests; existing entries are kept, only lookups and
-    stores are bypassed.
-    """
-    global _ENABLED
-    prev = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = prev
 
 
 def cache_stats() -> dict[str, dict[str, int | None]]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import copy
 from typing import Any, Hashable
 
-from repro.cache import MISSING, LRUCache, cached_tree, caching_enabled
+from repro.cache import MISSING, LRUCache
 from repro.collectives.result import AllreduceResult, CollectiveResult
 from repro.obs.runs import RunCollector
 from repro.routing import (
@@ -174,7 +174,7 @@ def _ring_tree(cube: Topology, root: int) -> RingDecompositionTree:
         raise TypeError(
             f"no ring decomposition for topology {type(cube).__name__}"
         )
-    return cached_tree(RingDecompositionTree, host, root)
+    return RingDecompositionTree(host, root)
 
 
 def _check_torus_supported(
@@ -522,13 +522,13 @@ def _broadcast_schedule(
             cube, source, message_elems, packet_elems, port_model
         )
     if algorithm == "tcbt":
-        tree = cached_tree(TwoRootedCompleteBinaryTree, cube, source)
+        tree = TwoRootedCompleteBinaryTree(cube, source)
         return tree_broadcast_schedule(tree, message_elems, packet_elems, port_model)
     if algorithm == "hp":
-        tree = cached_tree(HamiltonianPathTree, cube, source)
+        tree = HamiltonianPathTree(cube, source)
         return tree_broadcast_schedule(tree, message_elems, packet_elems, port_model)
     if algorithm == "hp-centered":
-        tree = cached_tree(CenteredHamiltonianPathTree, cube, source)
+        tree = CenteredHamiltonianPathTree(cube, source)
         return tree_broadcast_schedule(tree, message_elems, packet_elems, port_model)
     if algorithm == "hp-dual":
         return dual_hp_broadcast_schedule(
@@ -618,7 +618,7 @@ def _scatter_schedule(
             cube, source, message_elems, packet_elems, port_model, subtree_order
         )
     if algorithm == "tcbt":
-        tree = cached_tree(TwoRootedCompleteBinaryTree, cube, source)
+        tree = TwoRootedCompleteBinaryTree(cube, source)
         return tree_scatter_schedule(tree, message_elems, packet_elems, port_model)
     raise ValueError(
         f"unknown scatter algorithm {algorithm!r}; pick one of {SCATTER_ALGORITHMS}"
@@ -971,8 +971,7 @@ def collective_program(
     Every call gets a fresh ``Schedule`` (``rounds`` list,
     ``chunk_sizes`` and ``meta`` copied; the ``Transfer`` tuples are
     immutable and shared) and fresh initial sets, so callers may mutate
-    them; the lowering's columns are read-only.  With caching off every
-    call is built and lowered afresh, without a verdict.  ``built`` is
+    them; the lowering's columns are read-only.  ``built`` is
     the call's ``(schedule, initial)`` when the caller already has it (a
     worker process built it): a miss keeps and lowers it instead of
     building it again.
@@ -989,9 +988,6 @@ def collective_program(
         message_elems=message_elems, packet_elems=packet_elems,
         port_model=port_model, subtree_order=subtree_order,
     )
-    if not caching_enabled():
-        sched, initial = built or collective_schedule(**call)
-        return sched, initial, lower_schedule(cube, sched, initial)
     by = 0
     if (
         op == "broadcast"

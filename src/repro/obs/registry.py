@@ -367,7 +367,7 @@ class MetricsRegistry:
         return self._enabled
 
     def configure(self, enabled: bool | None = None, *, from_env: bool = False) -> bool:
-        """Enable/disable recording (mirrors ``repro.cache.configure``)."""
+        """Enable/disable recording."""
         if from_env:
             if enabled is not None:
                 raise ValueError(

@@ -24,7 +24,6 @@ serialize each step into two.
 from __future__ import annotations
 
 from repro.bits.ops import bit
-from repro.cache import cached_tree
 from repro.routing.common import validate_message_args
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
@@ -175,7 +174,7 @@ def alltoall_bst_schedule(
     from repro.sim.schedule import Transfer as _Transfer
     from repro.trees.bst import BalancedSpanningTree
 
-    base_tree = cached_tree(BalancedSpanningTree, cube, 0)
+    base_tree = BalancedSpanningTree(cube, 0)
     height = base_tree.height
     sizes: dict[Chunk, int] = {}
     bundles: dict[tuple[int, int, int], set[Chunk]] = {}

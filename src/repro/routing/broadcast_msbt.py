@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections.abc import Collection
 from math import ceil
 
-from repro.cache import cached_msbt_graph
 from repro.routing.common import BCAST, broadcast_chunks
 from repro.routing.scheduler import list_schedule, reschedule
 from repro.sim.faults import FaultError
@@ -73,7 +72,7 @@ def msbt_broadcast_schedule(
     sizes = broadcast_chunks(message_elems, packet_elems)
     n_packets = len(sizes)
     n = cube.dimension
-    graph = cached_msbt_graph(cube, source)
+    graph = MSBTGraph(cube, source)
 
     dead = {(min(a, b), max(a, b)) for a, b in dead_links}
     if dead:

@@ -18,7 +18,6 @@ broadcast: running a distribution schedule backwards collects instead.
 
 from __future__ import annotations
 
-from repro.cache import cached_tree
 from repro.routing.common import broadcast_chunks, validate_message_args
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
@@ -78,7 +77,7 @@ def sbt_reduce_schedule(
     packet_sizes = broadcast_chunks(message_elems, packet_elems)
     n_packets = len(packet_sizes)
     n = cube.dimension
-    tree = cached_tree(SpanningBinomialTree, cube, root)
+    tree = SpanningBinomialTree(cube, root)
 
     sizes: dict[Chunk, int] = {}
     for node in cube.nodes():
@@ -234,5 +233,5 @@ def reduce_combine_rule(
     simulation tracks only chunk movement; this map lets tests verify
     the combining dataflow is complete.
     """
-    tree = cached_tree(SpanningBinomialTree, cube, root)
+    tree = SpanningBinomialTree(cube, root)
     return {node: list(tree.children(node)) for node in cube.nodes()}

@@ -17,7 +17,6 @@
 
 from __future__ import annotations
 
-from repro.cache import cached_tree
 from repro.routing.common import scatter_chunks
 from repro.routing.scatter_common import (
     distribute_packet,
@@ -66,7 +65,7 @@ def bst_scatter_schedule(
     """
     cube.check_node(source)
     check_subtree_order(subtree_order)
-    tree = cached_tree(BalancedSpanningTree, cube, source)
+    tree = BalancedSpanningTree(cube, source)
     if port_model is PortModel.ALL_PORT:
         return wave_scatter_schedule(
             tree, message_elems, packet_elems, algorithm="bst-scatter"

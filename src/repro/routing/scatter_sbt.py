@@ -16,7 +16,6 @@
 
 from __future__ import annotations
 
-from repro.cache import cached_tree
 from repro.routing.common import scatter_chunks
 from repro.routing.scatter_common import pieces_by_dest, wave_scatter_schedule
 from repro.routing.scheduler import greedy_partition
@@ -46,7 +45,7 @@ def sbt_scatter_schedule(
     """
     cube.check_node(source)
     if port_model is PortModel.ALL_PORT:
-        tree = cached_tree(SpanningBinomialTree, cube, source)
+        tree = SpanningBinomialTree(cube, source)
         return wave_scatter_schedule(
             tree, message_elems, packet_elems, algorithm="sbt-scatter"
         )

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from repro.bits.ops import highest_set_bit, popcount
-from repro.cache import MISSING, LRUCache, caching_enabled
+from repro.cache import MISSING, LRUCache
 from repro.routing.broadcast_sbt import SBT_ORDERS
 from repro.routing.common import BCAST, MSG, validate_message_args
 from repro.routing.scatter_bst import check_subtree_order
@@ -255,29 +255,24 @@ def _broadcast(
     order: str,
 ) -> tuple[dict[int, NodeProgram], dict[Chunk, int]]:
     """A broadcast's programs from ``source`` and its chunk sizes, both
-    new dicts: the cached source-0 programs translated by ``source``
-    (derived directly while caching is disabled)."""
+    new dicts: the cached source-0 programs translated by ``source``."""
     if algorithm == "msbt":
         order = "port"  # one transmission order; share one entry
-
-    def derive(root: int) -> dict[int, NodeProgram]:
-        if algorithm == "sbt":
-            return _sbt_broadcast(
-                cube, root, message_elems, packet_elems, port_model, order
-            )
-        return _msbt_broadcast(
-            cube, root, message_elems, packet_elems, port_model
-        )
-
-    if not caching_enabled():
-        return derive(source), _bcast_sizes(message_elems, packet_elems)
     key = (
         cube.cache_token(), algorithm, message_elems, packet_elems,
         port_model, order,
     )
     entry = _BROADCASTS.get(key)
     if entry is MISSING:
-        entry = (derive(0), _bcast_sizes(message_elems, packet_elems))
+        if algorithm == "sbt":
+            base = _sbt_broadcast(
+                cube, 0, message_elems, packet_elems, port_model, order
+            )
+        else:
+            base = _msbt_broadcast(
+                cube, 0, message_elems, packet_elems, port_model
+            )
+        entry = (base, _bcast_sizes(message_elems, packet_elems))
         _BROADCASTS.put(key, entry)
     base, sizes = entry
     if not source:

@@ -14,7 +14,7 @@ dimension ``i``, port ``2*i + 1`` steps ``-1``.  For ``k == 2`` port
 
 Like the hypercube's XOR translation, coordinate-wise addition mod ``k``
 is a vertex-transitive automorphism, so spanning trees built at root 0
-translate to any root — the tree caches exploit this.
+translate to any root.
 """
 
 from __future__ import annotations

@@ -81,9 +81,8 @@ class SurvivorTree(SpanningTree):
                 sizes[p] += sizes[node]
 
         # Inject the restricted maps where the base class's
-        # cached_property accessors look them up, exactly like the
-        # XOR-translation cache does; the full-cube spanning checks in
-        # the base derivations are thereby bypassed on purpose.
+        # cached_property accessors look them up; the full-cube spanning
+        # checks in the base derivations are thereby bypassed on purpose.
         self.__dict__["parents_map"] = dict(self._parents)
         self.__dict__["children_map"] = children
         self.__dict__["levels"] = levels

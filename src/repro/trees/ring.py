@@ -12,7 +12,7 @@ Sakho's broadcast construction.
 The parent rule is a pure function of the relative coordinates
 ``(c_i - root_i) mod k``, so the tree is translation-equivariant: the
 tree at any root is the coordinate-wise translation of the tree at
-root 0, which the tree cache exploits.
+root 0.
 """
 
 from __future__ import annotations

@@ -2,13 +2,13 @@
 
 Randomized ``(n, source, M, B, port_model)`` samples for every kind of
 collective call: the schedule :func:`repro.collectives.collective_program`
-serves (miss *and* hit) must equal the one generated with caching
-disabled, and running both through the engines must give identical
+serves (miss *and* hit) must equal the one built afresh, and running
+both through the engines must give identical
 results.  Also covers the copy-on-hit isolation guarantee, that a warm
 call builds nothing, and the translated broadcasts: their schedules
 (rounds built on first read) and their lowerings (the source-0 entry
-translated in NumPy) must equal what the uncached path builds, as must
-every result of the public calls served by them.
+translated in NumPy) must equal what the uncached builders build, as
+must every result of the public calls served by them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from repro.cache import cache_stats, clear_caches, disabled
+from repro.cache import cache_stats, clear_caches
 import repro.collectives.api as api
 from repro.collectives import broadcast, collective_program
 from repro.routing import (
@@ -36,6 +36,7 @@ from repro.sim.machine import IPSC_D7, MachineParams
 from repro.sim.ports import PortModel
 from repro.sim.synchronous import run_synchronous
 from repro.topology.hypercube import Hypercube
+from tests.fresh import fresh_program, uncached
 
 
 @pytest.fixture(autouse=True)
@@ -88,8 +89,7 @@ def test_cached_schedule_identical_to_uncached_randomized(name, op, algorithm):
         call = (cube, op, algorithm, rng.randrange(cube.num_nodes),
                 rng.choice([1, 5, 17, 64]), rng.choice([1, 4, 16]),
                 rng.choice(list(PortModel)))
-        with disabled():
-            cold, cold_initial, _ = collective_program(*call)
+        cold, cold_initial, _ = fresh_program(*call)
         miss = collective_program(*call)  # populates the cache
         hit = collective_program(*call)  # served from it
         for sched, initial, _ in (miss, hit):
@@ -101,8 +101,7 @@ def test_cached_schedule_runs_identically_on_the_engine():
     cube = Hypercube(4)
     pm = PortModel.ONE_PORT_FULL
     call = (cube, "broadcast", "msbt", 6, 40, 8, pm)
-    with disabled():
-        cold = _schedule(*call)
+    cold = fresh_program(*call)[0]
     _schedule(*call)
     warm = _schedule(*call)
     res_cold = run_async(cube, cold, pm, {6: set(cold.chunk_sizes)}, IPSC_D7)
@@ -183,24 +182,23 @@ def test_broadcast_from_any_source_is_the_translated_source_0_schedule(name, gen
     equals the source-0 schedule translated, round order included, and
     its lowering equals the source-0 lowering translated — what lets the
     cache serve every source from one entry of each."""
-    with disabled():
-        for n in range(1, 7):
-            cube = Hypercube(n)
-            for pm in PortModel:
-                for M, B in ((1, 1), (17, 4), (64, 16), (9, 1)):
-                    base = gen(cube, 0, M, B, pm)
-                    low0 = lower_schedule(cube, base, {0: set(base.chunk_sizes)})
-                    for s in cube.nodes():
-                        sched = gen(cube, s, M, B, pm)
-                        moved = base.translated(cube, s)
-                        assert sched.rounds == moved.rounds, (n, pm, M, B, s)
-                        assert sched.meta == moved.meta
-                        assert sched.chunk_sizes == moved.chunk_sizes
-                        assert sched.algorithm == moved.algorithm
-                        assert_same_lowering(
-                            low0.translated(cube, s),
-                            lower_schedule(cube, sched, {s: set(sched.chunk_sizes)}),
-                        )
+    for n in range(1, 7):
+        cube = Hypercube(n)
+        for pm in PortModel:
+            for M, B in ((1, 1), (17, 4), (64, 16), (9, 1)):
+                base = gen(cube, 0, M, B, pm)
+                low0 = lower_schedule(cube, base, {0: set(base.chunk_sizes)})
+                for s in cube.nodes():
+                    sched = gen(cube, s, M, B, pm)
+                    moved = base.translated(cube, s)
+                    assert sched.rounds == moved.rounds, (n, pm, M, B, s)
+                    assert sched.meta == moved.meta
+                    assert sched.chunk_sizes == moved.chunk_sizes
+                    assert sched.algorithm == moved.algorithm
+                    assert_same_lowering(
+                        low0.translated(cube, s),
+                        lower_schedule(cube, sched, {s: set(sched.chunk_sizes)}),
+                    )
 
 
 @pytest.mark.parametrize("gen", [sbt_broadcast_schedule, msbt_broadcast_schedule])
@@ -241,9 +239,8 @@ def test_warm_call_builds_nothing(name, op, algorithm, source, monkeypatch):
         monkeypatch.setattr(api, attr, refuse(attr))
     sched, initial, low = collective_program(*call)
     assert built == []
-    with disabled():
-        monkeypatch.undo()
-        cold, cold_initial, cold_low = collective_program(*call)
+    monkeypatch.undo()
+    cold, cold_initial, cold_low = fresh_program(*call)
     assert_same_schedule(sched, cold)
     assert initial == cold_initial
     assert_same_lowering(low, cold_low)
@@ -277,15 +274,14 @@ def test_translated_lowering_at_n10(name, gen):
     cube = Hypercube(10)
     rng = random.Random(10)
     for pm in PortModel:
-        with disabled():
-            base = gen(cube, 0, 2048, 1024, pm)
-            low0 = lower_schedule(cube, base, {0: set(base.chunk_sizes)})
-            for s in rng.sample(range(1, cube.num_nodes), 2):
-                sched = gen(cube, s, 2048, 1024, pm)
-                assert_same_lowering(
-                    low0.translated(cube, s),
-                    lower_schedule(cube, sched, {s: set(sched.chunk_sizes)}),
-                )
+        base = gen(cube, 0, 2048, 1024, pm)
+        low0 = lower_schedule(cube, base, {0: set(base.chunk_sizes)})
+        for s in rng.sample(range(1, cube.num_nodes), 2):
+            sched = gen(cube, s, 2048, 1024, pm)
+            assert_same_lowering(
+                low0.translated(cube, s),
+                lower_schedule(cube, sched, {s: set(sched.chunk_sizes)}),
+            )
 
 
 @pytest.mark.parametrize("name,gen", SERVED, ids=[g[0] for g in SERVED])
@@ -301,8 +297,7 @@ def test_cached_lowering_runs_lockstep_like_the_uncached_schedule(name, gen):
                 for s in cube.nodes():
                     low = lowering(cube, s, M, B, pm)
                     assert low.checked_under is pm
-                    with disabled():
-                        sched = gen(cube, s, M, B, pm)
+                    sched = gen(cube, s, M, B, pm)
                     initial = {s: set(sched.chunk_sizes)}
                     for machine in (MachineParams(), IPSC_D7):
                         assert_same_lockstep(
@@ -329,7 +324,7 @@ def test_public_broadcast_is_unchanged_by_the_translated_path(backend, algorithm
     extra = {"backend": "runtime"} if backend == "runtime" else {"run_event_sim": True}
     for s in (5, 12, 15):
         warm = broadcast(cube, s, algorithm, 12, 4, pm, IPSC_D7, **extra)
-        with disabled():
+        with uncached():
             cold = broadcast(cube, s, algorithm, 12, 4, pm, IPSC_D7, **extra)
         assert _public_run(warm) == _public_run(cold)
 
@@ -343,7 +338,7 @@ def test_translated_path_builds_no_rounds_until_read(algorithm):
     pm = PortModel.ONE_PORT_FULL
     res = broadcast(cube, 19, algorithm, 40, 8, pm, IPSC_D7, run_event_sim=True)
     assert "rounds" not in vars(res.schedule)
-    with disabled():
+    with uncached():
         res_cold = broadcast(cube, 19, algorithm, 40, 8, pm, IPSC_D7, run_event_sim=True)
     assert "rounds" in vars(res_cold.schedule)
     assert res.schedule == res_cold.schedule  # the read builds them
@@ -359,8 +354,7 @@ def test_translated_path_builds_no_rounds_until_read(algorithm):
 def test_translated_schedule_round_trips(clone):
     cube = Hypercube(4)
     pm = PortModel.ONE_PORT_HALF
-    with disabled():
-        want = msbt_broadcast_schedule(cube, 11, 17, 4, pm)
+    want = msbt_broadcast_schedule(cube, 11, 17, 4, pm)
     _schedule(cube, "broadcast", "msbt", 0, 17, 4, pm)
     moved = _schedule(cube, "broadcast", "msbt", 11, 17, 4, pm)
     assert "rounds" not in vars(moved)
@@ -390,8 +384,7 @@ def test_cached_lowering_arrays_are_read_only():
     moved = _msbt_lowering(cube, 9, pm)
     with pytest.raises(ValueError, match="read-only"):
         moved.port[0] = 3  # shared with the source-0 entry
-    with disabled():
-        sched = msbt_broadcast_schedule(cube, 9, 12, 4, pm)
+    sched = msbt_broadcast_schedule(cube, 9, 12, 4, pm)
     assert_same_lowering(
         _msbt_lowering(cube, 9, pm),
         lower_schedule(cube, sched, {9: set(sched.chunk_sizes)}),
@@ -410,8 +403,7 @@ def test_translated_lowering_is_isolated_from_its_entry():
     for s in (0, 5, 11):
         again = _msbt_lowering(cube, s, pm)
         assert again.checked_under is pm
-        with disabled():
-            sched = msbt_broadcast_schedule(cube, s, 12, 4, pm)
+        sched = msbt_broadcast_schedule(cube, s, 12, 4, pm)
         assert_same_lowering(
             again, lower_schedule(cube, sched, {s: set(sched.chunk_sizes)})
         )
@@ -420,11 +412,6 @@ def test_translated_lowering_is_isolated_from_its_entry():
 def test_lowering_is_served_only_for_cached_fault_free_calls():
     cube = Hypercube(4)
     pm = PortModel.ONE_PORT_FULL
-    with disabled():
-        fresh = _msbt_lowering(cube, 3, pm)
-        broadcast(cube, 3, "msbt", 12, 4, pm, run_event_sim=True)
-    assert fresh.checked_under is None and fresh.src.flags.writeable
-    assert cache_stats()["lowerings"]["misses"] == 0
     # a faulted call lowers its own fault-routed schedule, uncached
     broadcast(cube, 3, "msbt", 12, 4, pm, faults=FaultPlan(dead_links=[(0, 1)]))
     assert cache_stats()["lowerings"]["misses"] == 0

@@ -1,18 +1,11 @@
-"""Unit tests for the keyed LRU primitive and the global cache controls."""
+"""Unit tests for the keyed LRU primitive and the cache registry."""
 
 from __future__ import annotations
 
-import pytest
+import importlib
+import pkgutil
 
-from repro.cache import (
-    LRUCache,
-    MISSING,
-    cache_stats,
-    caching_enabled,
-    clear_caches,
-    configure,
-    disabled,
-)
+from repro.cache import LRUCache, MISSING, cache_stats, clear_caches
 
 
 def test_get_put_and_missing_sentinel():
@@ -73,68 +66,14 @@ def test_clear_caches_empties_registered_caches():
     assert len(c) == 0
 
 
-def test_configure_and_disabled_context():
-    assert caching_enabled()
-    try:
-        configure(enabled=False)
-        assert not caching_enabled()
-    finally:
-        configure(enabled=True)
-    assert caching_enabled()
-    with disabled():
-        assert not caching_enabled()
-        with disabled():  # reentrant
-            assert not caching_enabled()
-        assert not caching_enabled()
-    assert caching_enabled()
+def test_the_library_keeps_exactly_two_memos():
+    """A collective call goes through the one ``lowerings`` memo and a
+    runtime broadcast through ``runtime.cluster_programs``; trees and
+    schedules come from their builders, with no memo of their own."""
+    import repro
 
-
-def test_disabled_restores_on_exception():
-    with pytest.raises(RuntimeError):
-        with disabled():
-            raise RuntimeError("boom")
-    assert caching_enabled()
-
-
-class TestConfigureFromEnv:
-    """REPRO_CACHE is snapshotted at import; from_env=True re-reads it."""
-
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        yield
-        configure(enabled=True)
-
-    def test_env_change_alone_has_no_effect(self, monkeypatch):
-        assert caching_enabled()
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        assert caching_enabled()  # import-time snapshot still rules
-
-    def test_from_env_adopts_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "off")
-        assert configure(from_env=True) is False
-        assert not caching_enabled()
-
-    def test_from_env_adopts_enabled(self, monkeypatch):
-        configure(enabled=False)
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        assert configure(from_env=True) is True
-        assert caching_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", " FALSE "])
-    def test_disabling_spellings(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_CACHE", value)
-        assert configure(from_env=True) is False
-
-    def test_explicit_call_wins_after_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        configure(from_env=True)
-        assert configure(enabled=True) is True  # most recent call wins
-        assert caching_enabled()
-
-    def test_both_args_rejected(self):
-        with pytest.raises(ValueError):
-            configure(enabled=True, from_env=True)
-
-    def test_neither_arg_rejected(self):
-        with pytest.raises(ValueError):
-            configure()
+    for mod in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not mod.name.endswith("__main__"):
+            importlib.import_module(mod.name)
+    names = {name for name in cache_stats() if not name.startswith("test.")}
+    assert names == {"lowerings", "runtime.cluster_programs"}

@@ -3,20 +3,15 @@
 Regression tests for the torus/hypercube key-collision class of bug:
 a ``Torus(n, k)`` and a ``Hypercube(n)`` (or two tori of different
 arity) must never share a cache entry — not in the collective-call
-memo, not in the tree cache, and not through a :class:`FaultPlan`
-pinned to a topology.
+memo, and not through a :class:`FaultPlan` pinned to a topology.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.collectives.api import _normalize
-from repro.cache.trees import cached_tree
 from repro.sim.faults import FaultPlan
 from repro.sim.ports import PortModel
 from repro.topology import Hypercube, Torus, topology_token
-from repro.trees import RingDecompositionTree
 
 
 class TestTopologyTokens:
@@ -41,25 +36,6 @@ class TestTopologyTokens:
     def test_normalize_other_types_unchanged(self):
         assert _normalize(PortModel.ALL_PORT) == ("port", PortModel.ALL_PORT.value)
         assert _normalize(7) == 7
-
-
-class TestTreeCacheKeys:
-    def test_same_class_different_arity_not_shared(self):
-        """RingDecompositionTree instances on Torus(2, 3) and
-        Torus(2, 4) have the same qualname, root and extras — only the
-        topology token separates them."""
-        t3 = cached_tree(RingDecompositionTree, Torus(2, 3), 0)
-        t4 = cached_tree(RingDecompositionTree, Torus(2, 4), 0)
-        assert set(t3.parents_map) == set(range(9))
-        assert set(t4.parents_map) == set(range(16))
-
-    def test_translated_instance_matches_direct_build(self):
-        t = Torus(2, 4)
-        cached = cached_tree(RingDecompositionTree, t, 7)
-        direct = RingDecompositionTree(t, 7)
-        assert cached.parents_map == direct.parents_map
-        assert cached.children_map == direct.children_map
-        assert cached.levels == direct.levels
 
 
 class TestFaultPlanTopologyPinning:

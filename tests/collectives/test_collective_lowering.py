@@ -6,8 +6,7 @@ collectives, service jobs and workload phases alike.  For every
 schedule op, port model and a spread of sources, the served lowering
 must equal a fresh lowering of a fresh schedule column for column,
 dtype included; it must be read-only (it is shared) and carry its
-lock-step verdict; a repeated call must be a cache hit; and with
-caching off the call must lower afresh, touching no cache.
+lock-step verdict; and a repeated call must be a cache hit.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ import numpy as np
 import pytest
 
 import repro.sim.synchronous as synchronous
-from repro.cache import cache_stats, clear_caches, disabled
+import repro.collectives.api as api
+from repro.cache import cache_stats, clear_caches
 from repro.collectives import (
     SCHEDULE_OPS,
     broadcast,
@@ -29,6 +29,7 @@ from repro.sim.lowering import ARRAYS, lower_schedule
 from repro.sim.ports import PortModel
 from repro.sim.synchronous import run_synchronous
 from repro.topology import Hypercube
+from tests.fresh import uncached
 
 CUBE = Hypercube(3)
 N = CUBE.num_nodes
@@ -50,9 +51,8 @@ def _lowering(*args, **kwargs):
 
 
 def _fresh(op, algorithm, source, pm):
-    with disabled():
-        sched, initial = collective_schedule(CUBE, op, algorithm, source, 4, 2, pm)
-        return lower_schedule(CUBE, sched, initial)
+    sched, initial = collective_schedule(CUBE, op, algorithm, source, 4, 2, pm)
+    return lower_schedule(CUBE, sched, initial)
 
 
 def _assert_same(got, want) -> None:
@@ -86,16 +86,6 @@ class TestCollectiveLowering:
         if source == 0 or (op, algorithm) not in _TRANSLATED:
             assert again is first  # one shared entry per call
 
-    def test_disabled_lowers_afresh(self, op, algorithm, source, pm):
-        cached = _lowering(CUBE, op, algorithm, source, 4, 2, pm)
-        before = cache_stats()[CACHE]
-        with disabled():
-            got = _lowering(CUBE, op, algorithm, source, 4, 2, pm)
-        assert cache_stats()[CACHE] == before
-        assert got is not cached
-        assert got.src.flags.writeable
-        _assert_same(got, _fresh(op, algorithm, source, pm))
-
 
 def test_rootless_calls_share_one_entry():
     """``source`` is ignored by the rootless ops, so it is not keyed."""
@@ -103,12 +93,14 @@ def test_rootless_calls_share_one_entry():
     assert _lowering(CUBE, "alltoall", source=5, message_elems=3) is first
 
 
-def test_built_schedule_is_lowered_on_a_miss():
+def test_built_schedule_is_lowered_on_a_miss(monkeypatch):
     """A caller that already holds the call's schedule passes it as
-    ``built``: under ``disabled()`` that schedule is lowered as is."""
+    ``built``: a miss lowers that schedule as is, building none."""
+    clear_caches()
     sched, initial = collective_schedule(CUBE, "scatter", None, 2, 4, 2)
-    with disabled():
-        got = _lowering(CUBE, "scatter", None, 2, 4, 2, built=(sched, initial))
+    monkeypatch.setattr(api, "collective_schedule", None)  # never called
+    got = _lowering(CUBE, "scatter", None, 2, 4, 2, built=(sched, initial))
+    assert cache_stats()[CACHE]["misses"] == 1
     _assert_same(got, lower_schedule(CUBE, sched, initial))
 
 
@@ -140,8 +132,7 @@ def test_public_call_and_service_job_share_one_entry(op, algorithm, source):
     served = _lowering(cube, op, algorithm, source, 12, 4, pm)
     assert _entries() == (misses, hits + 2, size)
     sched, initial = collective_schedule(cube, op, algorithm, source, 12, 4, pm)
-    with disabled():
-        _assert_same(served, lower_schedule(cube, sched, initial))
+    _assert_same(served, lower_schedule(cube, sched, initial))
 
 
 @pytest.mark.parametrize("op,algorithm,source", [
@@ -167,8 +158,7 @@ def test_a_hit_carries_its_verdict(op, algorithm, source, monkeypatch):
     sched, initial = collective_schedule(CUBE, op, algorithm, source, 4, 2, pm)
     warm = run_synchronous(CUBE, sched, pm, initial, lowered=hit)
     assert calls == []
-    with disabled():
-        fresh = _lowering(CUBE, op, algorithm, source, 4, 2, pm)
+    fresh = lower_schedule(CUBE, sched, initial)
     assert fresh.checked_under is None
     cold = run_synchronous(CUBE, sched, pm, initial, lowered=fresh)
     assert len(calls) == 1
@@ -202,6 +192,6 @@ def test_subtree_order_is_part_of_the_key(first, second):
     cube, pm = Hypercube(5), PortModel.ONE_PORT_HALF
     scatter(cube, 3, "bst", 4, 1, pm, subtree_order=first)
     warm = scatter(cube, 3, "bst", 4, 1, pm, run_event_sim=True, subtree_order=second)
-    with disabled():
+    with uncached():
         cold = scatter(cube, 3, "bst", 4, 1, pm, run_event_sim=True, subtree_order=second)
     assert (warm.cycles, warm.sync.time, warm.time) == (cold.cycles, cold.sync.time, cold.time)

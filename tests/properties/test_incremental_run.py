@@ -24,10 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.collectives.api as api
 import repro.service.scheduler as scheduler
 import repro.workloads.exec as wexec
-from repro.cache import disabled
-from repro.collectives.api import collective_program, collective_schedule
+from repro.collectives.api import collective_schedule
 from repro.service import AdmissionControl, JobSpec, run_service
 from repro.service.exec import AdmissionRun, execute_program
 from repro.sim.faults import FaultPlan
@@ -38,6 +38,7 @@ from repro.sim.result import _EPS
 from repro.sim.schedule import Schedule
 from repro.topology import Hypercube
 from repro.workloads import PhaseSpec, Workload, WorkloadDAG, run_workload
+from tests.fresh import uncached
 
 MACHINES = (None, MachineParams(tau=1.0, t_c=0.5, overlap=0.25))
 OPS = (
@@ -329,16 +330,18 @@ class TestWorkloads:
 
 # -- staging: rows join a run that has already executed some ------------
 
+#: a job's lowering is the memo entry's (with its verdicts), or a fresh
+#: one without them
 CACHING = [
     pytest.param(nullcontext, id="cached"),
-    pytest.param(disabled, id="uncached"),
+    pytest.param(uncached, id="uncached"),
 ]
 
 
 def _job(cube, pm, tag, release, op="broadcast", algorithm=None, source=0,
          m=8, b=2):
     """An entry carrying its lowering, as the service admits it."""
-    sched, initial, low = collective_program(cube, op, algorithm, source, m, b, pm)
+    sched, initial, low = api.collective_program(cube, op, algorithm, source, m, b, pm)
     return JobEntry(tag, sched, initial, release=release, lowering=low)
 
 

@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.cache import disabled
 from repro.routing._scheduler_reference import (
     greedy_partition_reference,
     list_schedule_reference,
@@ -64,13 +63,12 @@ def test_list_schedule_matches_reference_on_generators(port_model, monkeypatch):
     import repro.routing.scatter_bst as sb
 
     cube = Hypercube(4)
-    with disabled():
-        fast_m = msbt_broadcast_schedule(cube, 3, 40, 7, port_model)
-        fast_b = bst_scatter_schedule(cube, 3, 17, 5, port_model)
-        monkeypatch.setattr(bm, "reschedule", _reference_reschedule)
-        monkeypatch.setattr(sb, "list_schedule", list_schedule_reference)
-        ref_m = msbt_broadcast_schedule(cube, 3, 40, 7, port_model)
-        ref_b = bst_scatter_schedule(cube, 3, 17, 5, port_model)
+    fast_m = msbt_broadcast_schedule(cube, 3, 40, 7, port_model)
+    fast_b = bst_scatter_schedule(cube, 3, 17, 5, port_model)
+    monkeypatch.setattr(bm, "reschedule", _reference_reschedule)
+    monkeypatch.setattr(sb, "list_schedule", list_schedule_reference)
+    ref_m = msbt_broadcast_schedule(cube, 3, 40, 7, port_model)
+    ref_b = bst_scatter_schedule(cube, 3, 17, 5, port_model)
     assert fast_m.rounds == ref_m.rounds
     assert fast_b.rounds == ref_b.rounds
 

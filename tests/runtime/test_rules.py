@@ -26,6 +26,7 @@ from repro.routing import (
 from repro.runtime import build_cluster_program
 from repro.sim.ports import PortModel
 from repro.topology import Hypercube
+from tests.fresh import uncached
 
 PMS = tuple(PortModel)
 
@@ -240,7 +241,7 @@ class TestBroadcastMemo:
             for s in cube.nodes():
                 args = (cube, "broadcast", algorithm, s, M, B, pm)
                 prog = build_cluster_program(*args, order=order)
-                with cache.disabled():
+                with uncached():
                     want = build_cluster_program(*args, order=order)
                 assert prog == want, (M, B, s)
                 assert list(prog.programs) == list(want.programs)
@@ -250,7 +251,7 @@ class TestBroadcastMemo:
     def test_returned_containers_are_the_callers(self, source):
         cube = Hypercube(3)
         args = (cube, "broadcast", "msbt", source, 8, 2, PortModel.ONE_PORT_FULL)
-        with cache.disabled():
+        with uncached():
             want = build_cluster_program(*args)
         prog = build_cluster_program(*args)
         prog.programs[source] = replace(prog.programs[source], sends=())
@@ -270,17 +271,6 @@ class TestBroadcastMemo:
             )
         memo = cache.cache_stats()["runtime.cluster_programs"]
         assert (memo["size"], memo["misses"], memo["hits"]) == (1, 1, 1)
-
-    def test_disabled_bypasses_the_memo(self):
-        cache.clear_caches()
-        cube = Hypercube(3)
-        with cache.disabled():
-            for s in (0, 5):
-                build_cluster_program(
-                    cube, "broadcast", "sbt", s, 7, 3, PortModel.ONE_PORT_FULL
-                )
-        memo = cache.cache_stats()["runtime.cluster_programs"]
-        assert (memo["size"], memo["misses"], memo["hits"]) == (0, 0, 0)
 
     @pytest.mark.parametrize("pm", PMS)
     @pytest.mark.parametrize("algorithm", ["sbt", "bst"])

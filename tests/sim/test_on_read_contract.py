@@ -20,7 +20,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.cache import disabled
 from repro.routing import msbt_broadcast_schedule
 from repro.service import JobResult, JobSpec, run_service
 from repro.service.exec import JobSlice, execute_program
@@ -51,8 +50,7 @@ def _translated():
 
 
 def _generated():
-    with disabled():
-        return _msbt(11)
+    return _msbt(11)
 
 
 def _lowered_run(engine):

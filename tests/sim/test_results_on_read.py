@@ -19,7 +19,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.cache import disabled
 from repro.collectives import api, broadcast
 from repro.routing import msbt_broadcast_schedule, sbt_broadcast_schedule
 from repro.sim import LinkStats, run_async
@@ -30,6 +29,7 @@ from repro.sim.machine import IPSC_D7
 from repro.sim.ports import PortModel
 from repro.sim.synchronous import run_synchronous
 from repro.topology.hypercube import DirectedEdge, Hypercube
+from tests.fresh import uncached
 
 CUBE = Hypercube(4)
 FULL = PortModel.ONE_PORT_FULL
@@ -229,7 +229,7 @@ def test_each_result_owns_its_holdings_and_counters():
     def run():
         return broadcast(cube, 19, "msbt", 40, 8, FULL, IPSC_D7, run_event_sim=True)
 
-    with disabled():
+    with uncached():
         want = run()
     first, second = run(), run()
     edge = next(iter(first.link_stats.packets))

@@ -1,10 +1,11 @@
 """The summary and the workload loop of ``scripts/e2e_pairs.py`` on
-canned run records."""
+canned run records, and the working-tree snapshot its pairs measure."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,12 +126,13 @@ def canned(monkeypatch):
     ran: list[str] = []
     records = {"bad": False}
 
-    def run_pairs(workload, base_tree, tmp_path, args):
+    def run_pairs(workload, base_tree, work_tree, tmp_path, args):
         ran.append(workload)
         work = _full_record(101.0, correct=not records["bad"])
         return [(_full_record(100.0), work)] * args.pairs
 
     monkeypatch.setattr(e2e_pairs, "export_ref", lambda ref, dest: None)
+    monkeypatch.setattr(e2e_pairs, "export_worktree", lambda dest: None)
     monkeypatch.setattr(e2e_pairs, "run_pairs", run_pairs)
     return ran, records
 
@@ -164,3 +166,26 @@ def test_a_failed_run_fails_the_command(canned):
     _, records = canned
     records["bad"] = True
     assert e2e_pairs.main(["--workload", "cube-n10", "--pairs", "2"]) == 1
+
+
+def test_the_work_side_is_a_snapshot_of_the_working_tree(tmp_path):
+    """Uncommitted edits and untracked files are copied as they are on
+    disk; ignored files and tracked files deleted on disk are not."""
+    repo, dest = tmp_path / "repo", tmp_path / "snapshot"
+    (repo / "pkg").mkdir(parents=True)
+    dest.mkdir()
+    (repo / ".gitignore").write_text("out/\n*.log\n")
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "gone.py").write_text("")
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")  # not staged
+    (repo / "gone.py").unlink()
+    (repo / "new.py").write_text("Y = 3\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "trace.json").write_text("{}")
+    (repo / "run.log").write_text("")
+    e2e_pairs.export_worktree(dest, root=repo)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "new.py", "pkg/mod.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "X = 2\n"

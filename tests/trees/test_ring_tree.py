@@ -34,8 +34,7 @@ class TestRingDecompositionTree:
         assert tree.height == t.diameter
 
     def test_translation_equivariance(self, n, k):
-        """parent_s(v) == translate(parent_0(v - s), s) — the property
-        the tree cache relies on."""
+        """parent_s(v) == translate(parent_0(v - s), s)."""
         t = Torus(n, k)
         base = RingDecompositionTree(t, 0)
         for s in {1, t.num_nodes - 1, t.num_nodes // 2} - {0}:
