@@ -3,11 +3,15 @@
 Pins the cost of executing collectives on the runtime (local rule
 derivation + the engine run of the key-sorted sends), of the repair
 path under faults, and of one differential runtime-vs-engine check.
-Broadcast programs are derived once at source 0 and translated to
-every other source, so the source-0 broadcast entries time a cache hit
-plus the engine run; ``test_runtime_build_msbt_new_source_n9`` times
-the translation and ``test_runtime_build_msbt_cold_n9`` the derivation
-itself.  Compare or refresh with::
+Broadcasts are derived once at source 0 and served to every other
+source from that entry: the first round's schedule and lowering
+translated, the programs on first read.  So the source-0 broadcast
+entries time a cache hit plus the engine run;
+``test_runtime_build_msbt_new_source_n9`` times serving a new source,
+``test_runtime_build_msbt_cold_n9`` the derivation itself, and
+``test_runtime_broadcast_msbt_new_source_n9`` a whole public runtime
+broadcast at a new source (the path the e2e ``runtime-n9`` workload
+times).  Compare or refresh with::
 
     python scripts/bench_compare.py --suite runtime [--update]
 
@@ -19,6 +23,7 @@ import itertools
 
 import pytest
 
+from repro.collectives import broadcast
 from repro.runtime import (
     build_cluster_program,
     differential_check,
@@ -103,3 +108,18 @@ def test_runtime_build_msbt_cold_n9(benchmark):
         _msbt_broadcast, cube, 0, 64, 32, PortModel.ONE_PORT_FULL
     )
     assert sum(len(p.sends) for p in programs.values()) == 2 * (cube.num_nodes - 1)
+
+
+def test_runtime_broadcast_msbt_new_source_n9(benchmark):
+    # warm: every round serves a source not asked for before from the
+    # cached source-0 entries of both memos
+    cube = Hypercube(9)
+    pm = PortModel.ONE_PORT_FULL
+    broadcast(cube, 0, "msbt", 64, 32, pm, backend="runtime")
+    sources = itertools.cycle(range(1, cube.num_nodes))
+    res = benchmark(
+        lambda: broadcast(
+            cube, next(sources), "msbt", 64, 32, pm, backend="runtime"
+        )
+    )
+    assert res.async_.transfers_executed == 2 * (cube.num_nodes - 1)

@@ -33,10 +33,8 @@ from repro.bits.ops import (
     lowest_set_bit,
     mask,
     popcount,
-    popcount_array,
     rotate_left,
     rotate_right,
-    rotate_right_array,
     set_bit,
     to_bits,
 )
@@ -52,10 +50,8 @@ __all__ = [
     "lowest_set_bit",
     "mask",
     "popcount",
-    "popcount_array",
     "rotate_left",
     "rotate_right",
-    "rotate_right_array",
     "set_bit",
     "to_bits",
     "gray_code",

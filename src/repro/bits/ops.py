@@ -5,15 +5,10 @@ numbered 0 (least significant) through ``n - 1``; the paper calls bit
 ``j`` the *j-th port* of a node because flipping it reaches the
 neighbour across dimension ``j``.
 
-Scalar helpers operate on Python ``int``; the ``*_array`` variants
-operate elementwise on NumPy integer arrays so whole-cube quantities
-(``parents_array`` of a tree, Hamming levels, ...) can be computed
-without Python-level loops.
+Every helper operates on Python ``int``.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 __all__ = [
     "bit",
@@ -24,10 +19,8 @@ __all__ = [
     "lowest_set_bit",
     "mask",
     "popcount",
-    "popcount_array",
     "rotate_left",
     "rotate_right",
-    "rotate_right_array",
     "set_bit",
     "to_bits",
     "from_bits",
@@ -162,44 +155,3 @@ def bit_string(x: int, n: int) -> str:
     if x >> n:
         raise ValueError(f"{x:#x} does not fit in {n} bits")
     return format(x, f"0{n}b")
-
-
-# ---------------------------------------------------------------------------
-# Vectorized variants
-# ---------------------------------------------------------------------------
-
-_POPCOUNT_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def popcount_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise popcount of a non-negative integer array.
-
-    Works for any integer dtype up to 64 bits by summing byte-table
-    lookups; used to compute Hamming levels of whole cubes at once.
-    """
-    x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.integer):
-        raise TypeError(f"popcount_array expects an integer array, got {x.dtype}")
-    if x.size and int(x.min()) < 0:
-        raise ValueError("popcount_array expects non-negative values")
-    v = x.astype(np.uint64)
-    total = np.zeros(x.shape, dtype=np.int64)
-    for shift in range(0, 64, 8):
-        total += _POPCOUNT_TABLE[((v >> np.uint64(shift)) & np.uint64(0xFF)).astype(np.intp)]
-        if not int((v >> np.uint64(shift + 8)).max() if v.size else 0):
-            break
-    return total
-
-
-def rotate_right_array(x: np.ndarray, steps: int, n: int) -> np.ndarray:
-    """Elementwise :func:`rotate_right` over an array of ``n``-bit values."""
-    if n <= 0 or n > 62:
-        raise ValueError(f"word width must be in 1..62 for array rotation, got {n}")
-    x = np.asarray(x, dtype=np.int64)
-    if x.size and (int(x.max()) >> n or int(x.min()) < 0):
-        raise ValueError(f"values do not fit in {n} bits")
-    steps %= n
-    if steps == 0:
-        return x.copy()
-    m = (1 << n) - 1
-    return ((x >> steps) | (x << (n - steps))) & m

@@ -74,7 +74,7 @@ from repro.sim.faults import (
 from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.machine import MachineParams
 from repro.sim.ports import PortModel
-from repro.sim.result import held_count, holdings_from_slots
+from repro.sim.result import held_count
 from repro.sim.schedule import Chunk, Schedule
 from repro.sim.synchronous import lowered_constraints_hold, run_synchronous
 from repro.topology.base import Topology
@@ -226,7 +226,9 @@ def _runtime_collective(
     handles degradation itself (including the ``"repair"`` mode the
     schedule replay does not offer).  Delivery is checked on the
     runtime's own holdings, at every node it does not report
-    undelivered.
+    undelivered, unless one fault-free round of a lowering with a
+    positive delivery verdict ran and its holdings are unbuilt
+    (:attr:`~repro.runtime.execute.RuntimeResult.lowering`).
     """
     allowed = (
         RUNTIME_BROADCAST_ALGORITHMS
@@ -262,7 +264,9 @@ def _runtime_collective(
         if isinstance(rt, DegradedResult)
         else frozenset()
     )
-    _require_delivery(cube, op, source, sched, rt.holdings, undelivered)
+    lowering = getattr(rt, "lowering", None)  # a DegradedResult has none
+    if lowering is None or not lowering.delivered_with(held_count(rt)):
+        _require_delivery(cube, op, source, sched, rt.holdings, undelivered)
     result = CollectiveResult(
         schedule=sched,
         sync=sync,
@@ -1004,14 +1008,9 @@ def collective_program(
         low = lower_schedule(cube, sched, initial)
         if lowered_constraints_hold(cube, low, port_model):
             low.checked_under = port_model
-        fill = low.fillable()
-        low.n_fillable = int(fill.sum())
-        low.delivers = not check_delivery(
-            cube, op, call["source"], sched, holdings_from_slots(
-                cube.nodes(),
-                [(low.slot_node[fill], low.slot_chunk[fill],
-                  low.chunk_objects, None)],
-            ),
+        low.judge_delivery(
+            cube.nodes(),
+            lambda held: check_delivery(cube, op, call["source"], sched, held),
         )
         entry = (sched, initial, low.read_only())
         _PROGRAMS.put(key, entry)

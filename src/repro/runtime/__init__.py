@@ -28,6 +28,7 @@ from repro.runtime.rules import (
     PlannedSend,
     RUNTIME_BROADCAST_ALGORITHMS,
     RUNTIME_SCATTER_ALGORITHMS,
+    SendRound,
     build_cluster_program,
 )
 from repro.runtime.trace import RuntimeTrace, TraceEvent
@@ -47,6 +48,7 @@ __all__ = [
     "PlannedSend",
     "RUNTIME_BROADCAST_ALGORITHMS",
     "RUNTIME_SCATTER_ALGORITHMS",
+    "SendRound",
     "build_cluster_program",
     "RuntimeTrace",
     "TraceEvent",

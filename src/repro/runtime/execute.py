@@ -6,10 +6,15 @@ Every node's :class:`~repro.runtime.rules.NodeProgram` is derived from
 its own address (:mod:`repro.runtime.rules`).  Running them needs no
 second copy of the engine's physics: the priority keys order every
 node's sends exactly as the engine orders a program, so
-:func:`run_program` sorts all planned sends by key into one program and
-runs it on :func:`repro.sim.vectorized.run_async_vectorized`, which
-gates each send on its payload, serializes links and enforces the
-port model's node capacity.  The differential harness
+:func:`run_program` runs all planned sends sorted by key as one round
+(:meth:`~repro.runtime.rules.ClusterProgram.first_round`) on
+:func:`repro.sim.vectorized.run_async_vectorized`, which gates each
+send on its payload, serializes links and enforces the port model's
+node capacity.  A served broadcast takes that round, lowered, from its
+memo entry.  When one fault-free round of a lowering with a positive
+delivery verdict ends holding all its fillable slots, the run is
+complete: nothing scans the holdings, and the result builds them and
+its per-node counters on first read.  The differential harness
 (:mod:`repro.runtime.validate`) asserts completion times, link
 counters and start-time profiles identical to the engine's replay of
 the central schedule.
@@ -41,6 +46,8 @@ from repro.routing.scheduler import greedy_partition
 from repro.runtime.rules import (
     ClusterProgram,
     PlannedSend,
+    Send,
+    SendRound,
     build_cluster_program,
 )
 from repro.runtime.trace import RuntimeTrace
@@ -51,10 +58,12 @@ from repro.sim.faults import (
     FaultPlan,
     undelivered_map,
 )
-from repro.sim.lowering import lower_schedule
+from repro.sim.lowering import LoweredSchedule
 from repro.sim.machine import MachineParams
+from repro.sim.onread import OnRead
 from repro.sim.ports import PortModel
-from repro.sim.schedule import Chunk, Schedule, Transfer
+from repro.sim.result import AsyncResult, held_count, holdings_from_slots
+from repro.sim.schedule import Chunk, Transfer
 from repro.sim.trace import LinkStats
 from repro.sim.vectorized import run_async_vectorized
 from repro.topology.hypercube import Hypercube
@@ -68,26 +77,40 @@ __all__ = [
 
 RUNTIME_FAULT_MODES = ("raise", "report", "repair")
 
-#: one planned send with its sending node
-_Send = tuple[int, PlannedSend]
+
+def _per_node_stats(result: "RuntimeResult") -> dict[int, LinkStats]:
+    senders = result._on_read[2]
+    stats = result.link_stats
+    per_node = {node: LinkStats() for node in senders}
+    for edge, n in stats.packets.items():
+        per_node[edge.src].packets[edge] = n
+        per_node[edge.src].elems[edge] = stats.elems[edge]
+    return per_node
 
 
 @dataclass
-class RuntimeResult:
+class RuntimeResult(OnRead):
     """Outcome of a runtime execution; field-compatible with
     :class:`repro.sim.result.AsyncResult` plus runtime extras.
 
     Attributes:
         time: completion time of the last transfer.
-        holdings: chunk ids held by every node at the end.
-        link_stats: merged per-edge traffic counters.
+        holdings: chunk ids held by every node at the end (built on
+            first read after one fault-free round).
+        link_stats: per-edge traffic counters, merged over the rounds
+            (the engine's own after one round).
         start_times: start instants of executed transfers, ascending.
         transfers_executed: number of transfers run.
-        per_node_stats: each sender's own :class:`LinkStats`.
+        per_node_stats: each sender's own :class:`LinkStats` (built on
+            first read).
         fault_events: faults hit during execution (repair mode may
             still complete delivery after these).
         repair_rounds: timeout/repair cycles that ran (repair mode).
         trace: structured event trace, when tracing was enabled.
+        lowering: the lowering of the one fault-free round that ran,
+            while ``holdings`` wait to be built, else ``None``: its
+            delivery verdict answers for them
+            (``lowering.delivered_with(held_count(result))``).
     """
 
     time: float
@@ -99,6 +122,16 @@ class RuntimeResult:
     fault_events: list[FaultEvent] = field(default_factory=list)
     repair_rounds: int = 0
     trace: RuntimeTrace | None = None
+    lowering: LoweredSchedule | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    # built from (nodes, held slot parts, senders): the first two as
+    # an engine result keeps them (so ``held_count`` reads them)
+    _builders = {
+        "holdings": lambda r: holdings_from_slots(*r._on_read[:2]),
+        "per_node_stats": _per_node_stats,
+    }
 
 
 def run_collective(
@@ -204,19 +237,27 @@ class _Run:
         self.faults = faults
         self.on_fault = on_fault
         self.trace = RuntimeTrace() if trace else None
-        self.holdings: dict[int, set[Chunk]] = {
-            node: set(p.initial) for node, p in program.programs.items()
-        }
+        #: the round run from the initial holdings
+        self.first: SendRound | None = None
+        #: the engine result of the latest round run
+        self.last: AsyncResult | DegradedResult | None = None
         self.finish = 0.0
         self.start_times: list[float] = []
         self.stats: list[LinkStats] = []
         self.fault_events: list[FaultEvent] = []
         #: planned sends not yet released (their payload never arrived)
-        self.pending: list[_Send] = []
+        self.pending: list[Send] = []
         #: sends dropped by a receive timeout (superseded by repair)
-        self.cancelled: list[_Send] = []
+        self.cancelled: list[Send] = []
         self.repair_rounds = 0
         self.timeouts = 0
+
+    @property
+    def holdings(self) -> dict[int, set[Chunk]]:
+        """Every node's holdings after the latest round (the engine
+        builds them on first read)."""
+        assert self.first is not None
+        return self.first.initial if self.last is None else self.last.holdings
 
     def missing(self, node: int) -> frozenset[Chunk]:
         return self.program.programs[node].expected - self.holdings[node]
@@ -224,15 +265,24 @@ class _Run:
     def incomplete(self) -> list[int]:
         return [v for v in self.program.programs if self.missing(v)]
 
+    def delivered(self) -> bool:
+        """True when the run is known to be complete without reading
+        any holdings: one fault-free round of a lowering with a
+        positive delivery verdict, ending with all its fillable slots."""
+        return (
+            not self.fault_events
+            and len(self.stats) == 1
+            and self.first.lowering.delivered_with(held_count(self.last))
+        )
+
     def execute(
         self, packet_elems: int, detect_timeout: float
     ) -> RuntimeResult | DegradedResult:
-        sends = [
-            (node, s)
-            for node, p in self.program.programs.items()
-            for s in p.sends
-        ]
-        self._round(sends, 0.0)
+        self.first = self.program.first_round(self.cube)
+        if self.first.lowering.n_transfers:
+            self._run(self.first)
+        if self.delivered():
+            return self._result()
         while incomplete := self.incomplete():
             if self.faults is None or not (
                 self.fault_events or self.on_fault == "repair"
@@ -251,51 +301,54 @@ class _Run:
                 break  # no progress possible; give up degraded
         return self._result()
 
-    def _round(self, sends: list[_Send], release: float) -> None:
-        """Run ``sends`` in key order from the current holdings (all
-        released at ``release``) and fold the outcome into the state."""
-        sends.sort(key=lambda send: send[1].key)
-        transfers = [Transfer(node, s.dst, s.chunks) for node, s in sends]
-        if not transfers:
-            return
-        sched = Schedule(
-            rounds=[tuple(transfers)], chunk_sizes=self.program.chunk_sizes
-        )
-        lowered = lower_schedule(
-            self.cube, sched, self.holdings,
-            release_times=dict.fromkeys(self.program.chunk_sizes, release),
-        )
+    def _run(self, rnd: SendRound) -> None:
+        """Run ``rnd`` on the engine and fold the outcome into the state."""
         mode = "raise" if self.on_fault == "raise" else "report"
         res = run_async_vectorized(
-            self.cube, sched, self.program.port_model, self.holdings,
-            self.machine, self.faults, mode, lowered=lowered,
-            transfer_log=True,
+            # the lowering carries the round's initial holdings
+            self.cube, rnd.schedule, self.program.port_model, {},
+            self.machine, self.faults, mode, lowered=rnd.lowering,
+            transfer_log=self.faults is not None or self.trace is not None,
         )
-        log = res.transfer_log
-        assert log is not None
         events = list(getattr(res, "fault_events", ()))
-        self.holdings = res.holdings
+        self.last = res
         self.finish = max(self.finish, res.time)
         self.start_times.extend(res.start_times)
         self.stats.append(res.link_stats)
         self.fault_events.extend(events)
-        # The engine reports a faulted transfer by value.  Equal
-        # transfers share a link, where they fault in program order.
-        rows: dict[Transfer, list[int]] = {}
-        for i, t in enumerate(transfers):
-            rows.setdefault(t, []).append(i)
-        faulted = [rows[e.transfer].pop(0) for e in events]
-        resolved = {*log.ids, *faulted}
-        self.pending.extend(
-            s for i, s in enumerate(sends) if i not in resolved
-        )
+        if not events and self.trace is None:
+            return  # every send ran: the engine raises on a starved one
+        log = res.transfer_log
+        assert log is not None
+        sends = rnd.sends
+        faulted: list[int] = []
+        if events:
+            # The engine reports a faulted transfer by value.  Equal
+            # transfers share a link, where they fault in program order.
+            rows: dict[Transfer, list[int]] = {}
+            for i, t in enumerate(rnd.schedule.all_transfers()):
+                rows.setdefault(t, []).append(i)
+            faulted = [rows[e.transfer].pop(0) for e in events]
+            resolved = {*log.ids, *faulted}
+            self.pending.extend(
+                s for i, s in enumerate(sends) if i not in resolved
+            )
         if self.trace is not None:
             self._trace(self.trace, sends, log.ids, log.starts, events, faulted)
+
+    def _round(self, sends: list[Send], release: float) -> None:
+        """Run ``sends`` in key order from the current holdings (all
+        released at ``release``) and fold the outcome into the state."""
+        if sends:
+            self._run(SendRound.of(
+                self.cube, sends, self.holdings, self.program.chunk_sizes,
+                release,
+            ))
 
     def _trace(
         self,
         trace: RuntimeTrace,
-        sends: list[_Send],
+        sends: list[Send],
         ids: list[int],
         starts: list[float],
         events: list[FaultEvent],
@@ -355,7 +408,7 @@ class _Run:
         after = sum(len(self.missing(v)) for v in self.program.programs)
         return after < before
 
-    def _payload_ready(self, sends: list[_Send]) -> list[_Send]:
+    def _payload_ready(self, sends: list[Send]) -> list[Send]:
         """The ``sends`` whose payload reaches their sender, from the
         current holdings or through another of ``sends``.  The rest stay
         pending: a complete node can still hold forwarding sends whose
@@ -363,7 +416,7 @@ class _Run:
         a deadlock."""
         holdings = self.holdings
         gained: dict[int, set[Chunk]] = {}
-        ready: list[_Send] = []
+        ready: list[Send] = []
         waiting = sends
         while waiting:
             still = []
@@ -432,12 +485,15 @@ class _Run:
         return plan
 
     def _result(self) -> RuntimeResult | DegradedResult:
-        holdings = self.holdings
         start_times = sorted(self.start_times)
-        stats = LinkStats.merged(self.stats)
+        stats = (
+            self.stats[0] if len(self.stats) == 1
+            else LinkStats.merged(self.stats)
+        )
         if self.fault_events and (
             self.incomplete() or self.on_fault == "report"
         ):
+            holdings = self.holdings
             lost = [e.transfer for e in self.fault_events]
             lost.extend(
                 Transfer(node, s.dst, s.chunks)
@@ -453,18 +509,27 @@ class _Run:
                 transfers_lost=len(lost),
                 start_times=start_times,
             )
-        per_node = {node: LinkStats() for node in self.program.programs}
-        for edge, n in stats.packets.items():
-            per_node[edge.src].packets[edge] = n
-            per_node[edge.src].elems[edge] = stats.elems[edge]
-        return RuntimeResult(
+        program = self.program
+        senders = (
+            self.cube.nodes() if program._unbuilt("programs")
+            else list(program.programs)
+        )
+        fields = dict(
             time=self.finish,
-            holdings=holdings,
             link_stats=stats,
             start_times=start_times,
             transfers_executed=len(start_times),
-            per_node_stats=per_node,
             fault_events=self.fault_events,
             repair_rounds=self.repair_rounds,
             trace=self.trace,
+        )
+        if self.delivered():
+            # holdings wait on the engine's held slots, as its own did
+            nodes, parts = self.last._on_read
+            return RuntimeResult.on_read(
+                (nodes, parts, senders), lowering=self.first.lowering,
+                **fields,
+            )
+        return RuntimeResult.on_read(
+            (None, None, senders), holdings=self.holdings, **fields
         )

@@ -40,18 +40,23 @@ to the source, ``i ^ source``, and their keys are relative too.  The
 hypercube is a Cayley graph, so the programs from source ``s`` are the
 source-0 programs relabelled: node ``i ^ s`` plans node ``i``'s sends
 with every ``dst`` XORed by ``s`` and the same keys, chunks, initial
-and expected sets.  :func:`build_cluster_program` derives each
-broadcast once at source 0 per ``(n, algorithm, M, B, port model,
-order)``, keeps it in the ``runtime.cluster_programs`` LRU, and serves
-every source by that relabelling.  Scatter programs are derived per
-call: their chunk ids, bundle order and BST child order follow
-absolute addresses.
+and expected sets.  Keys are unique and relative, so the key-sorted
+first round is relabelled the same way.  :func:`build_cluster_program`
+derives each broadcast once at source 0 per ``(n, algorithm, M, B,
+port model, order)`` and keeps it in the ``runtime.cluster_programs``
+LRU: the programs, and their first round (:class:`SendRound`) with its
+lowering and that lowering's delivery verdict.  A source is served by
+relabelling: the first round's schedule and lowering at once
+(:meth:`SendRound.translated`), the programs on first read.  Scatter
+programs are derived per call: their chunk ids, bundle order and BST
+child order follow absolute addresses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
+from typing import NamedTuple
 
 from repro.bits.ops import highest_set_bit, popcount
 from repro.cache import MISSING, LRUCache
@@ -59,8 +64,10 @@ from repro.routing.broadcast_sbt import SBT_ORDERS
 from repro.routing.common import BCAST, MSG, validate_message_args
 from repro.routing.scatter_bst import check_subtree_order
 from repro.routing.scheduler import greedy_partition
+from repro.sim.lowering import LoweredSchedule, lower_schedule
+from repro.sim.onread import OnRead
 from repro.sim.ports import PortModel
-from repro.sim.schedule import Chunk
+from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.topology.hypercube import Hypercube
 from repro.trees.bst import bst_children, bst_parent, bst_subtree_index
 from repro.trees.msbt import ersbt_children, ersbt_parent, msbt_label
@@ -70,6 +77,7 @@ __all__ = [
     "PlannedSend",
     "NodeProgram",
     "ClusterProgram",
+    "SendRound",
     "build_cluster_program",
     "RUNTIME_BROADCAST_ALGORITHMS",
     "RUNTIME_SCATTER_ALGORITHMS",
@@ -112,13 +120,122 @@ class NodeProgram:
     expected: frozenset[Chunk]
 
 
+#: one planned send with its sending node
+Send = tuple[int, PlannedSend]
+
+
+def _moved_sends(rnd: "SendRound") -> list[Send]:
+    base, by = rnd._on_read
+    return [
+        (node ^ by, PlannedSend(s.key, s.dst ^ by, s.chunks))
+        for node, s in base.sends
+    ]
+
+
+def _moved_initial(rnd: "SendRound") -> dict[int, set[Chunk]]:
+    base, by = rnd._on_read
+    return {v: set(base.initial[v ^ by]) for v in base.initial}
+
+
 @dataclass
-class ClusterProgram:
+class SendRound(OnRead):
+    """Planned sends run as one engine round: sorted by key and
+    released together from the given holdings.
+
+    Attributes:
+        sends: ``(node, send)`` pairs in key order; transfer ``i`` of
+            ``schedule`` is ``sends[i]``.
+        initial: every node's holdings before the round.
+        schedule: the sends as a one-round :class:`Schedule`.
+        lowering: ``schedule`` lowered with ``initial`` (left out of
+            ``==`` and ``repr``: those two fields determine it).
+
+    A round :meth:`translated` from a cached one builds ``sends`` and
+    ``initial`` on first read.
+    """
+
+    sends: list[Send]
+    initial: dict[int, set[Chunk]]
+    schedule: Schedule
+    lowering: LoweredSchedule = field(repr=False, compare=False)
+
+    _builders = {"sends": _moved_sends, "initial": _moved_initial}
+
+    @classmethod
+    def of(
+        cls,
+        cube: Hypercube,
+        sends: list[Send],
+        initial: dict[int, set[Chunk]],
+        chunk_sizes: dict[Chunk, int],
+        release: float = 0.0,
+    ) -> "SendRound":
+        """``sends`` sorted by key and lowered from ``initial``, every
+        chunk released at ``release``."""
+        sends = sorted(sends, key=lambda send: send[1].key)
+        schedule = Schedule(
+            rounds=[tuple(Transfer(node, s.dst, s.chunks) for node, s in sends)],
+            chunk_sizes=chunk_sizes,
+        )
+        lowering = lower_schedule(
+            cube, schedule, initial,
+            release_times=dict.fromkeys(chunk_sizes, release),
+        )
+        return cls(sends, initial, schedule, lowering)
+
+    def translated(self, cube: Hypercube, by: int) -> "SendRound":
+        """This round relabelled by XOR with ``by``: the schedule and
+        lowering at once (:meth:`Schedule.translated`,
+        :meth:`LoweredSchedule.translated`, which keep the delivery
+        verdict), the sends and initial holdings on first read."""
+        return SendRound.on_read(
+            (self, by),
+            schedule=self.schedule.translated(cube, by),
+            lowering=(
+                self.lowering.translated(cube, by).read_only()
+                if by else self.lowering
+            ),
+        )
+
+
+class _Source0(NamedTuple):
+    """A ``runtime.cluster_programs`` entry: a broadcast's source-0
+    programs, chunk sizes and first round."""
+
+    programs: dict[int, NodeProgram]
+    chunk_sizes: dict[Chunk, int]
+    first: SendRound
+
+
+def _translated_programs(program: "ClusterProgram") -> dict[int, NodeProgram]:
+    base, by = program._on_read.programs, program.source
+    if not by:
+        return dict(base)
+    return {
+        v: NodeProgram(
+            node=v,
+            sends=tuple(
+                PlannedSend(s.key, s.dst ^ by, s.chunks) for s in p.sends
+            ),
+            initial=p.initial,
+            expected=p.expected,
+        )
+        for v in base
+        for p in (base[v ^ by],)
+    }
+
+
+@dataclass
+class ClusterProgram(OnRead):
     """The local programs of every node, plus shared parameters.
 
     ``chunk_sizes`` is itself locally derivable (every chunk id encodes
     its packet index, and sizes follow from ``(M, B)``); it is carried
     here so the engine prices transfers without re-deriving it.
+
+    A broadcast served from the ``runtime.cluster_programs`` memo
+    builds ``programs`` on first read (see "Translated broadcasts" in
+    the module docstring).
     """
 
     programs: dict[int, NodeProgram]
@@ -128,9 +245,38 @@ class ClusterProgram:
     source: int
     port_model: PortModel
 
+    _builders = {"programs": _translated_programs}
+
     def total_sends(self) -> int:
         """Number of planned transmissions across the cluster."""
         return sum(len(p.sends) for p in self.programs.values())
+
+    def first_round(self, cube: Hypercube) -> SendRound:
+        """Every planned send as one round from the initial holdings.
+
+        A served broadcast whose ``programs`` were never read takes it
+        from its memo entry, lowering and delivery verdict included.
+        Any other program (a scatter, one built by hand, or one whose
+        ``programs`` were read and so may have been edited) derives and
+        lowers it from its ``programs``.
+        """
+        if self._unbuilt("programs"):
+            return self._on_read.first.translated(cube, self.source)
+        return _first_round(cube, self.programs, self.chunk_sizes)
+
+
+def _first_round(
+    cube: Hypercube,
+    programs: dict[int, NodeProgram],
+    chunk_sizes: dict[Chunk, int],
+) -> SendRound:
+    """Every send of ``programs`` as one round from their initial sets."""
+    return SendRound.of(
+        cube,
+        [(node, s) for node, p in programs.items() for s in p.sends],
+        {node: set(p.initial) for node, p in programs.items()},
+        chunk_sizes,
+    )
 
 
 def _bcast_sizes(message_elems: int, packet_elems: int) -> dict[Chunk, int]:
@@ -149,7 +295,7 @@ def _piece_sizes(dest: int, message_elems: int, packet_elems: int) -> dict[Chunk
     }
 
 
-#: source-0 broadcast programs and chunk sizes, keyed by
+#: source-0 broadcasts (:class:`_Source0`), keyed by
 #: ``(cube token, algorithm, M, B, port model, order)``
 _BROADCASTS = LRUCache("runtime.cluster_programs", maxsize=32)
 
@@ -168,9 +314,9 @@ def build_cluster_program(
     """Local programs for every node of ``cube`` for one collective.
 
     Broadcast programs are derived once at source 0 and translated to
-    ``source`` (see "Translated broadcasts" in the module docstring);
-    scatter programs are derived per call.  Every call returns a new
-    :class:`ClusterProgram` with its own ``programs`` and
+    ``source`` on first read (see "Translated broadcasts" in the module
+    docstring); scatter programs are derived per call.  Every call
+    returns a new :class:`ClusterProgram` with its own ``programs`` and
     ``chunk_sizes`` dicts, so callers may replace entries freely.
 
     Args:
@@ -201,11 +347,11 @@ def build_cluster_program(
                 f"runtime broadcast supports {RUNTIME_BROADCAST_ALGORITHMS}, "
                 f"got {algorithm!r}"
             )
-        programs, sizes = _broadcast(
+        return _broadcast(
             cube, algorithm, source, message_elems, packet_elems,
             port_model, order,
         )
-    elif op == "scatter":
+    if op == "scatter":
         sizes = {}
         for d in cube.nodes():
             if d != source:
@@ -253,9 +399,15 @@ def _broadcast(
     packet_elems: int,
     port_model: PortModel,
     order: str,
-) -> tuple[dict[int, NodeProgram], dict[Chunk, int]]:
-    """A broadcast's programs from ``source`` and its chunk sizes, both
-    new dicts: the cached source-0 programs translated by ``source``."""
+) -> ClusterProgram:
+    """A broadcast's program from ``source``, served from its cached
+    source-0 entry: its first round translated at once, its programs on
+    first read.
+
+    An entry takes the delivery verdict of its first round's lowering
+    (``n_fillable``, ``delivers``) from one ``check_delivery`` over the
+    holdings of its fillable slots when it is filled, as
+    :func:`~repro.collectives.api.collective_program` does."""
     if algorithm == "msbt":
         order = "port"  # one transmission order; share one entry
     key = (
@@ -264,6 +416,9 @@ def _broadcast(
     )
     entry = _BROADCASTS.get(key)
     if entry is MISSING:
+        # imported here: repro.collectives.api imports repro.runtime
+        from repro.collectives.api import check_delivery
+
         if algorithm == "sbt":
             base = _sbt_broadcast(
                 cube, 0, message_elems, packet_elems, port_model, order
@@ -272,23 +427,25 @@ def _broadcast(
             base = _msbt_broadcast(
                 cube, 0, message_elems, packet_elems, port_model
             )
-        entry = (base, _bcast_sizes(message_elems, packet_elems))
-        _BROADCASTS.put(key, entry)
-    base, sizes = entry
-    if not source:
-        return dict(base), dict(sizes)
-    programs: dict[int, NodeProgram] = {}
-    for v in cube.nodes():
-        p = base[v ^ source]
-        programs[v] = NodeProgram(
-            node=v,
-            sends=tuple(
-                PlannedSend(s.key, s.dst ^ source, s.chunks) for s in p.sends
+        sizes = _bcast_sizes(message_elems, packet_elems)
+        first = _first_round(cube, base, sizes)
+        first.lowering.judge_delivery(
+            cube.nodes(),
+            lambda held: check_delivery(
+                cube, "broadcast", 0, first.schedule, held
             ),
-            initial=p.initial,
-            expected=p.expected,
         )
-    return programs, dict(sizes)
+        first.lowering.read_only()
+        entry = _Source0(base, sizes, first)
+        _BROADCASTS.put(key, entry)
+    return ClusterProgram.on_read(
+        entry,
+        chunk_sizes=dict(entry.chunk_sizes),
+        op="broadcast",
+        algorithm=algorithm,
+        source=source,
+        port_model=port_model,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +656,8 @@ def _wave_scatter(
     ``(step, micro, node, child)``.
 
     Each node derives the paths crossing it from the pure parent
-    functions alone; the parent map is computed once here as shared
-    common knowledge.
+    functions alone; the paths are computed once here, each node's from
+    its parent's, as shared common knowledge.
     """
     n = cube.dimension
 
@@ -514,19 +671,23 @@ def _wave_scatter(
         def parent_of(v: int) -> int | None:
             return bst_parent(v, source, n)
 
+    # root-to-node paths, each from its parent's: one parent per node
+    known: dict[int, list[int]] = {source: [source]}
     paths: dict[int, list[int]] = {}
     for d in cube.nodes():
         if d == source:
             continue
-        path = [d]
+        chain = []
         v = d
-        while v != source:
+        while v not in known:
+            chain.append(v)
             p = parent_of(v)
             assert p is not None
             v = p
-            path.append(v)
-        path.reverse()
-        paths[d] = path
+        for u in reversed(chain):
+            known[u] = known[v] + [u]
+            v = u
+        paths[d] = known[d]
     height = max(len(p) - 1 for p in paths.values())
 
     sizes: dict[Chunk, int] = {}

@@ -46,12 +46,14 @@ object-path engines.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.sim.ports import PortModel
+from repro.sim.result import holdings_from_slots
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.topology.base import Topology
 
@@ -185,6 +187,23 @@ class LoweredSchedule:
             and n_held is not None
             and n_held == self.n_fillable
         )
+
+    def judge_delivery(
+        self,
+        nodes: Iterable[int],
+        missing: Callable[[dict[int, set[Chunk]]], dict],
+    ) -> None:
+        """Record this lowering's delivery verdict: ``n_fillable``, and
+        ``delivers`` when ``missing`` (a call's ``check_delivery``)
+        finds no node of ``nodes`` short in the holdings of the
+        fillable slots, which a fault-free run ends holding."""
+        fill = self.fillable()
+        self.n_fillable = int(fill.sum())
+        self.delivers = not missing(holdings_from_slots(
+            nodes,
+            [(self.slot_node[fill], self.slot_chunk[fill],
+              self.chunk_objects, None)],
+        ))
 
     def transfer(self, i: int) -> Transfer:
         """Transfer ``i`` rebuilt from the columns (for error reporting,

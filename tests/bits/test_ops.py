@@ -1,6 +1,5 @@
 """Unit tests for the bit-manipulation primitives."""
 
-import numpy as np
 import pytest
 
 from repro.bits import ops
@@ -100,33 +99,3 @@ class TestRotation:
         with pytest.raises(ValueError):
             ops.rotate_right(1, 1, 0)
 
-
-class TestVectorized:
-    def test_popcount_array_matches_scalar(self):
-        xs = np.arange(0, 5000, dtype=np.int64)
-        got = ops.popcount_array(xs)
-        want = np.array([ops.popcount(int(x)) for x in xs])
-        assert np.array_equal(got, want)
-
-    def test_popcount_array_large_values(self):
-        xs = np.array([(1 << 50) - 1, 1 << 60, 0], dtype=np.uint64)
-        assert list(ops.popcount_array(xs)) == [50, 1, 0]
-
-    def test_popcount_array_rejects_floats(self):
-        with pytest.raises(TypeError):
-            ops.popcount_array(np.array([1.5]))
-
-    def test_popcount_array_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ops.popcount_array(np.array([-1]))
-
-    def test_rotate_right_array_matches_scalar(self):
-        xs = np.arange(64, dtype=np.int64)
-        for s in range(6):
-            got = ops.rotate_right_array(xs, s, 6)
-            want = np.array([ops.rotate_right(int(x), s, 6) for x in xs])
-            assert np.array_equal(got, want), s
-
-    def test_rotate_right_array_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ops.rotate_right_array(np.array([64]), 1, 6)

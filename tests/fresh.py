@@ -5,7 +5,8 @@ memo serves with a fresh build calls the builder behind it:
 :func:`fresh_program` in place of
 :func:`~repro.collectives.api.collective_program`, and
 :func:`fresh_broadcast` in place of the runtime's source-0 broadcast
-memo.  :func:`uncached` serves a whole public call from both.
+memo (``runtime.cluster_programs``).  :func:`uncached` serves a whole
+public call from both.
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ def fresh_program(
 def fresh_broadcast(
     cube, algorithm, source, message_elems, packet_elems, port_model, order,
 ):
-    """A runtime broadcast's programs derived directly at ``source``."""
+    """A runtime broadcast's program derived directly at ``source``.
+
+    It is built by hand, so a run derives and lowers its first round
+    from its programs
+    (:meth:`~repro.runtime.rules.ClusterProgram.first_round`) and holds
+    no delivery verdict."""
     if algorithm == "sbt":
         programs = rules._sbt_broadcast(
             cube, source, message_elems, packet_elems, port_model, order
@@ -53,7 +59,14 @@ def fresh_broadcast(
         programs = rules._msbt_broadcast(
             cube, source, message_elems, packet_elems, port_model
         )
-    return programs, rules._bcast_sizes(message_elems, packet_elems)
+    return rules.ClusterProgram(
+        programs=programs,
+        chunk_sizes=rules._bcast_sizes(message_elems, packet_elems),
+        op="broadcast",
+        algorithm=algorithm,
+        source=source,
+        port_model=port_model,
+    )
 
 
 @contextmanager

@@ -2,8 +2,9 @@
 
 A translated schedule, a lowered lock-step result, a vectorized event
 result, link stats made from arrays, a program split from a resumable
-service run, one job's slice of that run and one job's service result
-all leave some fields unbuilt until they are read
+service run, one job's slice of that run, one job's service result, a
+runtime broadcast served from its memo entry, its first round and its
+runtime result all leave some fields unbuilt until they are read
 (:class:`repro.sim.onread.OnRead`).  Read or not, each must behave like
 the same object built eagerly, build each field at most once, pickle
 and copy with built fields only, and reject an unknown attribute like
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.routing import msbt_broadcast_schedule
+from repro.runtime import RuntimeResult, build_cluster_program, run_program
 from repro.service import JobResult, JobSpec, run_service
 from repro.service.exec import JobSlice, execute_program
 from repro.sim import LinkStats, run_async
@@ -31,6 +33,7 @@ from repro.sim.multi import merge_programs, untag_holdings
 from repro.sim.ports import PortModel
 from repro.sim.synchronous import run_synchronous
 from repro.topology.hypercube import DirectedEdge, Hypercube
+from tests.fresh import fresh_broadcast
 
 CUBE = Hypercube(4)
 FULL = PortModel.ONE_PORT_FULL
@@ -129,6 +132,23 @@ def _eager_job(job_id: int) -> JobResult:
     return JobResult(**kept, holdings=untag_holdings(raw.holdings, job_id))
 
 
+def _served_program():
+    return build_cluster_program(CUBE, "broadcast", "msbt", 11, 37, 8, FULL)
+
+
+def _fresh_program():
+    return fresh_broadcast(CUBE, "msbt", 11, 37, 8, FULL, "port")
+
+
+def _eager_runtime_result() -> RuntimeResult:
+    """The run of a hand-built program, every field read into the
+    dataclass constructor."""
+    res = run_program(CUBE, _fresh_program(), IPSC_D7)
+    return RuntimeResult(
+        **{f.name: getattr(res, f.name) for f in fields(RuntimeResult)}
+    )
+
+
 #: name -> (make an unread instance, make its eager twin by another path)
 CASES = {
     "Schedule": (_translated, _generated),
@@ -152,6 +172,15 @@ CASES = {
     "JobResult": (
         lambda: _service().jobs[0],
         lambda: _eager_job(0),
+    ),
+    "ClusterProgram": (_served_program, _fresh_program),
+    "SendRound": (
+        lambda: _served_program().first_round(CUBE),
+        lambda: _fresh_program().first_round(CUBE),
+    ),
+    "RuntimeResult": (
+        lambda: run_program(CUBE, _served_program(), IPSC_D7),
+        _eager_runtime_result,
     ),
 }
 
