@@ -11,7 +11,11 @@ entries time a cache hit plus the engine run;
 ``test_runtime_build_msbt_cold_n9`` the derivation itself, and
 ``test_runtime_broadcast_msbt_new_source_n9`` a whole public runtime
 broadcast at a new source (the path the e2e ``runtime-n9`` workload
-times).  Compare or refresh with::
+times).  Scatter programs are derived per call:
+``test_runtime_scatter_bst_allport_n9_new_source`` times a whole public
+all-port BST scatter (lemma 4.2) at a new source, the op that sets the
+``runtime-n9`` tail: the runtime rules, the central schedule and its
+lowering, and both runs.  Compare or refresh with::
 
     python scripts/bench_compare.py --suite runtime [--update]
 
@@ -23,7 +27,7 @@ import itertools
 
 import pytest
 
-from repro.collectives import broadcast
+from repro.collectives import broadcast, scatter
 from repro.runtime import (
     build_cluster_program,
     differential_check,
@@ -123,3 +127,16 @@ def test_runtime_broadcast_msbt_new_source_n9(benchmark):
         )
     )
     assert res.async_.transfers_executed == 2 * (cube.num_nodes - 1)
+
+
+def test_runtime_scatter_bst_allport_n9_new_source(benchmark):
+    # warm: every round scatters from a source not asked for before, so
+    # both the runtime rules and the central schedule are derived afresh
+    cube = Hypercube(9)
+    pm = PortModel.ALL_PORT
+    scatter(cube, 0, "bst", 1, 1, pm, backend="runtime")
+    sources = itertools.cycle(range(1, cube.num_nodes))
+    res = benchmark(
+        lambda: scatter(cube, next(sources), "bst", 1, 1, pm, backend="runtime")
+    )
+    assert res.async_.transfers_executed > 0

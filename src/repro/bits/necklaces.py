@@ -71,8 +71,9 @@ def base(i: int, n: int) -> int:
     best_j = 0
     best_v = i
     v = i
+    top = n - 1
     for j in range(1, n):
-        v = rotate_right(v, 1, n)
+        v = (v >> 1) | ((v & 1) << top)  # rotate_right(v, 1, n)
         if v < best_v:
             best_v = v
             best_j = j

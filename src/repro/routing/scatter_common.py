@@ -7,10 +7,10 @@ piece leaves the root and *how* pieces are bundled into packets:
 * :func:`wave_scatter_schedule` — the paper's *level-by-level* order
   (lemma 4.2): data for nodes at tree distance ``l`` leaves the root in
   step ``height - l``, so the farthest messages depart first and every
-  hop happens exactly one step after the previous one.  Bundles all
-  pieces sharing an (edge, step) into one packet, then splits packets
-  larger than ``B``.  This is the optimal all-port shape for the SBT,
-  the BST and the TCBT.
+  hop happens exactly one step after the previous one.  The pieces
+  sharing an (edge, step) form one bundle, filled in one rank order and
+  first-fit split into packets of at most ``B``.  This is the optimal
+  all-port shape for the SBT, the BST and the TCBT.
 * :func:`distribute_packet` — forwarding transfers for a packet that
   has just arrived at a subtree root, recursively fanning its pieces
   out; used by the one-port BST scatter.
@@ -21,14 +21,13 @@ from __future__ import annotations
 from operator import itemgetter
 
 from repro.routing.common import MSG, scatter_chunks
-from repro.routing.scheduler import split_oversized
+from repro.routing.scheduler import greedy_partition
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Chunk, Schedule, Transfer
 from repro.trees.base import SpanningTree
 
 __all__ = [
     "pieces_by_dest",
-    "tree_path_from_root",
     "wave_scatter_schedule",
     "distribute_packet",
 ]
@@ -45,19 +44,6 @@ def pieces_by_dest(sizes: dict[Chunk, int]) -> dict[int, list[Chunk]]:
     return out
 
 
-def tree_path_from_root(tree: SpanningTree, dest: int) -> list[int]:
-    """The node path ``root -> ... -> dest`` (inclusive)."""
-    path = [dest]
-    node = dest
-    while node != tree.root:
-        parent = tree.parents_map[node]
-        assert parent is not None
-        node = parent
-        path.append(node)
-    path.reverse()
-    return path
-
-
 def wave_scatter_schedule(
     tree: SpanningTree,
     message_elems: int,
@@ -68,54 +54,87 @@ def wave_scatter_schedule(
     """Level-by-level scatter over an arbitrary spanning tree (lemma 4.2).
 
     The message for a destination at tree level ``l`` leaves the root in
-    step ``height - l`` and advances one hop per step; pieces sharing an
-    (edge, step) pair are bundled, and bundles beyond ``packet_elems``
-    are split into micro-rounds.  Valid under the all-port model by
-    construction (one bundle per directed edge per step).
+    step ``height - l`` and advances one hop per step.  The pieces
+    sharing an (edge, step) pair form one bundle, and every bundle is
+    first-fit split into micro-rounds of at most ``packet_elems``.
+    Valid under the all-port model by construction (one packet per
+    directed edge per micro-round).
+
+    One pass: the pieces are ranked once by ``(-size, repr)`` and
+    appended in that order to the bundles along their paths, so every
+    bundle is already in split order; step ``s`` becomes as many
+    micro-rounds as its largest bundle needs, with the bundles in
+    ``(u, v)`` order within each.
 
     Args:
         dests: destination nodes (default: every non-root cube node).
             Degraded-mode callers restrict this to the nodes a partial
             survivor tree actually covers.
     """
-    cube = tree.cube
+    root = tree.root
     if dests is None:
-        dests = tuple(d for d in cube.nodes() if d != tree.root)
+        dests = tuple(d for d in tree.cube.nodes() if d != root)
     else:
-        dests = tuple(sorted(set(dests) - {tree.root}))
+        dests = tuple(sorted(set(dests) - {root}))
     sizes = scatter_chunks(dests, message_elems, packet_elems)
-    by_dest = pieces_by_dest(sizes)
-    height = tree.height
 
-    bundles: dict[tuple[int, int, int], set[Chunk]] = {}
-    total_steps = 0
+    # root-to-node paths, each built from its parent's
+    parents = tree.parents_map
+    known: dict[int, list[int]] = {root: [root]}
     for d in dests:
-        path = tree_path_from_root(tree, d)
-        l = len(path) - 1  # tree level of d
-        depart = height - l
-        pieces = frozenset(by_dest[d])
-        for h in range(l):
-            step = depart + h
-            key = (step, path[h], path[h + 1])
-            bundles.setdefault(key, set()).update(pieces)
-            total_steps = max(total_steps, step + 1)
+        chain = []
+        v = d
+        while v not in known:
+            chain.append(v)
+            v = parents[v]
+        for u in reversed(chain):
+            known[u] = known[v] + [u]
+            v = u
+    height = max((len(known[d]) - 1 for d in dests), default=0)
 
-    rounds: list[list[Transfer]] = [[] for _ in range(total_steps)]
-    for (step, u, v), chunks in sorted(bundles.items(), key=lambda kv: kv[0]):
-        rounds[step].append(Transfer(u, v, frozenset(chunks)))
+    # (step, u, v) -> the pieces crossing u -> v in that step; each
+    # destination's piece goes into the bundles of every hop on its path
+    bundles: dict[tuple[int, int, int], list[Chunk]] = {}
+    hops: dict[int, list[list[Chunk]]] = {}
+    for d in dests:
+        path = known[d]
+        depart = height - len(path) + 1
+        hops[d] = [
+            bundles.setdefault((depart + h, path[h], path[h + 1]), [])
+            for h in range(len(path) - 1)
+        ]
+    for c in sorted(sizes, key=lambda c: (-sizes[c], repr(c))):
+        for bundle in hops[c[1]]:
+            bundle.append(c)
 
-    schedule = Schedule(
-        rounds=[tuple(r) for r in rounds],
+    rounds: list[tuple[Transfer, ...]] = []
+    micro: list[list[Transfer]] = []
+    step = 0
+    for key in sorted(bundles):
+        s, u, v = key
+        if s != step:
+            rounds.extend(map(tuple, micro))
+            micro = []
+            step = s
+        groups = greedy_partition(bundles[key], sizes, packet_elems)
+        for m, group in enumerate(groups):
+            if m == len(micro):
+                micro.append([])
+            micro[m].append(Transfer(u, v, frozenset(group)))
+    rounds.extend(map(tuple, micro))
+
+    return Schedule(
+        rounds=rounds,
         chunk_sizes=sizes,
         algorithm=algorithm,
         meta={
             "port_model": PortModel.ALL_PORT.value,
-            "source": tree.root,
+            "source": root,
             "message_elems": message_elems,
             "packet_elems": packet_elems,
+            "split_packet_elems": packet_elems,
         },
     )
-    return split_oversized(schedule, packet_elems).compact()
 
 
 def distribute_packet(

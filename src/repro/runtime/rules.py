@@ -287,12 +287,23 @@ def _bcast_sizes(message_elems: int, packet_elems: int) -> dict[Chunk, int]:
     }
 
 
-def _piece_sizes(dest: int, message_elems: int, packet_elems: int) -> dict[Chunk, int]:
-    per_dest = ceil(message_elems / packet_elems)
-    return {
-        (MSG, dest, p): min(packet_elems, message_elems - p * packet_elems)
-        for p in range(per_dest)
-    }
+def _scatter_pieces(
+    cube: Hypercube, source: int, message_elems: int, packet_elems: int,
+) -> tuple[dict[Chunk, int], dict[int, list[Chunk]]]:
+    """A scatter's chunk sizes, every destination's in node order, and
+    each destination's pieces ``("m", dest, p)`` in piece order."""
+    piece_sizes = [
+        min(packet_elems, message_elems - p * packet_elems)
+        for p in range(ceil(message_elems / packet_elems))
+    ]
+    sizes: dict[Chunk, int] = {}
+    pieces: dict[int, list[Chunk]] = {}
+    for d in cube.nodes():
+        if d != source:
+            mine = [(MSG, d, p) for p in range(len(piece_sizes))]
+            pieces[d] = mine
+            sizes.update(zip(mine, piece_sizes))
+    return sizes, pieces
 
 
 #: source-0 broadcasts (:class:`_Source0`), keyed by
@@ -352,26 +363,22 @@ def build_cluster_program(
             port_model, order,
         )
     if op == "scatter":
-        sizes = {}
-        for d in cube.nodes():
-            if d != source:
-                sizes.update(_piece_sizes(d, message_elems, packet_elems))
         if algorithm == "sbt":
             if port_model is PortModel.ALL_PORT:
-                programs = _wave_scatter(
+                programs, sizes = _wave_scatter(
                     cube, source, message_elems, packet_elems, family="sbt"
                 )
             else:
-                programs = _sbt_scatter_halving(
+                programs, sizes = _sbt_scatter_halving(
                     cube, source, message_elems, packet_elems
                 )
         elif algorithm == "bst":
             if port_model is PortModel.ALL_PORT:
-                programs = _wave_scatter(
+                programs, sizes = _wave_scatter(
                     cube, source, message_elems, packet_elems, family="bst"
                 )
             else:
-                programs = _bst_scatter_cyclic(
+                programs, sizes = _bst_scatter_cyclic(
                     cube, source, message_elems, packet_elems, subtree_order
                 )
         else:
@@ -585,7 +592,7 @@ def _sbt_scatter_halving(
     source: int,
     message_elems: int,
     packet_elems: int,
-) -> dict[int, NodeProgram]:
+) -> tuple[dict[int, NodeProgram], dict[Chunk, int]]:
     """§4.2.1 one-port: recursive halving along the SBT.
 
     In step ``t`` a holder with relative address ``c < 2**t`` bundles,
@@ -594,12 +601,14 @@ def _sbt_scatter_halving(
     order, first-fit packed into packets of at most ``B`` elements.
     Key ``(t, micro, c)``: micro-packets of a step interleave across
     senders exactly like the central generator's micro-rounds.
+
+    Returns the programs and the chunk sizes.
     """
     n = cube.dimension
-    num_nodes = cube.num_nodes
+    top = cube.num_nodes - 1
+    sizes, pieces_of = _scatter_pieces(cube, source, message_elems, packet_elems)
 
     programs: dict[int, NodeProgram] = {}
-    source_holdings: set[Chunk] = set()
     for i in cube.nodes():
         c = i ^ source
         sends: list[PlannedSend] = []
@@ -607,37 +616,22 @@ def _sbt_scatter_halving(
             if c >= (1 << t):
                 continue
             suffix = c | (1 << t)
-            mask = (1 << (t + 1)) - 1
+            stride = 1 << (t + 1)
+            # the relative addresses ending in `suffix`, descending
             pieces: list[Chunk] = []
-            sizes: dict[Chunk, int] = {}
-            for rel in range(num_nodes - 1, 0, -1):
-                if rel & mask != suffix:
-                    continue
-                dest_sizes = _piece_sizes(source ^ rel, message_elems, packet_elems)
-                sizes.update(dest_sizes)
-                pieces.extend(dest_sizes)
-            if not pieces:
-                continue
+            for rel in range(top - (top - suffix) % stride, 0, -stride):
+                pieces.extend(pieces_of[source ^ rel])
             dst = i ^ (1 << t)
             for m, group in enumerate(greedy_partition(pieces, sizes, packet_elems)):
                 sends.append(PlannedSend((t, m, c), dst, frozenset(group)))
         sends.sort(key=lambda s: s.key)
-        mine = frozenset(
-            _piece_sizes(i, message_elems, packet_elems)
-        ) if i != source else frozenset()
         programs[i] = NodeProgram(
-            node=i, sends=tuple(sends), initial=frozenset(), expected=mine
+            node=i,
+            sends=tuple(sends),
+            initial=frozenset(sizes) if i == source else frozenset(),
+            expected=frozenset() if i == source else frozenset(pieces_of[i]),
         )
-        if i != source:
-            source_holdings.update(_piece_sizes(i, message_elems, packet_elems))
-    src_prog = programs[source]
-    programs[source] = NodeProgram(
-        node=source,
-        sends=src_prog.sends,
-        initial=frozenset(source_holdings),
-        expected=frozenset(),
-    )
-    return programs
+    return programs, sizes
 
 
 def _wave_scatter(
@@ -646,7 +640,7 @@ def _wave_scatter(
     message_elems: int,
     packet_elems: int,
     family: str,
-) -> dict[int, NodeProgram]:
+) -> tuple[dict[int, NodeProgram], dict[Chunk, int]]:
     """Lemma 4.2 all-port scatter over the SBT or BST.
 
     The message for a destination at tree level ``l`` departs in step
@@ -657,7 +651,11 @@ def _wave_scatter(
 
     Each node derives the paths crossing it from the pure parent
     functions alone; the paths are computed once here, each node's from
-    its parent's, as shared common knowledge.
+    its parent's, as shared common knowledge.  The pieces are ranked
+    once by ``(-size, repr)`` and appended in that order to the bundles
+    along their paths, so every bundle is already in split order.
+
+    Returns the programs and the chunk sizes.
     """
     n = cube.dimension
 
@@ -689,26 +687,24 @@ def _wave_scatter(
             v = u
         paths[d] = known[d]
     height = max(len(p) - 1 for p in paths.values())
+    sizes, pieces_of = _scatter_pieces(cube, source, message_elems, packet_elems)
 
-    sizes: dict[Chunk, int] = {}
-    for d in paths:
-        sizes.update(_piece_sizes(d, message_elems, packet_elems))
-
-    # (step, u, v) -> pieces crossing that edge in that step
-    bundles: dict[tuple[int, int, int], set[Chunk]] = {}
+    # (step, u, v) -> pieces crossing that edge in that step, in rank order
+    bundles: dict[tuple[int, int, int], list[Chunk]] = {}
+    hops: dict[int, list[list[Chunk]]] = {}
     for d, path in paths.items():
-        hops = len(path) - 1
-        depart = height - hops
-        pieces = frozenset(_piece_sizes(d, message_elems, packet_elems))
-        for h in range(hops):
-            bundles.setdefault((depart + h, path[h], path[h + 1]), set()).update(
-                pieces
-            )
+        depart = height - len(path) + 1
+        hops[d] = [
+            bundles.setdefault((depart + h, path[h], path[h + 1]), [])
+            for h in range(len(path) - 1)
+        ]
+    for ch in sorted(sizes, key=lambda ch: (-sizes[ch], repr(ch))):
+        for bundle in hops[ch[1]]:
+            bundle.append(ch)
 
     sends_by_node: dict[int, list[PlannedSend]] = {i: [] for i in cube.nodes()}
     for (step, u, v), chunks in bundles.items():
-        ordered = sorted(chunks, key=lambda ch: (-sizes[ch], repr(ch)))
-        for m, group in enumerate(greedy_partition(ordered, sizes, packet_elems)):
+        for m, group in enumerate(greedy_partition(chunks, sizes, packet_elems)):
             sends_by_node[u].append(
                 PlannedSend((step, m, u, v), v, frozenset(group))
             )
@@ -720,12 +716,9 @@ def _wave_scatter(
             node=i,
             sends=tuple(sends),
             initial=frozenset(sizes) if i == source else frozenset(),
-            expected=(
-                frozenset() if i == source
-                else frozenset(_piece_sizes(i, message_elems, packet_elems))
-            ),
+            expected=frozenset() if i == source else frozenset(pieces_of[i]),
         )
-    return programs
+    return programs, sizes
 
 
 def _bst_scatter_cyclic(
@@ -734,7 +727,7 @@ def _bst_scatter_cyclic(
     message_elems: int,
     packet_elems: int,
     subtree_order: str,
-) -> dict[int, NodeProgram]:
+) -> tuple[dict[int, NodeProgram], dict[Chunk, int]]:
     """§4.2.2 one-port: the root serves its ``n`` BST subtrees cyclically.
 
     The root's ``k``-th cycle serves subtree ``k mod n`` (skipping
@@ -747,6 +740,8 @@ def _bst_scatter_cyclic(
     parameters, so every node derives the same numbering; the BST
     child map is built once from the necklace-base formulas as shared
     common knowledge.
+
+    Returns the programs and the chunk sizes.
     """
     n = cube.dimension
 
@@ -796,10 +791,7 @@ def _bst_scatter_cyclic(
             out = sorted(out, key=lambda v: -levels[v])
         return [v for v in out if v in mem]
 
-    sizes: dict[Chunk, int] = {}
-    for d in cube.nodes():
-        if d != source:
-            sizes.update(_piece_sizes(d, message_elems, packet_elems))
+    sizes, pieces_of = _scatter_pieces(cube, source, message_elems, packet_elems)
 
     queues: list[list[frozenset[Chunk]]] = []
     heads: list[int | None] = []
@@ -811,8 +803,7 @@ def _bst_scatter_cyclic(
             continue
         pieces: list[Chunk] = []
         for d in dest_order(j, head):
-            dp = sorted(_piece_sizes(d, message_elems, packet_elems), key=lambda c: c[2])
-            pieces.extend(dp)
+            pieces.extend(pieces_of[d])
         queues.append(
             [frozenset(g) for g in greedy_partition(pieces, sizes, packet_elems)]
         )
@@ -868,9 +859,6 @@ def _bst_scatter_cyclic(
             node=i,
             sends=tuple(sends),
             initial=frozenset(sizes) if i == source else frozenset(),
-            expected=(
-                frozenset() if i == source
-                else frozenset(_piece_sizes(i, message_elems, packet_elems))
-            ),
+            expected=frozenset() if i == source else frozenset(pieces_of[i]),
         )
-    return programs
+    return programs, sizes

@@ -69,6 +69,13 @@ class TestBase:
                     rotate_right(x, j, n) > m for j in range(b)
                 ), (x, n)
 
+    def test_base_is_first_minimizing_rotation_exhaustive(self):
+        # every n-bit value for n = 1..12, against the checked rotate_right
+        for n in range(1, 13):
+            for x in range(1 << n):
+                rots = [rotate_right(x, j, n) for j in range(n)]
+                assert nk.base(x, n) == rots.index(min(rots)), (x, n)
+
     def test_base_range_limited_by_period(self):
         # base < period: rotating by the period revisits the same values
         for n in (6, 8):

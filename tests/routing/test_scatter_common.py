@@ -6,7 +6,6 @@ from repro.routing.common import scatter_chunks
 from repro.routing.scatter_common import (
     distribute_packet,
     pieces_by_dest,
-    tree_path_from_root,
     wave_scatter_schedule,
 )
 from repro.sim import PortModel
@@ -35,19 +34,6 @@ class TestDestPieces:
             d: sorted((c for c in sizes if c[0] == "m" and c[1] == d), key=lambda c: c[2])
             for d in (6, 2, 9)
         }
-
-
-class TestTreePath:
-    def test_path_from_root(self, cube4):
-        tree = SpanningBinomialTree(cube4, 0)
-        path = tree_path_from_root(tree, 0b1011)
-        assert path[0] == 0 and path[-1] == 0b1011
-        for a, b in zip(path, path[1:]):
-            assert tree.parents_map[b] == a
-
-    def test_root_path_is_singleton(self, cube4):
-        tree = SpanningBinomialTree(cube4, 3)
-        assert tree_path_from_root(tree, 3) == [3]
 
 
 class TestDistributePacket:
