@@ -19,7 +19,7 @@ differential harness sweeps (``B = 1`` turns a one-port BST scatter at
 dependency-indexed (a ``(node, chunk) -> waiting transfers`` map plus
 ready/eligible heaps) and skip saturated bins, and they are
 *bit-identical* to the originals, which are preserved in
-:mod:`repro.routing._scheduler_reference` and asserted equivalent by
+``tests/scheduler_reference.py`` and asserted equivalent by
 ``tests/routing/test_scheduler_equivalence.py``.
 """
 

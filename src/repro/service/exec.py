@@ -1,31 +1,28 @@
 """Merged-program execution and per-job provenance accounting.
 
 A service run or a workload step runs its jobs as one program on the
-vectorized event engine, with release times baked into the lowering
-and the transfer log on.  Through :class:`AdmissionRun`, jobs join one
-resumable engine run (:class:`~repro.sim.vectorized.VectorizedRun`) at
-their admission instants — all of them up front, when nothing the
-engine computes can change an admission — and the run advances only
-as far as the next event, never simulating an instant within ``_EPS``
-of a pending admission.  A job joins with its lowering, which depends
-only on its collective call, so the service and the workload layer
-serve it from a cache
+event engine, with the transfer log on.  Jobs join one resumable
+engine run (:class:`~repro.sim.vectorized.VectorizedRun`) through
+:class:`AdmissionRun` at their admission instants — all of them up
+front, when nothing the engine computes can change an admission — and
+the run advances only as far as the next event, never simulating an
+instant within ``_EPS`` of a pending admission.  A job joins with its
+lowering, which depends only on its collective call, so the service
+and the workload layer serve it from a cache
 (:func:`~repro.collectives.api.collective_program`) instead of
-lowering every job.  Each instant is simulated once, and the final
-view equals :func:`execute_program` — the one-shot run of a
-:class:`~repro.sim.multi.MergedProgram`, kept as the public API and as
-the oracle — bit for bit.
+lowering every job.  Each instant is simulated once.
+:func:`execute_program` runs a whole
+:class:`~repro.sim.multi.MergedProgram` the same way, every entry
+admitted up front at its position's rank.
 
-Either way the run is split back into per-job views using the
-provenance chain
+The closed run is split back into per-job views using the provenance
+chain
 
     ``transfer_log.ids`` (executed, execution order)
-    -> owners (transfer -> job position)
+    -> owners (transfer -> job position, the engine's job column)
     -> per-job starts / ends / link traffic.
 
-:func:`execute_program` reads the owners off the merged program;
-:class:`AdmissionRun` takes them from the engine's own job column and
-never merges: its view's program builds its ``owners`` list and its
+Nothing is merged: a view's program builds its ``owners`` list and its
 chunk-tagged fields on first read (:mod:`repro.sim.onread`), and
 :meth:`ExecutionView.job_holdings` builds one job's untagged holdings
 from that job's held slots.
@@ -47,13 +44,16 @@ import numpy as np
 from repro.sim.faults import DegradedResult, FaultPlan
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import MachineParams
-from repro.sim.multi import JobEntry, MergedProgram, untag_holdings
+from repro.sim.multi import JobEntry, MergedProgram
 from repro.sim.onread import OnRead
 from repro.sim.ports import PortModel
 from repro.sim.result import AsyncResult, holdings_from_slots
 from repro.sim.schedule import Chunk
 from repro.sim.trace import LinkStats
-from repro.sim.vectorized import VectorizedRun, run_async_vectorized
+from repro.sim.vectorized import VectorizedRun
+# call-site tracers (benchmarks/e2e/tracing.py) look the engine up on
+# this module
+from repro.sim.vectorized import run_async_vectorized  # noqa: F401
 from repro.topology.hypercube import DirectedEdge, Hypercube
 
 __all__ = ["AdmissionRun", "JobSlice", "ExecutionView", "execute_program"]
@@ -111,7 +111,8 @@ class ExecutionView:
     """A merged run plus its per-job decomposition.
 
     Attributes:
-        program: the merged program that was executed.
+        program: the merged program that was executed (that of
+            :meth:`AdmissionRun.view` builds its fields on first read).
         raw: the engine result (degraded under reported faults).
         slices: per-job accounting, indexed like ``program.entries``.
         ends: end time of every executed transfer, in transfer-log
@@ -128,8 +129,8 @@ class ExecutionView:
     # (key_link, busy, link_src, link_dst): per (job, link) busy time,
     # keys in (job position, link id) order
     _busy: tuple = field(repr=False, compare=False)
-    # (nodes, held slots per position) of a resumable run
-    _held: tuple | None = field(default=None, repr=False, compare=False)
+    # (nodes, held slots per position)
+    _held: tuple = field(repr=False, compare=False)
 
     @property
     def makespan(self) -> float:
@@ -137,28 +138,19 @@ class ExecutionView:
         return self.raw.time
 
     def job_holdings(self, position: int) -> dict[int, set[Chunk]]:
-        """Final holdings of the job at ``position``, untagged — equal to
-        :func:`~repro.sim.multi.untag_holdings` of ``raw.holdings``.
-
-        A view of an :class:`AdmissionRun` builds them from the job's
-        own held slots, without building ``raw.holdings``.
-        """
-        if self._held is None:
-            return untag_holdings(
-                self.raw.holdings, self.program.entries[position].tag
-            )
+        """Final holdings of the job at ``position``, untagged: the
+        chunks of ``raw.holdings`` tagged with the job's tag, built from
+        the job's own held slots without building ``raw.holdings``."""
         nodes, held = self._held
         slot_node, slot_chunk, chunks, _ = held[position]
         return holdings_from_slots(nodes, [(slot_node, slot_chunk, chunks, None)])
 
     def job_delivered(self, position: int) -> bool:
         """True when the job at ``position`` is known to deliver without
-        building its holdings: a view of an :class:`AdmissionRun` counts
-        the job's held slots, and its lowering's verdict holds for that
-        count (:meth:`~repro.sim.lowering.LoweredSchedule.delivered_with`).
+        building its holdings: its lowering's verdict holds for the
+        number of its held slots
+        (:meth:`~repro.sim.lowering.LoweredSchedule.delivered_with`).
         False means unknown: check :meth:`job_holdings`."""
-        if self._held is None:
-            return False
         low = self.program.entries[position].lowering
         return low is not None and low.delivered_with(
             self._held[1][position][0].size
@@ -186,33 +178,19 @@ def execute_program(
     faults: FaultPlan | None = None,
     on_fault: str = "raise",
 ) -> ExecutionView:
-    """Run ``program`` from scratch on the vectorized engine and split
-    the result.
+    """Run ``program`` to the end and split the result per job.
 
-    Release times gate each job to its admission instant; the transfer
-    log is always requested (it is the provenance source).  This is the
-    one-shot counterpart of :class:`AdmissionRun` — the oracle its
-    final view must match bit for bit.
+    Every entry is admitted up front into one :class:`AdmissionRun`,
+    ranked by its position, so each job starts no earlier than its
+    release time and the entry order is the contention priority.  The
+    view's ``program`` is ``program`` itself.
     """
-    machine = machine or MachineParams()
-    low = lower_schedule(
-        cube, program.schedule, program.initial, program.release_times
-    )
-    raw = run_async_vectorized(
-        cube, program.schedule, port_model, program.initial,
-        machine, faults=faults, on_fault=on_fault, lowered=low,
-        transfer_log=True,
-    )
-    # exact engine cost expression, computed once per distinct size
-    uniq_sizes, size_inv = np.unique(low.elems, return_inverse=True)
-    uniq_costs = np.asarray(
-        [machine.send_cost(int(s)) for s in uniq_sizes.tolist()]
-    )
-    return _split(
-        program, np.asarray(program.owners, dtype=np.int64), raw,
-        low.elems, low.link, low.link_src, low.link_dst,
-        uniq_costs[size_inv],
-    )
+    run = AdmissionRun(cube, port_model, machine, faults, on_fault)
+    for pos, entry in enumerate(program.entries):
+        run.admit(entry, pos)
+    view = run.view(program.entries)
+    view.program = program
+    return view
 
 
 class AdmissionRun:
@@ -226,8 +204,8 @@ class AdmissionRun:
     :meth:`view` closes the run and splits it per job.  Jobs come with
     their lowering (:attr:`~repro.sim.multi.JobEntry.lowering`, served
     by :func:`~repro.collectives.api.collective_program` in the service
-    and the workload layer), each instant is simulated once, and the
-    final view is bit-identical to :func:`execute_program` on the final
+    and the workload layer), and each instant is simulated once: the
+    final view is bit for bit that of one from-scratch run of the final
     merged program.
     """
 
@@ -285,57 +263,51 @@ class AdmissionRun:
         return self._run.link_time(handle)
 
     def close(self) -> None:
-        """Run to the end, keep the result, and free the engine state."""
+        """Run to the end, split the result per job, and free the engine
+        state."""
         run = self._run
         raw = run.result()
         by_rank = run.rank_order()
-        self._final = (raw, *run.link_columns(), run.costs())
         self._owners = run.owners()
         self._tags = [self._tags[h] for h in by_rank]
-        self._held = (
-            self.cube.nodes(), [run.held_slots[h] for h in by_rank]
+        self._parts = _split(
+            raw, self._owners, *run.link_columns(), run.costs(),
+            (self.cube.nodes(), [run.held_slots[h] for h in by_rank]),
         )
         self._run = None
 
     def view(self, entries: Sequence[JobEntry]) -> ExecutionView:
         """The closed run split per job; ``entries`` are the admitted
         entries in rank order (ties in admission order), the order
-        ``merge_programs`` would be given.
-
-        Nothing is merged: the view's program builds its ``owners``
-        from the engine's owner array, and ``schedule``, ``initial``
-        and ``release_times`` by :func:`~repro.sim.multi.merge_programs`,
-        each on first read; :meth:`ExecutionView.job_holdings` reads
-        each job's held slots.
-        """
+        :func:`~repro.sim.multi.merge_programs` would be given.  The
+        view's program builds its fields on first read."""
         if self._run is not None:
             self.close()
         if [e.tag for e in entries] != self._tags:
             raise ValueError("entries must be the admitted entries in rank order")
-        owners = self._owners
-        view = _split(
-            MergedProgram.on_read(owners, entries=list(entries)), owners,
-            *self._final,
+        return ExecutionView(
+            MergedProgram.on_read(self._owners, entries=list(entries)),
+            **self._parts,
         )
-        view._held = self._held
-        return view
 
 
 def _split(
-    program: MergedProgram,
-    owners: np.ndarray,
     raw: "AsyncResult | DegradedResult",
+    owners: np.ndarray,
     elems_all: np.ndarray,
     link_all: np.ndarray,
     link_src: np.ndarray,
     link_dst: np.ndarray,
     costs_all: np.ndarray,
-) -> ExecutionView:
-    """Per-job accounting of one merged run (see module docstring);
-    ``owners`` is ``program.owners`` as an array."""
+    held: tuple,
+) -> dict:
+    """Per-job accounting of one closed run (see module docstring): the
+    fields of its :class:`ExecutionView` but the program.  ``owners``
+    maps each transfer to its job's position; ``held`` is the nodes
+    and the jobs' held slots by position."""
     log = raw.transfer_log
     assert log is not None
-    n_jobs = program.num_jobs
+    n_jobs = len(held[1])
     n_links = link_src.size
     scheduled = np.bincount(owners, minlength=n_jobs).tolist()
 
@@ -388,8 +360,8 @@ def _split(
                 elems_per[ka:kb],
             ),
         ))
-    return ExecutionView(
-        program=program, raw=raw, slices=slices,
+    return dict(
+        raw=raw, slices=slices,
         ends=ends, receivers=link_dst[links].astype(np.int64),
-        _busy=(key_link, busy, link_src, link_dst),
+        _busy=(key_link, busy, link_src, link_dst), _held=held,
     )

@@ -71,9 +71,9 @@ from repro.experiments.parallel import resolve_jobs
 from repro.obs.instruments import service_run_finished
 from repro.routing.common import is_whole
 from repro.service.exec import AdmissionRun, ExecutionView
-# the one-shot oracle of the admission run and the merge it splits
-# without; call-site tracers (benchmarks/e2e/tracing.py) look them up
-# on this module
+# the one-shot run of a merged program and the merge a view builds on
+# read; call-site tracers (benchmarks/e2e/tracing.py) look them up on
+# this module
 from repro.service.exec import execute_program  # noqa: F401
 from repro.service.jobs import JobResult, JobSpec
 from repro.service.policies import SchedulingPolicy, resolve_policy

@@ -13,7 +13,7 @@ The event engine is the vectorized array core
 public name): it compiles the schedule to flat NumPy tables via
 :func:`repro.sim.lower_schedule`.  It is the only event engine; the
 tests pin it bit for bit to a naive oracle,
-:func:`repro.sim._engine_reference.run_async_reference`.
+``run_async_reference`` in ``tests/engine_reference.py``.
 """
 
 from repro.sim.faults import (
@@ -25,7 +25,7 @@ from repro.sim.faults import (
 )
 from repro.sim.lowering import LoweredSchedule, lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, ZERO_STARTUP, MachineParams
-from repro.sim.multi import JobEntry, MergedProgram, merge_programs, untag_holdings
+from repro.sim.multi import JobEntry, MergedProgram, merge_programs
 from repro.sim.ports import PortModel
 from repro.sim.result import AsyncResult
 from repro.sim.schedule import Chunk, Schedule, Transfer, merge_schedules
@@ -49,7 +49,6 @@ __all__ = [
     "JobEntry",
     "MergedProgram",
     "merge_programs",
-    "untag_holdings",
     "IPSC_D7",
     "UNIT_COST",
     "ZERO_STARTUP",

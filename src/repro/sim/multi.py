@@ -10,7 +10,7 @@ chunk-tagged objects are built only when read:
   both shipping ``("b", 0)`` never alias;
 * the merged program order interleaves the jobs **round by round in the
   given entry order** — program order is contention priority in the
-  event engines, so the entry order *is* the scheduling policy's
+  event engine, so the entry order *is* the scheduling policy's
   priority ranking;
 * every transfer records its owning entry (``owners``) — the per-job
   provenance the service uses to split one engine run back into
@@ -22,7 +22,7 @@ chunk-tagged objects are built only when read:
 
 Unlike :func:`repro.sim.schedule.merge_schedules` (which exists to be
 re-packed into a new valid round structure), a merged program is meant
-for the *event* engines, where rounds are priorities rather than
+for the *event* engine, where rounds are priorities rather than
 barriers: two jobs contending for one link simply serialize, exactly
 like the paper's port-model admission rules demand.
 """
@@ -30,13 +30,14 @@ like the paper's port-model admission rules demand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from math import isfinite
+from typing import Hashable, Sequence
 
 from repro.sim.lowering import LoweredSchedule
 from repro.sim.onread import OnRead
 from repro.sim.schedule import Chunk, Schedule, Transfer
 
-__all__ = ["JobEntry", "MergedProgram", "merge_programs", "untag_holdings"]
+__all__ = ["JobEntry", "MergedProgram", "merge_programs"]
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,10 @@ class JobEntry:
     )
 
     def __post_init__(self) -> None:
-        if self.release < 0:
-            raise ValueError(f"release time must be >= 0, got {self.release}")
+        if not (isfinite(self.release) and self.release >= 0):
+            raise ValueError(
+                f"release time must be >= 0 and finite, got {self.release}"
+            )
 
 
 _TAGGED = ("schedule", "initial", "release_times")
@@ -124,7 +127,7 @@ def merge_programs(entries: Sequence[JobEntry]) -> MergedProgram:
 
     The rounds of all entries are zipped index by index (entry order
     within each round), so the flattened program order — the event
-    engines' contention priority — ranks entry 0's round-``k``
+    engine's contention priority — ranks entry 0's round-``k``
     transfers ahead of entry 1's, for every ``k``.  Callers sort the
     entries by their policy's priority key first.
     """
@@ -174,20 +177,3 @@ def merge_programs(entries: Sequence[JobEntry]) -> MergedProgram:
         entries=list(entries),
     )
 
-
-def untag_holdings(
-    holdings: dict[int, set[Chunk]],
-    tag: Hashable,
-    nodes: Iterable[int] | None = None,
-) -> dict[int, set[Chunk]]:
-    """One job's view of merged holdings, with the namespace stripped.
-
-    Returns ``{node: {chunk for (tag, chunk) held}}`` — exactly the
-    holdings a standalone run of the job's own schedule would produce,
-    which is what makes the single-job differential test bit-exact.
-    """
-    keys = holdings.keys() if nodes is None else nodes
-    return {
-        node: {c for t, c in holdings.get(node, set()) if t == tag}
-        for node in keys
-    }

@@ -2,7 +2,7 @@
 
 Both the production engine (:func:`repro.sim.vectorized.
 run_async_vectorized`) and the naive oracle
-(:func:`repro.sim._engine_reference.run_async_reference`) return an
+(``run_async_reference`` in ``tests/engine_reference.py``) return an
 :class:`AsyncResult` and coalesce event times within ``_EPS`` of each
 other into one instant.
 """

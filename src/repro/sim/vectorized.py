@@ -1,7 +1,7 @@
 """Vectorized array-core asynchronous engine: the production event engine.
 
 Runs the discrete-event semantics of the reference oracle
-(:func:`repro.sim._engine_reference.run_async_reference`) over the flat
+(``run_async_reference`` in ``tests/engine_reference.py``) over the flat
 arrays produced by :mod:`repro.sim.lowering`, instead of per-transfer
 Python objects.  Results are bit-identical — the equivalence suite
 asserts it on every tree, port model, machine and fault plan.

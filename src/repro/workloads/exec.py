@@ -60,9 +60,9 @@ from repro.collectives.api import (
 )
 from repro.obs.instruments import workload_run_finished
 from repro.service.exec import AdmissionRun, ExecutionView
-# the one-shot oracle of the incremental run and the merge it splits
-# without; call-site tracers (benchmarks/e2e/tracing.py) look them up
-# on this module
+# the one-shot run of a merged program and the merge a view builds on
+# read; call-site tracers (benchmarks/e2e/tracing.py) look them up on
+# this module
 from repro.service.exec import execute_program  # noqa: F401
 from repro.service.scheduler import Pregenerated, pregenerate
 from repro.sim.machine import MachineParams

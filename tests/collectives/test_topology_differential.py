@@ -26,11 +26,11 @@ from repro.collectives import (
     reduce,
 )
 from repro.sim import run_async
-from repro.sim._engine_reference import run_async_reference
 from repro.sim.ports import PortModel
 from repro.sim.synchronous import run_synchronous
 from repro.sim.validate import assert_schedule_valid
 from repro.topology import Hypercube, Torus
+from tests.engine_reference import run_async_reference
 
 TOPOLOGIES = [
     pytest.param(Hypercube(3), id="hypercube-3"),

@@ -5,7 +5,7 @@ executes (:class:`repro.service.exec.AdmissionRun`): jobs join at their
 admission instants and each instant is simulated once.  Whatever the
 admission order, the final view must be bit-for-bit the view of one
 from-scratch run of the final merged program
-(:func:`repro.service.exec.execute_program`): the same makespan,
+(:func:`tests.merged_oracle.run_merged`): the same makespan,
 transfer log (ids *and* starts), sorted start times, holdings, per-job
 slices, holdings and link busy totals, degraded-result fields, and the
 merged program itself.
@@ -30,7 +30,7 @@ import repro.workloads.exec as wexec
 from repro.collectives.api import collective_schedule
 from repro.service import AdmissionControl, JobSpec, run_service
 from repro.service.exec import AdmissionRun, execute_program
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultError, FaultPlan
 from repro.sim.machine import MachineParams
 from repro.sim.multi import JobEntry, merge_programs
 from repro.sim.ports import PortModel
@@ -39,6 +39,7 @@ from repro.sim.schedule import Schedule
 from repro.topology import Hypercube
 from repro.workloads import PhaseSpec, Workload, WorkloadDAG, run_workload
 from tests.fresh import uncached
+from tests.merged_oracle import run_merged, view_key
 
 MACHINES = (None, MachineParams(tau=1.0, t_c=0.5, overlap=0.25))
 OPS = (
@@ -51,50 +52,6 @@ OPS = (
     ("allgather", None, 2, None),
     ("reduce", None, 4, 2),
 )
-
-
-def _floats(values) -> list[str]:
-    return [repr(float(v)) for v in values]
-
-
-def _view_key(view) -> tuple:
-    """Everything the differential compares, with floats as reprs (so
-    that NaN compares equal to NaN and -0.0 differs from 0.0)."""
-    raw = view.raw
-    log = raw.transfer_log
-    slices = tuple(
-        (
-            s.position, s.scheduled, s.executed, s.elems,
-            _floats((s.link_time, s.first_start, s.finish)),
-            _floats(s.start_times),
-            sorted((repr(e), n) for e, n in s.link_stats.packets.items()),
-            sorted((repr(e), n) for e, n in s.link_stats.elems.items()),
-            sorted((repr(e), repr(b)) for e, b in s.link_busy.items()),
-        )
-        for s in view.slices
-    )
-    degraded = (
-        type(raw).__name__,
-        repr(getattr(raw, "fault_events", None)),
-        sorted(
-            (node, sorted(map(repr, chunks)))
-            for node, chunks in getattr(raw, "undelivered", {}).items()
-        ),
-        getattr(raw, "transfers_lost", 0),
-    )
-    return (
-        repr(raw.time), raw.transfers_executed,
-        list(log.ids), _floats(log.starts), _floats(raw.start_times),
-        sorted((node, sorted(map(repr, c))) for node, c in raw.holdings.items()),
-        list(view.receivers), _floats(view.ends),
-        slices, degraded,
-        [
-            sorted((node, sorted(map(repr, c)))
-                   for node, c in view.job_holdings(pos).items())
-            for pos in range(len(view.slices))
-        ],
-        [(repr(e), repr(b)) for e, b in view.link_busy_total().items()],
-    )
 
 
 class _CheckedRun(AdmissionRun):
@@ -111,13 +68,12 @@ class _CheckedRun(AdmissionRun):
     def view(self, entries):
         got = super().view(entries)
         port_model, machine, faults, on_fault = self._oracle_args
-        program = merge_programs(entries)
-        want = execute_program(
-            self.cube, program, port_model, machine,
+        want = run_merged(
+            self.cube, entries, port_model, machine,
             faults=faults, on_fault=on_fault,
         )
-        assert _view_key(got) == _view_key(want)
-        assert got.program == program
+        assert view_key(got) == view_key(want)
+        assert got.program == want.program
         type(self).views += 1
         return got
 
@@ -174,14 +130,13 @@ class TestService:
         with _checked():
             result = run_service(**case)
         if result.view is not None:
-            # the one-shot path is the oracle itself; either way the
-            # reported view is the final program's from-scratch run
-            oracle = execute_program(
-                case["cube"], result.program, case["port_model"],
+            # the reported view is the final program's from-scratch run
+            oracle = run_merged(
+                case["cube"], result.program.entries, case["port_model"],
                 case["machine"], faults=case["faults"],
                 on_fault=case["on_fault"],
             )
-            assert _view_key(result.view) == _view_key(oracle)
+            assert view_key(result.view) == view_key(oracle)
 
     def test_static_key_runs_use_the_checked_view(self):
         """Uncapped fifo/priority runs admit every job up front into the
@@ -279,13 +234,29 @@ class TestAdmissionRun:
                 run.pop_completion()
             run.admit(entry, rank)
         ranked = [entry for entry, _ in sorted(jobs, key=lambda j: j[1])]
-        oracle = execute_program(
-            cube, merge_programs(ranked), pm, machine,
-            faults=faults, on_fault=on_fault,
+        oracle = run_merged(
+            cube, ranked, pm, machine, faults=faults, on_fault=on_fault,
         )
         got = run.view(ranked)
-        assert _view_key(got) == _view_key(oracle)
+        assert view_key(got) == view_key(oracle)
         assert got.program == oracle.program
+
+    @settings(max_examples=40, deadline=None)
+    @given(admission_case())
+    def test_one_shot_run_matches_from_scratch_run(self, case):
+        """:func:`execute_program` admits the whole program up front,
+        entry position as rank."""
+        cube, pm, machine, jobs, faults, on_fault = case
+        entries = [entry for entry, _ in jobs]
+        program = merge_programs(entries)
+        got = execute_program(
+            cube, program, pm, machine, faults=faults, on_fault=on_fault,
+        )
+        oracle = run_merged(
+            cube, entries, pm, machine, faults=faults, on_fault=on_fault,
+        )
+        assert got.program is program
+        assert view_key(got) == view_key(oracle)
 
 
 @st.composite
@@ -346,7 +317,7 @@ def _job(cube, pm, tag, release, op="broadcast", algorithm=None, source=0,
 
 
 def _makespan(cube, pm, machine, entry):
-    return execute_program(cube, merge_programs([entry]), pm, machine).makespan
+    return run_merged(cube, [entry], pm, machine).makespan
 
 
 def _admit_at_releases(run, jobs):
@@ -363,12 +334,11 @@ def _admit_at_releases(run, jobs):
 def _check(run, jobs, cube, pm, machine, faults=None, on_fault="raise"):
     """The closed run's view against the from-scratch oracle."""
     ranked = [entry for entry, _ in sorted(jobs, key=lambda j: j[1])]
-    oracle = execute_program(
-        cube, merge_programs(ranked), pm, machine,
-        faults=faults, on_fault=on_fault,
+    oracle = run_merged(
+        cube, ranked, pm, machine, faults=faults, on_fault=on_fault,
     )
     got = run.view(ranked)
-    assert _view_key(got) == _view_key(oracle)
+    assert view_key(got) == view_key(oracle)
     assert got.program == oracle.program
     return got
 
@@ -378,7 +348,7 @@ def _check(run, jobs, cube, pm, machine, faults=None, on_fault="raise"):
 @pytest.mark.parametrize("pm", list(PortModel))
 class TestStaging:
     """Admissions into a run with executed rows (the frozen prefix) and
-    live rows, each checked against :func:`execute_program`."""
+    live rows, each checked against the from-scratch oracle."""
 
     cube = Hypercube(3)
 
@@ -479,3 +449,20 @@ class TestStaging:
             run = AdmissionRun(cube, pm, machine)
             assert _admit_at_releases(run, jobs) > 0
             _check(run, jobs, cube, pm, machine)
+
+
+def test_one_shot_run_raises_as_the_oracle_does():
+    """A dead link under ``on_fault="raise"`` stops the one-shot run
+    with the from-scratch run's :class:`FaultError`."""
+    cube, pm = Hypercube(3), PortModel.ONE_PORT_FULL
+    entries = [
+        _job(cube, pm, "a", 0.0, m=8),
+        _job(cube, pm, "b", 1.5, op="scatter", source=1, m=2),
+    ]
+    faults = FaultPlan(dead_links=[(0, 1)])
+    with pytest.raises(FaultError) as want:
+        run_merged(cube, entries, pm, faults=faults)
+    with pytest.raises(FaultError) as got:
+        execute_program(cube, merge_programs(entries), pm, faults=faults)
+    assert vars(got.value) == vars(want.value)
+    assert got.value.edge is not None

@@ -1,10 +1,10 @@
 """The dependency-indexed list scheduler is bit-identical to the
 original full-rescan reference (and likewise for first-fit partition).
 
-Mirrors the ``run_async`` / ``_engine_reference`` convention: the
+Mirrors the ``run_async`` / ``tests.engine_reference`` convention: the
 optimized implementation in :mod:`repro.routing.scheduler` must produce
 the *same rounds in the same order* as
-:mod:`repro.routing._scheduler_reference` on every input, including the
+:mod:`tests.scheduler_reference` on every input, including the
 deadlock diagnostics.
 """
 
@@ -14,16 +14,16 @@ import random
 
 import pytest
 
-from repro.routing._scheduler_reference import (
-    greedy_partition_reference,
-    list_schedule_reference,
-)
 from repro.routing.broadcast_msbt import msbt_broadcast_schedule
 from repro.routing.scatter_bst import bst_scatter_schedule
 from repro.routing.scheduler import greedy_partition, list_schedule
 from repro.sim.ports import PortModel
 from repro.sim.schedule import Transfer
 from repro.topology.hypercube import Hypercube
+from tests.scheduler_reference import (
+    greedy_partition_reference,
+    list_schedule_reference,
+)
 
 PORTS = (PortModel.ONE_PORT_HALF, PortModel.ONE_PORT_FULL, PortModel.ALL_PORT)
 

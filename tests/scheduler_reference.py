@@ -6,7 +6,7 @@ versions there are dependency-indexed and must stay *bit-identical* to
 these on every input (same rounds, same transfer order within a round,
 same error behaviour).  ``tests/routing/test_scheduler_equivalence.py``
 asserts that on the full algorithm zoo and on randomized transfer
-lists, mirroring the engine/_engine_reference convention.
+lists, mirroring the convention of ``tests/engine_reference.py``.
 """
 
 from __future__ import annotations

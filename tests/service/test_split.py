@@ -4,7 +4,9 @@ A service run or a workload step closes one resumable engine run and
 splits it per job without merging: the view's program builds its
 chunk-tagged fields on first read, each job's holdings come from its
 own held slots, and each job's link counters are built on first read.
-Whatever is built must equal what the eager, tagged path built.
+The one-shot :func:`~repro.service.exec.execute_program` runs the same
+way.  Whatever is built must equal what the eager, tagged path builds
+(:mod:`tests.merged_oracle`).
 """
 
 from __future__ import annotations
@@ -18,15 +20,17 @@ import pytest
 import repro.service.scheduler as scheduler
 import repro.sim.multi as multi
 import repro.workloads.exec as wexec
+from repro.collectives.api import check_delivery
 from repro.service import AdmissionControl, JobSpec, run_service
-from repro.service.exec import AdmissionRun
+from repro.service.exec import AdmissionRun, execute_program
 from repro.sim.faults import DegradedResult, FaultPlan
 from repro.sim.machine import MachineParams
-from repro.sim.multi import merge_programs, untag_holdings
+from repro.sim.multi import merge_programs
 from repro.sim.ports import PortModel
 from repro.topology import Hypercube
 from repro.topology.hypercube import DirectedEdge
 from repro.workloads import PhaseSpec, Workload, WorkloadDAG, run_workload
+from tests.merged_oracle import run_merged, untag_holdings, view_key
 
 # costs that round, so a changed summation order shows in the last bit
 MACHINE = MachineParams(tau=0.1, t_c=0.07, overlap=0.25)
@@ -54,6 +58,12 @@ def _run(policy, admission, **kw):
     return run_service(
         Hypercube(3), SPECS, PortModel.ONE_PORT_FULL, MACHINE,
         policy=policy, admission=admission, **kw,
+    )
+
+
+def _one_shot(program, **kw):
+    return execute_program(
+        Hypercube(3), program, PortModel.ONE_PORT_FULL, MACHINE, **kw
     )
 
 
@@ -148,6 +158,31 @@ class TestJobHoldings:
             got = view.job_holdings(pos)
             assert got == untag_holdings(view.raw.holdings, entry.tag)
 
+    @pytest.mark.parametrize("faults", [None, FaultPlan(dead_links=[(1, 0)])])
+    @pytest.mark.parametrize("policy,admission", RUNS)
+    def test_one_shot_run_reads_held_slots(self, policy, admission, faults):
+        """A one-shot view reads each job's held slots, so its verdict
+        answers and a fault-free run builds no merged holdings."""
+        kw = dict(faults=faults, on_fault="report")
+        result = _run(policy, admission, **kw)
+        view = _one_shot(merge_programs(result.program.entries), **kw)
+        specs = {j.job_id: j.spec for j in result.jobs}
+        delivered = [view.job_delivered(pos) for pos in range(len(view.slices))]
+        got = [view.job_holdings(pos) for pos in range(len(view.slices))]
+        assert ("holdings" not in vars(view.raw)) == (faults is None)
+        for pos, entry in enumerate(view.program.entries):
+            assert got[pos] == untag_holdings(view.raw.holdings, entry.tag)
+            spec = specs[entry.tag]
+            short = check_delivery(
+                Hypercube(3), spec.op, spec.source, entry.schedule, got[pos]
+            )
+            if delivered[pos]:
+                assert not short
+        if faults is None:
+            assert all(delivered)
+        else:
+            assert not all(delivered)
+
     def test_workload_step_equals_untag(self):
         _ViewSpy.views = []
         with mock.patch.object(wexec, "AdmissionRun", _ViewSpy):
@@ -169,6 +204,19 @@ class TestNothingTaggedBuilt:
         assert "schedule" not in vars(result.program)
         for j in result.jobs:
             assert not j.undelivered
+
+    @pytest.mark.parametrize("policy,admission", RUNS)
+    def test_one_shot_run_of_an_unmerged_program(self, policy, admission):
+        program = _run(policy, admission).program
+        a, b, c = _no_merge()
+        with a, b, c:
+            view = _one_shot(program)
+        assert view.program is program
+        assert "schedule" not in vars(program)
+        oracle = run_merged(
+            Hypercube(3), program.entries, PortModel.ONE_PORT_FULL, MACHINE
+        )
+        assert view_key(view) == view_key(oracle)
 
     def test_workload_step(self):
         _ViewSpy.views = []

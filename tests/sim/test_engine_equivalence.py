@@ -3,7 +3,7 @@
 ``repro.sim.run_async`` (the vectorized array-core engine) replaced the
 original quadratic rescan-everything engine with a dependency-indexed
 design; the original is preserved verbatim as
-``repro.sim._engine_reference.run_async_reference`` and serves as the
+``tests.engine_reference.run_async_reference`` and serves as the
 oracle here.  Equivalence is *exact*: simulated completion time,
 holdings, link statistics and start times must match to the last ulp
 (the production engine reproduces the reference's eps-coalesced wake
@@ -27,7 +27,6 @@ from repro.routing import (
     tree_broadcast_schedule,
 )
 from repro.sim import run_async
-from repro.sim._engine_reference import run_async_reference
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
@@ -37,6 +36,7 @@ from repro.sim.synchronous import run_synchronous
 from repro.topology.hypercube import DirectedEdge, Hypercube
 from repro.trees.hamiltonian import HamiltonianPathTree
 from repro.trees.tcbt import TwoRootedCompleteBinaryTree
+from tests.engine_reference import run_async_reference
 
 MACHINES = [
     IPSC_D7,

@@ -42,7 +42,6 @@ from repro.routing import (
 from repro.cli import build_parser
 from repro.sim import run_async
 from repro.sim.dispatch import get_engine, resolve_engine
-from repro.sim._engine_reference import run_async_reference
 from repro.sim.faults import DegradedResult, FaultError, FaultPlan
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7, UNIT_COST, MachineParams
@@ -52,6 +51,7 @@ from repro.sim.vectorized import run_async_vectorized
 from repro.topology.hypercube import Hypercube
 from repro.trees.hamiltonian import HamiltonianPathTree
 from repro.trees.tcbt import TwoRootedCompleteBinaryTree
+from tests.engine_reference import run_async_reference
 
 MACHINES = [
     IPSC_D7,

@@ -20,10 +20,10 @@ from repro.sim import (
     run_async,
     run_synchronous,
 )
-from repro.sim._engine_reference import run_async_reference
 from repro.sim.faults import undelivered_map
 from repro.sim.machine import MachineParams
 from repro.topology import Hypercube
+from tests.engine_reference import run_async_reference
 
 CUBE = Hypercube(3)
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.routing import msbt_broadcast_schedule, reschedule, sbt_broadcast_schedule
-from repro.sim import PortModel, run_synchronous
-from repro.sim.schedule import merge_schedules
+from repro.sim import JobEntry, PortModel, run_synchronous
+from repro.sim.schedule import Schedule, merge_schedules
 from repro.topology import Hypercube
 
 
@@ -60,3 +60,17 @@ class TestMergeSchedules:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             merge_schedules([])
+
+
+class TestJobEntry:
+    @pytest.mark.parametrize(
+        "release", [-1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_negative_or_non_finite_release(self, release):
+        empty = Schedule(rounds=[], chunk_sizes={0: 1}, algorithm="none")
+        with pytest.raises(ValueError, match="release time must be >= 0 and finite"):
+            JobEntry("j", empty, {0: {0}}, release=release)
+
+    def test_accepts_a_finite_release(self):
+        empty = Schedule(rounds=[], chunk_sizes={0: 1}, algorithm="none")
+        assert JobEntry("j", empty, {0: {0}}, release=2.5).release == 2.5

@@ -24,16 +24,15 @@ import pytest
 from repro.routing import msbt_broadcast_schedule
 from repro.runtime import RuntimeResult, build_cluster_program, run_program
 from repro.service import JobResult, JobSpec, run_service
-from repro.service.exec import JobSlice, execute_program
 from repro.sim import LinkStats, run_async
-from repro.sim._engine_reference import run_async_reference
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7
-from repro.sim.multi import merge_programs, untag_holdings
 from repro.sim.ports import PortModel
 from repro.sim.synchronous import run_synchronous
 from repro.topology.hypercube import DirectedEdge, Hypercube
+from tests.engine_reference import run_async_reference
 from tests.fresh import fresh_broadcast
+from tests.merged_oracle import run_merged, untag_holdings
 
 CUBE = Hypercube(4)
 FULL = PortModel.ONE_PORT_FULL
@@ -76,6 +75,11 @@ def _service():
     return run_service(Hypercube(3), SPECS, FULL, IPSC_D7, policy="fifo")
 
 
+def _oracle():
+    """The from-scratch run of the service's merged program."""
+    return run_merged(Hypercube(3), _service().program.entries, FULL, IPSC_D7)
+
+
 def _eager_run(engine):
     """The run of :func:`_lowered_run` on an engine that builds every
     field as it goes: the scalar lock-step loop or the reference
@@ -95,36 +99,11 @@ def _eager_edge_stats():
     )
 
 
-def _eager_slice(pos: int) -> JobSlice:
-    """Job ``pos``'s slice of the one-shot run of the service's merged
-    program, with its link counters and busy times summed transfer by
-    transfer over the transfer log (execution order, as the engine
-    adds them)."""
-    program = merge_programs(_service().program.entries)
-    view = execute_program(Hypercube(3), program, FULL, IPSC_D7)
-    transfers = program.schedule.all_transfers()
-    stats, busy = LinkStats(), {}
-    for i in view.raw.transfer_log.ids:
-        if program.owners[i] == pos:
-            t = transfers[i]
-            elems = sum(program.schedule.chunk_sizes[c] for c in t.chunks)
-            stats.record(t.src, t.dst, elems)
-            edge = DirectedEdge(t.src, t.dst)
-            busy[edge] = busy.get(edge, 0.0) + IPSC_D7.send_cost(elems)
-    counts = {
-        f.name: getattr(view.slices[pos], f.name) for f in fields(JobSlice)
-        if f.name not in ("link_stats", "link_busy")
-    }
-    return JobSlice(**counts, link_stats=stats, link_busy=busy)
-
-
 def _eager_job(job_id: int) -> JobResult:
     """Job ``job_id``'s result with its holdings untagged from the
-    one-shot run of the service's merged program."""
-    result = _service()
-    program = merge_programs(result.program.entries)
-    raw = execute_program(Hypercube(3), program, FULL, IPSC_D7).raw
-    lazy = result.jobs[job_id]
+    from-scratch run of the service's merged program."""
+    lazy = _service().jobs[job_id]
+    raw = _oracle().raw
     kept = {
         f.name: getattr(lazy, f.name) for f in fields(JobResult)
         if f.name != "holdings"
@@ -161,14 +140,9 @@ CASES = {
         lambda: _eager_run(run_async_reference),
     ),
     "LinkStats": (_edge_stats, _eager_edge_stats),
-    "MergedProgram": (
-        lambda: _service().program,
-        lambda: merge_programs(_service().program.entries),
-    ),
-    "JobSlice": (
-        lambda: _service().view.slices[1],
-        lambda: _eager_slice(1),
-    ),
+    "MergedProgram": (lambda: _service().program, lambda: _oracle().program),
+    # the oracle sums a slice's link counters transfer by transfer
+    "JobSlice": (lambda: _service().view.slices[1], lambda: _oracle().slices[1]),
     "JobResult": (
         lambda: _service().jobs[0],
         lambda: _eager_job(0),

@@ -22,13 +22,13 @@ import pytest
 from repro.collectives import api, broadcast
 from repro.routing import msbt_broadcast_schedule, sbt_broadcast_schedule
 from repro.sim import LinkStats, run_async
-from repro.sim._engine_reference import run_async_reference
 from repro.sim.faults import DegradedResult, FaultPlan
 from repro.sim.lowering import lower_schedule
 from repro.sim.machine import IPSC_D7
 from repro.sim.ports import PortModel
 from repro.sim.synchronous import run_synchronous
 from repro.topology.hypercube import DirectedEdge, Hypercube
+from tests.engine_reference import run_async_reference
 from tests.fresh import uncached
 
 CUBE = Hypercube(4)
